@@ -97,6 +97,34 @@ def _checked_data(X, d: Dendrogram) -> np.ndarray:
     return X
 
 
+def _plain_merge(sa, sb, na, nb):
+    return (sa + sb) / 2.0, (sa - sb) / 2.0
+
+
+def _weighted_merge(sa, sb, na, nb):
+    merged = (na * sa + nb * sb) / (na + nb)
+    return merged, sa - merged
+
+
+def _ascend(X, tree: Dendrogram, merge) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shared forward loop: smooth and detail of every cluster in rank order.
+
+    ``merge(s_first, s_second, n_first, n_second)`` returns the cluster's
+    smooth and detail.  Also returns the (n-1) x 2 child sizes it was given.
+    """
+    lay = tree.layout
+    sizes = np.stack((lay.mid - lay.lo, lay.hi - lay.mid), axis=1)
+    smooth: list[np.ndarray] = []
+    details = np.zeros((tree.n_clusters, X.shape[1]))
+    for k, ((a, b), (na, nb)) in enumerate(zip(tree.merges, sizes.tolist())):
+        sa = X[a.index - 1] if a.is_terminal else smooth[a.index - 1]
+        sb = X[b.index - 1] if b.is_terminal else smooth[b.index - 1]
+        merged, details[k] = merge(sa, sb, na, nb)
+        smooth.append(merged)
+    final = smooth[-1] if smooth else X[0].copy()
+    return details, final, sizes
+
+
 def forward(X, d: Dendrogram, orient: bool = True, mode: str = MODE_ULTRAMETRIC) -> WaveletDecomposition:
     """Run the transform on data rows indexed by the tree's terminals.
 
@@ -105,17 +133,7 @@ def forward(X, d: Dendrogram, orient: bool = True, mode: str = MODE_ULTRAMETRIC)
     that a child swap negates one C column and one D row and nothing else).
     """
     tree = canonical_orient(d) if orient else d
-    X = _checked_data(X, tree)
-    m = X.shape[1]
-    smooth: dict[NodeRef, np.ndarray] = {}
-    details = np.zeros((tree.n_clusters, m))
-    for k in range(1, tree.n_clusters + 1):
-        a, b = tree.children(k)
-        sa = smooth[a] if not a.is_terminal else X[a.index - 1]
-        sb = smooth[b] if not b.is_terminal else X[b.index - 1]
-        smooth[cluster(k)] = (sa + sb) / 2.0
-        details[k - 1] = (sa - sb) / 2.0
-    final = smooth[tree.root] if tree.n_clusters else X[0].copy()
+    details, final, _ = _ascend(_checked_data(X, tree), tree, _plain_merge)
     return WaveletDecomposition(tree, branch_signs(tree), details, final, mode)
 
 
@@ -138,21 +156,7 @@ def forward_weighted(X, d: Dendrogram, orient: bool = True) -> WaveletDecomposit
     reduces to the plain transform.
     """
     tree = canonical_orient(d) if orient else d
-    X = _checked_data(X, tree)
-    m = X.shape[1]
-    smooth: dict[NodeRef, np.ndarray] = {}
-    details = np.zeros((tree.n_clusters, m))
-    sizes = np.zeros((tree.n_clusters, 2), dtype=np.int64)
-    for k in range(1, tree.n_clusters + 1):
-        a, b = tree.children(k)
-        sa = smooth[a] if not a.is_terminal else X[a.index - 1]
-        sb = smooth[b] if not b.is_terminal else X[b.index - 1]
-        na, nb = len(tree.term_set(a)), len(tree.term_set(b))
-        merged = (na * sa + nb * sb) / (na + nb)
-        smooth[cluster(k)] = merged
-        details[k - 1] = sa - merged
-        sizes[k - 1] = (na, nb)
-    final = smooth[tree.root] if tree.n_clusters else X[0].copy()
+    details, final, sizes = _ascend(_checked_data(X, tree), tree, _weighted_merge)
     return WaveletDecomposition(
         tree, branch_signs(tree), details, final, MODE_ULTRAMETRIC, child_sizes=sizes
     )

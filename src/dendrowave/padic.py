@@ -33,6 +33,8 @@ from .tree import (
 
 DEFAULT_BASE = 3
 
+_DIGITS = frozenset((-1, 0, 1))
+
 
 @dataclass(frozen=True)
 class PAdicCode:
@@ -44,6 +46,9 @@ class PAdicCode:
     def __post_init__(self) -> None:
         if self.base < 2:
             raise ValidationError(f"base must be >= 2, got {self.base}")
+        if _DIGITS.issuperset(self.coeffs):
+            return
+        # only reached on bad input, to name the offending power
         for j, c in enumerate(self.coeffs, start=1):
             if c not in (-1, 0, 1):
                 raise ValidationError(f"coefficient of p^{j} must be -1, 0 or +1, got {c}")
@@ -144,7 +149,9 @@ def encode(d: Dendrogram, base: int = DEFAULT_BASE) -> tuple[list[PAdicCode], np
     """
     oriented = canonical_orient(d)
     signs = branch_signs(oriented)
-    codes = [PAdicCode(tuple(int(c) for c in row), base) for row in signs]
+    # one row at a time: a whole-matrix tolist() would hold n * (n - 1)
+    # list slots alive next to the code tuples built from them
+    codes = [PAdicCode(tuple(row.tolist()), base) for row in signs]
     return codes, signs
 
 
@@ -171,29 +178,27 @@ def padd(a: PAdicCode, b: PAdicCode) -> PAdicCode:
 def cluster_code(d: Dendrogram, node: NodeRef, base: int = DEFAULT_BASE) -> PAdicCode:
     """Code of any node: a terminal's own code, or the unanimity sum of members.
 
-    Computed both as the fold of member codes and as the root-path reading
-    above the node's own rank; the two must agree.  The root gets the null
-    code.
+    Read as the root path above the node, one sign per ancestor, and
+    checked against the unanimity sum of the members' rows of the
+    branch-code matrix; the two must agree.  The root gets the null code.
     """
     oriented = canonical_orient(d)
-    codes, _ = encode(oriented, base)
-    members = sorted(oriented.term_set(node))
-    folded = codes[members[0] - 1]
-    for i in members[1:]:
-        folded = padd(folded, codes[i - 1])
-
-    coeffs = [0] * (oriented.n_terminals - 1)
-    child: NodeRef = node
-    parents = oriented._parent_rank
-    while child in parents:
-        k = parents[child]
-        first, _second = oriented.children(k)
-        coeffs[k - 1] = 1 if child == first else -1
-        child = cluster(k)
-    from_path = PAdicCode(tuple(coeffs), base)
-    if from_path != folded:
+    start, end = oriented.span(node)
+    mid = oriented.layout.mid
+    coeffs = [0] * oriented.n_clusters
+    ref = oriented.root
+    while ref != node:
+        k = ref.index
+        first, second = oriented.children(k)
+        if start < mid[k - 1]:
+            coeffs[k - 1], ref = 1, first
+        else:
+            coeffs[k - 1], ref = -1, second
+    members = branch_signs(oriented)[oriented.layout.order[start:end] - 1]
+    folded = np.where((members == members[0]).all(axis=0), members[0], 0)
+    if folded.tolist() != coeffs:
         raise ValidationError(f"member sum and root path disagree at {node!r}")
-    return folded
+    return PAdicCode(tuple(coeffs), base)
 
 
 # ----------------------------------------------------------------- polynomials
@@ -378,34 +383,36 @@ def decode(
     n, m = mat.shape
     if m != n - 1:
         raise ValidationError(f"matrix must be n x (n-1), got {n} x {m}")
-    if not np.isin(mat, (-1, 0, 1)).all():
+    if not ((mat == 0) | (mat == 1) | (mat == -1)).all():
         raise ValidationError("branch codes contain entries other than -1, 0, +1")
 
-    covering: dict[int, NodeRef] = {i: terminal(i) for i in range(1, n + 1)}
-    node_terms: dict[NodeRef, frozenset[int]] = {
-        terminal(i): frozenset((i,)) for i in range(1, n + 1)
-    }
+    # node ids: terminal i is i - 1, cluster k is n + k - 1
+    cover = np.arange(n)  # the id of the largest node built so far over each row
+    size = np.ones(2 * n - 1, dtype=np.int64)
+
+    def ref(node_id: int) -> NodeRef:
+        return terminal(node_id + 1) if node_id < n else cluster(node_id - n + 1)
+
     merges: list[tuple[NodeRef, NodeRef]] = []
-    for k in range(1, n):
-        col = mat[:, k - 1]
-        plus = frozenset(int(i) + 1 for i in np.flatnonzero(col == 1))
-        minus = frozenset(int(i) + 1 for i in np.flatnonzero(col == -1))
-        if not plus or not minus:
+    for k, col in enumerate(np.ascontiguousarray(mat.T), start=1):
+        rows = np.flatnonzero(col)
+        positive = col[rows] == 1
+        sides = (rows[positive], rows[~positive])
+        if not sides[0].size or not sides[1].size:
             raise ValidationError(f"column {k}: both signs must appear")
         children = []
-        for side, name in ((plus, "+1"), (minus, "-1")):
-            node = covering[min(side)]
-            if node_terms[node] != side:
+        for rows, name in zip(sides, ("+1", "-1")):
+            node_id = int(cover[rows[0]])
+            if rows.size != size[node_id] or (cover[rows] != node_id).any():
                 raise ValidationError(
                     f"column {k}: {name} rows do not match any current subtree "
                     "(not a laminar family)"
                 )
-            children.append(node)
-        new = cluster(k)
-        node_terms[new] = plus | minus
-        for i in plus | minus:
-            covering[i] = new
+            children.append(ref(node_id))
+        new_id = n + k - 1
+        cover[sides[0]] = cover[sides[1]] = new_id
+        size[new_id] = sides[0].size + sides[1].size
         merges.append((children[0], children[1]))
-    if merges and node_terms[cluster(n - 1)] != frozenset(range(1, n + 1)):
+    if merges and size[-1] != n:
         raise ValidationError("the final column must merge everything into the root")
     return build_from_merges(merges, labels=labels)

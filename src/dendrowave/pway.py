@@ -25,6 +25,9 @@ from .tree import (
     Dendrogram,
     NodeRef,
     ValidationError,
+    _is_int,
+    _node_from_json,
+    _node_to_json,
     build_from_merges,
     cluster,
     default_labels,
@@ -212,7 +215,7 @@ def to_json(t: PWayTree, indent: int | None = 2) -> str:
         "n_terminals": t.n_terminals,
         "terminals": list(t.labels),
         "merges": [
-            {"rank": k, "children": [{c.kind: c.index} for c in kids]}
+            {"rank": k, "children": [_node_to_json(c) for c in kids]}
             for k, kids in enumerate(t.merges, start=1)
         ],
     }
@@ -238,7 +241,7 @@ def from_json(text: str) -> PWayTree:
     by_rank: dict[int, tuple[NodeRef, ...]] = {}
     for idx, entry in enumerate(raw):
         where = f"merges[{idx}]"
-        if not isinstance(entry, dict) or not isinstance(entry.get("rank"), int):
+        if not isinstance(entry, dict) or not _is_int(entry.get("rank")):
             raise ValidationError(f"{where}: expected an object with an integer rank")
         rank = entry["rank"]
         if rank in by_rank:
@@ -246,15 +249,7 @@ def from_json(text: str) -> PWayTree:
         kids = entry.get("children")
         if not isinstance(kids, list):
             raise ValidationError(f"{where}: children must be a list")
-        parsed = []
-        for c in kids:
-            if not isinstance(c, dict) or len(c) != 1:
-                raise ValidationError(f"{where}: bad node {c!r}")
-            kind, index = next(iter(c.items()))
-            if kind not in ("terminal", "cluster") or not isinstance(index, int):
-                raise ValidationError(f"{where}: bad node {c!r}")
-            parsed.append(NodeRef(kind, index))
-        by_rank[rank] = tuple(parsed)
+        by_rank[rank] = tuple(_node_from_json(c, where) for c in kids)
     if sorted(by_rank) != list(range(1, len(raw) + 1)):
         raise ValidationError("merge ranks must cover 1..t exactly once")
     merges = tuple(by_rank[k] for k in range(1, len(raw) + 1))

@@ -36,6 +36,8 @@ class NodeRef:
     def __post_init__(self) -> None:
         if self.kind not in ("terminal", "cluster"):
             raise ValidationError(f"unknown node kind {self.kind!r}")
+        if isinstance(self.index, bool):
+            raise ValidationError(f"{self.kind} index must be an integer, got {self.index!r}")
         if self.index < 1:
             raise ValidationError(f"{self.kind} index must be >= 1, got {self.index}")
 
@@ -62,6 +64,72 @@ def cluster(j: int) -> NodeRef:
 
 def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(1, n + 1))
+
+
+@dataclass(frozen=True, eq=False)
+class TreeLayout:
+    """Array form of a dendrogram: its leaf order plus one rank per gap.
+
+    Reading the leaves left to right in stored child order puts every
+    cluster on a contiguous run of positions ``[lo, hi)``, its first child
+    on ``[lo, mid)`` and its second on ``[mid, hi)``.  The gap between
+    positions ``mid - 1`` and ``mid`` belongs to that cluster alone, so
+    the order plus the n - 1 gap ranks encode the whole tree, and the
+    lowest common cluster of two leaves is the largest gap rank between
+    them.
+
+    Cluster arrays are indexed by rank - 1 and ``pos`` by terminal - 1,
+    like ``Dendrogram.merges`` and ``Dendrogram.labels``.  The arrays are
+    read-only because every caller shares them.
+    """
+
+    order: np.ndarray  # terminal index at each leaf position
+    pos: np.ndarray  # leaf position of each terminal
+    lo: np.ndarray
+    mid: np.ndarray
+    hi: np.ndarray
+    size: np.ndarray  # hi - lo, the number of terminals under each cluster
+    low: np.ndarray  # smallest terminal index under each cluster
+    gaps: np.ndarray  # gaps[mid[k - 1] - 1] == k
+
+
+def _build_layout(merges: Sequence[tuple[NodeRef, NodeRef]], n: int) -> TreeLayout:
+    size = [0] * (n - 1)
+    low = [0] * (n - 1)
+    for k, (a, b) in enumerate(merges):
+        size[k] = (1 if a.is_terminal else size[a.index - 1]) + (
+            1 if b.is_terminal else size[b.index - 1]
+        )
+        low[k] = min(
+            a.index if a.is_terminal else low[a.index - 1],
+            b.index if b.is_terminal else low[b.index - 1],
+        )
+    # descend from the root: the first child starts where its parent does
+    lo = [0] * (n - 1)
+    mid = [0] * (n - 1)
+    order = [1] * n
+    for k in range(n - 1, 0, -1):
+        a, b = merges[k - 1]
+        start = lo[k - 1]
+        mid[k - 1] = start + (1 if a.is_terminal else size[a.index - 1])
+        for child, at in ((a, start), (b, mid[k - 1])):
+            if child.is_terminal:
+                order[at] = child.index
+            else:
+                lo[child.index - 1] = at
+    order_arr, lo_arr, mid_arr, size_arr, low_arr = (
+        np.array(v, dtype=np.int64) for v in (order, lo, mid, size, low)
+    )
+    pos = np.empty(n, dtype=np.int64)
+    pos[order_arr - 1] = np.arange(n)
+    gaps = np.empty(n - 1, dtype=np.int64)
+    gaps[mid_arr - 1] = np.arange(1, n)
+    layout = TreeLayout(
+        order_arr, pos, lo_arr, mid_arr, lo_arr + size_arr, size_arr, low_arr, gaps
+    )
+    for arr in vars(layout).values():
+        arr.flags.writeable = False
+    return layout
 
 
 @dataclass(frozen=True)
@@ -149,21 +217,9 @@ class Dendrogram:
     # ------------------------------------------------------------- structure
 
     @cached_property
-    def _term_sets(self) -> tuple[frozenset[int], ...]:
-        sets: list[frozenset[int]] = []
-        for a, b in self.merges:
-            sa = sets[a.index - 1] if not a.is_terminal else frozenset((a.index,))
-            sb = sets[b.index - 1] if not b.is_terminal else frozenset((b.index,))
-            sets.append(sa | sb)
-        return tuple(sets)
-
-    @cached_property
-    def _parent_rank(self) -> dict[NodeRef, int]:
-        parents: dict[NodeRef, int] = {}
-        for k, (a, b) in enumerate(self.merges, start=1):
-            parents[a] = k
-            parents[b] = k
-        return parents
+    def layout(self) -> TreeLayout:
+        """The array form of the tree, built once in O(n) and shared by every reader."""
+        return _build_layout(self.merges, self.n_terminals)
 
     def _check_node(self, node: NodeRef) -> None:
         bound = self.n_terminals if node.is_terminal else self.n_clusters
@@ -175,31 +231,29 @@ class Dendrogram:
             raise ValidationError(f"no cluster of rank {rank}")
         return self.merges[rank - 1]
 
+    def span(self, node: NodeRef) -> tuple[int, int]:
+        """Leaf positions ``[start, end)`` that ``node`` covers in `leaf_order`."""
+        self._check_node(node)
+        lay = self.layout
+        if node.is_terminal:
+            start = int(lay.pos[node.index - 1])
+            return start, start + 1
+        return int(lay.lo[node.index - 1]), int(lay.hi[node.index - 1])
+
     def term_set(self, node: NodeRef) -> frozenset[int]:
         """Terminal indices lying under ``node``."""
-        self._check_node(node)
-        if node.is_terminal:
-            return frozenset((node.index,))
-        return self._term_sets[node.index - 1]
+        start, end = self.span(node)
+        return frozenset(self.layout.order[start:end].tolist())
 
     def lca(self, i: int, j: int) -> NodeRef:
-        """Lowest cluster containing both terminals i and j (i != j)."""
+        """Lowest cluster containing both terminals i and j (i != j).
+
+        Its rank is the largest gap rank between the two leaf positions.
+        """
         if i == j:
             raise ValidationError("lca needs two distinct terminals")
-        for t in (i, j):
-            self._check_node(terminal(t))
-        ancestors: set[int] = set()
-        node = terminal(i)
-        while node in self._parent_rank:
-            ancestors.add(self._parent_rank[node])
-            node = cluster(self._parent_rank[node])
-        node = terminal(j)
-        while node in self._parent_rank:
-            k = self._parent_rank[node]
-            if k in ancestors:
-                return cluster(k)
-            node = cluster(k)
-        raise ValidationError(f"terminals {i} and {j} share no ancestor")
+        p, q = sorted((self.span(terminal(i))[0], self.span(terminal(j))[0]))
+        return cluster(int(self.layout.gaps[p:q].max()))
 
     def level_of(self, rank: int) -> float:
         if self.levels is None:
@@ -210,17 +264,7 @@ class Dendrogram:
 
     def leaf_order(self) -> tuple[int, ...]:
         """Terminal indices read left to right, following stored child order."""
-        out: list[int] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_terminal:
-                out.append(node.index)
-            else:
-                a, b = self.merges[node.index - 1]
-                stack.append(b)
-                stack.append(a)
-        return tuple(out)
+        return tuple(self.layout.order.tolist())
 
     def label_of(self, i: int) -> str:
         self._check_node(terminal(i))
@@ -267,15 +311,19 @@ def canonical_orient(d: Dendrogram) -> Dendrogram:
     """Reorder children so the subtree holding the smallest terminal comes first.
 
     All 2**(n-1) representations of the same hierarchy collapse to this one
-    fixed point, and applying the function twice changes nothing.
+    fixed point, and applying the function twice changes nothing.  A tree
+    that is already canonical is returned as it is.
     """
-    merges = []
-    for a, b in d.merges:
-        if min(d.term_set(a)) < min(d.term_set(b)):
-            merges.append((a, b))
-        else:
-            merges.append((b, a))
-    return Dendrogram(d.labels, tuple(merges), d.levels)
+    low = d.layout.low.tolist()
+
+    def lowest(node: NodeRef) -> int:
+        return node.index if node.is_terminal else low[node.index - 1]
+
+    swap = [lowest(a) > lowest(b) for a, b in d.merges]
+    if not any(swap):
+        return d
+    merges = tuple((b, a) if s else (a, b) for (a, b), s in zip(d.merges, swap))
+    return Dendrogram(d.labels, merges, d.levels)
 
 
 def branch_signs(d: Dendrogram) -> np.ndarray:
@@ -286,19 +334,26 @@ def branch_signs(d: Dendrogram) -> np.ndarray:
     order; canonicalize first if a representation-independent matrix is
     wanted.
     """
-    n = d.n_terminals
-    out = np.zeros((n, d.n_clusters), dtype=np.int8)
-    for k, (a, b) in enumerate(d.merges, start=1):
-        for i in d.term_set(a):
-            out[i - 1, k - 1] = 1
-        for i in d.term_set(b):
-            out[i - 1, k - 1] = -1
-    return out
+    lay = d.layout
+    n, cols = d.n_terminals, np.arange(d.n_clusters)
+    # In leaf order column k is +1 on [lo, mid) and -1 on [mid, hi): mark
+    # the three boundaries and let a running sum down the column fill both.
+    by_pos = np.zeros((n + 1, d.n_clusters), dtype=np.int8)
+    by_pos[lay.lo, cols] = 1
+    by_pos[lay.mid, cols] = -2
+    by_pos[lay.hi, cols] = 1
+    np.cumsum(by_pos, axis=0, dtype=np.int8, out=by_pos)
+    return by_pos[lay.pos]
 
 
 # -------------------------------------------------------------------- JSON I/O
 
 _FORMAT = "dendrogram"
+
+
+def _is_int(value: object) -> bool:
+    """JSON integers only: bool is an int subclass but never an index."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _node_to_json(node: NodeRef) -> dict:
@@ -309,7 +364,7 @@ def _node_from_json(obj: object, where: str) -> NodeRef:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValidationError(f"{where}: expected one-key node object, got {obj!r}")
     kind, index = next(iter(obj.items()))
-    if kind not in ("terminal", "cluster") or not isinstance(index, int):
+    if kind not in ("terminal", "cluster") or not _is_int(index):
         raise ValidationError(f"{where}: bad node {obj!r}")
     return NodeRef(kind, index)
 
@@ -342,7 +397,7 @@ def from_json(text: str) -> Dendrogram:
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise ValidationError("terminals: expected a list of strings")
     n = len(labels)
-    if doc.get("n_terminals") != n:
+    if isinstance(doc.get("n_terminals"), bool) or doc.get("n_terminals") != n:
         raise ValidationError(
             f"n_terminals says {doc.get('n_terminals')!r} but {n} labels given"
         )
@@ -355,7 +410,7 @@ def from_json(text: str) -> Dendrogram:
         if not isinstance(entry, dict):
             raise ValidationError(f"{where}: expected an object")
         rank = entry.get("rank")
-        if not isinstance(rank, int) or not 1 <= rank <= n - 1:
+        if not _is_int(rank) or not 1 <= rank <= n - 1:
             raise ValidationError(f"{where}: rank {rank!r} outside 1..{n - 1}")
         if rank in by_rank:
             raise ValidationError(f"{where}: duplicate rank {rank}")
@@ -373,7 +428,7 @@ def from_json(text: str) -> Dendrogram:
     levels = doc.get("levels")
     if levels is not None:
         if not isinstance(levels, list) or not all(
-            isinstance(v, (int, float)) for v in levels
+            _is_int(v) or isinstance(v, float) for v in levels
         ):
             raise ValidationError("levels: expected a list of numbers")
         levels = tuple(float(v) for v in levels)

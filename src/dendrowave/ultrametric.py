@@ -62,14 +62,16 @@ def cophenetic(d: Dendrogram, use: str = "ranks") -> np.ndarray:
     n = d.n_terminals
     if use == "levels" and d.levels is None and n > 1:
         raise ValidationError("this dendrogram carries no levels")
-    out = np.zeros((n, n), dtype=np.int64 if use == "ranks" else float)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            k = d.lca(i, j).index
-            v = k if use == "ranks" else d.levels[k - 1]
-            out[i - 1, j - 1] = v
-            out[j - 1, i - 1] = v
-    return out
+    gaps = d.layout.gaps
+    # by leaf position, the LCA rank of p < q is the largest gap rank between them
+    by_pos = np.zeros((n, n), dtype=np.int64)
+    for p in range(n - 1):
+        np.maximum.accumulate(gaps[p:], out=by_pos[p, p + 1 :])
+    by_pos += by_pos.T
+    ranks = by_pos[np.ix_(d.layout.pos, d.layout.pos)]
+    if use == "ranks":
+        return ranks
+    return np.array((0.0,) + (d.levels or ()))[ranks]
 
 
 def _checked_matrix(M) -> np.ndarray:

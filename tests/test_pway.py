@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -172,3 +173,18 @@ def test_pway_json_errors():
         from_json("{}")
     with pytest.raises(ValidationError):
         from_json('{"format": "pway_tree", "arity": 1}')
+
+
+@pytest.mark.parametrize(
+    "merge, where",
+    [
+        ({"rank": True, "children": [{"terminal": 1}, {"terminal": 2}]}, "integer rank"),
+        ({"rank": 1, "children": [{"terminal": True}, {"terminal": 2}]}, r"merges\[0\]: bad node"),
+    ],
+    ids=["rank", "terminal"],
+)
+def test_pway_json_rejects_booleans_as_integers(merge, where):
+    doc = {"format": "pway_tree", "arity": 2, "terminals": ["a", "b"], "merges": [merge]}
+    with pytest.raises(ValidationError, match=where):
+        from_json(json.dumps(doc))
+    from_json(json.dumps(doc).replace("true", "1"))

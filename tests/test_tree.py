@@ -258,6 +258,42 @@ def test_from_json_rejects_junk():
         from_json('{"format": "something-else"}')
 
 
+def _doc(n_terminals, merges, **extra):
+    labels = [f"x{i}" for i in range(1, n_terminals + 1)]
+    doc = {"format": "dendrogram", "n_terminals": n_terminals, "terminals": labels}
+    doc["merges"] = [{"rank": k, "children": kids} for k, kids in enumerate(merges, start=1)]
+    return {**doc, **extra}
+
+
+PAIR = [{"terminal": 1}, {"terminal": 2}]
+
+
+@pytest.mark.parametrize(
+    "doc, where",
+    [
+        (_doc(2, [[{"terminal": True}, {"terminal": 2}]]), r"merges\[0\]: bad node"),
+        (_doc(3, [PAIR, [{"cluster": True}, {"terminal": 3}]]), r"merges\[1\]: bad node"),
+        ({**_doc(2, [PAIR]), "merges": [{"rank": True, "children": PAIR}]}, r"merges\[0\]: rank True"),
+        ({**_doc(1, []), "n_terminals": True}, "n_terminals says True"),
+        (_doc(2, [PAIR], levels=[True]), "levels: expected a list of numbers"),
+    ],
+    ids=["terminal", "cluster", "rank", "n_terminals", "levels"],
+)
+def test_from_json_rejects_booleans_as_integers(doc, where):
+    text = json.dumps(doc)
+    with pytest.raises(ValidationError, match=where):
+        from_json(text)
+    # the same document with 1 in place of true is valid
+    from_json(text.replace("true", "1"))
+
+
+def test_node_ref_rejects_booleans():
+    with pytest.raises(ValidationError, match="terminal index must be an integer, got True"):
+        terminal(True)
+    with pytest.raises(ValidationError, match="cluster index must be an integer"):
+        cluster(True)
+
+
 def test_random_dendrogram_reproducible():
     a = random_dendrogram(9, np.random.default_rng(7), with_levels=True)
     b = random_dendrogram(9, np.random.default_rng(7), with_levels=True)
