@@ -13,8 +13,12 @@ criteria (ward, centroid, median) the classical construction feeds
 squared Euclidean distances, which is the caller's choice to make.
 
 Ties are broken deterministically by the lexicographically smallest pair
-of original indices.  The naive O(n^3) scan is intentional; inputs here
-are desk scale.
+of original indices.  The core follows the generic algorithm of Muellner
+(arXiv:1109.2378): every step still merges the global minimum, found from
+a cached nearest neighbour per row of a square numpy matrix, so it holds
+for all six criteria (inversions included) and repeats the exact merge
+order and floating-point levels of a plain scan over all pairs.  Typical
+inputs take O(n^2) time; the matrix takes O(n^2) memory.
 """
 
 from __future__ import annotations
@@ -49,6 +53,11 @@ LINKAGES: dict[str, _Coeffs] = {
 }
 
 
+# rows of X per block in `pairwise_euclidean`, sized so one block's
+# differences hold about this many floats
+_BLOCK_ELEMS = 1 << 20
+
+
 def pairwise_euclidean(X) -> np.ndarray:
     """Euclidean distance matrix between the rows of X."""
     X = np.asarray(X, dtype=float)
@@ -58,8 +67,13 @@ def pairwise_euclidean(X) -> np.ndarray:
         raise ValidationError(f"expected a 2-d data matrix, got shape {X.shape}")
     if not np.isfinite(X).all():
         raise ValidationError("data contains non-finite entries")
-    diffs = X[:, None, :] - X[None, :, :]
-    return np.sqrt((diffs**2).sum(axis=-1))
+    n, m = X.shape
+    out = np.empty((n, n))
+    step = max(1, _BLOCK_ELEMS // max(1, n * m))
+    for s in range(0, n, step):
+        diffs = X[s : s + step, None, :] - X[None, :, :]
+        out[s : s + step] = np.sqrt((diffs**2).sum(axis=-1))
+    return out
 
 
 def validate_dissimilarity(M) -> np.ndarray:
@@ -77,53 +91,76 @@ def validate_dissimilarity(M) -> np.ndarray:
     return M
 
 
+def _clustering_input(diss, criterion: str) -> np.ndarray:
+    if criterion not in LINKAGES:
+        raise ValidationError(
+            f"unknown linkage {criterion!r}; choose from {sorted(LINKAGES)}"
+        )
+    M = validate_dissimilarity(diss)
+    if M.shape[0] < 2:
+        raise ValidationError("need n >= 2 observations to cluster")
+    return M
+
+
 def _agglomerate_core(
     M: np.ndarray, criterion: str
 ) -> tuple[list[tuple[NodeRef, NodeRef]], list[float]]:
+    """Merge the closest pair n - 1 times; ties go to the smallest index pair.
+
+    A cluster lives in the slot of its smallest member, so a merge keeps
+    the lower slot.  D holds the upper triangle of M (the entries a scan
+    over pairs i < j reads) and inf everywhere else, including the rows
+    and columns of retired slots.  rowmin[i] and rowarg[i] cache the
+    minimum of row i and its first column (-1 once i retires); the
+    first-occurrence argmin of rowmin then names the lexicographically
+    smallest closest pair.
+    """
     coeffs = LINKAGES[criterion]
     n = M.shape[0]
-    refs: dict[int, NodeRef] = {i: terminal(i + 1) for i in range(n)}
-    sizes: dict[int, int] = {i: 1 for i in range(n)}
-    mins: dict[int, int] = {i: i for i in range(n)}
-    dist: dict[tuple[int, int], float] = {
-        (i, j): float(M[i, j]) for i in range(n) for j in range(i + 1, n)
-    }
-    active = set(range(n))
+    D = np.where(np.triu(np.ones((n, n), dtype=bool), 1), M, np.inf)
+    rowmin = D.min(axis=1)
+    rowarg = D.argmin(axis=1)
+    sizes = np.ones(n, dtype=np.int64)
+    alive = np.ones(n, dtype=bool)
+    refs: list[NodeRef] = [terminal(i + 1) for i in range(n)]
     merges: list[tuple[NodeRef, NodeRef]] = []
     levels: list[float] = []
 
-    def pair_key(i: int, j: int) -> tuple[int, int]:
-        return (i, j) if i < j else (j, i)
-
     for step in range(1, n):
-        best = None
-        for i, j in dist:
-            lo, hi = sorted((mins[i], mins[j]))
-            cand = (dist[(i, j)], lo, hi, i, j)
-            if best is None or cand < best:
-                best = cand
-        level, _, _, ia, ib = best
-        if mins[ib] < mins[ia]:
-            ia, ib = ib, ia
-        merges.append((refs[ia], refs[ib]))
-        levels.append(level)
+        lo = int(np.argmin(rowmin))
+        hi = int(rowarg[lo])
+        d_ab = D[lo, hi]
+        merges.append((refs[lo], refs[hi]))
+        levels.append(float(d_ab))
 
-        new_id = n + step - 1
-        na, nb = sizes[ia], sizes[ib]
-        d_ab = dist.pop(pair_key(ia, ib))
-        active.discard(ia)
-        active.discard(ib)
-        for k in active:
-            d_ka = dist.pop(pair_key(k, ia))
-            d_kb = dist.pop(pair_key(k, ib))
-            aa, ab, beta, gamma = coeffs(na, nb, sizes[k])
-            dist[pair_key(k, new_id)] = (
-                aa * d_ka + ab * d_kb + beta * d_ab + gamma * abs(d_ka - d_kb)
-            )
-        refs[new_id] = cluster(step)
-        sizes[new_id] = na + nb
-        mins[new_id] = min(mins[ia], mins[ib])
-        active.add(new_id)
+        alive[hi] = False
+        ks = np.flatnonzero(alive)
+        ks = ks[ks != lo]
+        # every other cluster's distances to lo and hi, from the upper triangle
+        d_ka = np.where(ks < lo, D[ks, lo], D[lo, ks])
+        d_kb = np.where(ks < hi, D[ks, hi], D[hi, ks])
+        aa, ab, beta, gamma = coeffs(int(sizes[lo]), int(sizes[hi]), sizes[ks])
+        new = aa * d_ka + ab * d_kb + beta * d_ab + gamma * np.abs(d_ka - d_kb)
+
+        below = ks < lo
+        D[ks[below], lo] = new[below]
+        D[lo, ks[~below]] = new[~below]
+        D[:hi, hi] = np.inf
+        D[hi, hi + 1 :] = np.inf
+        sizes[lo] += sizes[hi]
+        refs[lo] = cluster(step)
+
+        # rows whose cached minimum sat in column lo or hi start over (row
+        # lo among them); the other rows above lo only see column lo change
+        stale = np.flatnonzero((rowarg[:hi] == lo) | (rowarg[:hi] == hi))
+        col = D[:lo, lo]
+        take = (col < rowmin[:lo]) | ((col == rowmin[:lo]) & (lo < rowarg[:lo]))
+        rowmin[:lo][take] = col[take]
+        rowarg[:lo][take] = lo
+        rowmin[stale] = D[stale].min(axis=1)
+        rowarg[stale] = D[stale].argmin(axis=1)
+        rowmin[hi] = np.inf
+        rowarg[hi] = -1
     return merges, levels
 
 
@@ -139,14 +176,7 @@ def agglomerate(
     the levels are dropped with a warning and the ranks remain the
     authoritative order.
     """
-    if criterion not in LINKAGES:
-        raise ValidationError(
-            f"unknown linkage {criterion!r}; choose from {sorted(LINKAGES)}"
-        )
-    M = validate_dissimilarity(diss)
-    if M.shape[0] < 2:
-        raise ValidationError("need n >= 2 observations to cluster")
-    merges, levels = _agglomerate_core(M, criterion)
+    merges, levels = _agglomerate_core(_clustering_input(diss, criterion), criterion)
     monotone = all(levels[k] < levels[k + 1] for k in range(len(levels) - 1))
     if not monotone:
         warnings.warn(
@@ -161,11 +191,4 @@ def agglomerate(
 
 def merge_levels(diss, criterion: str) -> list[float]:
     """Raw merge levels in rank order, inversions and ties included."""
-    if criterion not in LINKAGES:
-        raise ValidationError(
-            f"unknown linkage {criterion!r}; choose from {sorted(LINKAGES)}"
-        )
-    M = validate_dissimilarity(diss)
-    if M.shape[0] < 2:
-        raise ValidationError("need n >= 2 observations to cluster")
-    return _agglomerate_core(M, criterion)[1]
+    return _agglomerate_core(_clustering_input(diss, criterion), criterion)[1]

@@ -100,11 +100,11 @@ def is_ultrametric(M, tol: float = DEFAULT_TOL) -> Verdict:
     n = A.shape[0]
     for x in range(n):
         # the tightest bound over middle points: min_y max(d(x,y), d(y,z))
-        caps = np.minimum.reduce([np.maximum(A[x, y], A[y]) for y in range(n)])
+        caps = np.maximum(A[x][:, None], A).min(axis=0)
         bad = A[x] > caps * (1.0 + tol)
         if bad.any():
             z = int(np.flatnonzero(bad)[0])
-            y = int(np.argmin(np.array([max(A[x, t], A[t, z]) for t in range(n)])))
+            y = int(np.argmin(np.maximum(A[x], A[:, z])))
             return Verdict(
                 False,
                 witness=(x, y, z),
@@ -117,19 +117,31 @@ def is_ultrametric(M, tol: float = DEFAULT_TOL) -> Verdict:
 
 
 def triangle_classify(M, tol: float = DEFAULT_TOL) -> TriangleCensus:
-    """Classify every triple of points by its triangle shape."""
+    """Classify every triple of points by its triangle shape.
+
+    One anchor i at a time, the triangles (i, j, k) with i < j < k form the
+    block over j, k > i; sorting each triple's sides is exact elementwise
+    min and max.  The block is symmetric, so both triangle counts come
+    from the whole block minus its diagonal, halved.  Memory is O(n^2).
+    """
     A = _checked_matrix(M).astype(float)
     n = A.shape[0]
-    eq = iso = bad = 0
-    for i, j, k in itertools.combinations(range(n), 3):
-        a, b, c = sorted((A[i, j], A[i, k], A[j, k]))
-        if c > b * (1.0 + tol):
-            bad += 1
-        elif c <= a * (1.0 + tol):
-            eq += 1
-        else:
-            iso += 1
-    return TriangleCensus(eq, iso, bad)
+    scale = 1.0 + tol
+    eq = bad = 0
+    for i in range(n - 2):
+        x = A[i, i + 1 :]
+        z = A[i + 1 :, i + 1 :]
+        shorter = np.minimum.outer(x, x)
+        longer = np.maximum.outer(x, x)
+        small = np.minimum(shorter, z)
+        middle = np.maximum(shorter, np.minimum(longer, z))
+        large = np.maximum(longer, z)
+        violating = large > middle * scale
+        equilateral = ~violating & (large <= small * scale)
+        bad += (int(violating.sum()) - int(violating.diagonal().sum())) // 2
+        eq += (int(equilateral.sum()) - int(equilateral.diagonal().sum())) // 2
+    total = n * (n - 1) * (n - 2) // 6
+    return TriangleCensus(eq, total - eq - bad, bad)
 
 
 def canonical_form(M, order, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, Verdict]:

@@ -1,16 +1,22 @@
-"""Reference implementations that the array-backed tree layout replaced.
+"""Reference implementations that the library's array paths replaced.
 
-Each function here reads the tree node by node, with term sets built as
+The tree functions read the tree node by node, with term sets built as
 frozensets and ancestors found through a parent map, the way the library
-did before it derived everything from the leaf order and gap ranks.  They
-are slow (quadratic memory on a caterpillar tree) and exist only so the
-differential tests can compare the fast paths against them.
+did before it derived everything from the leaf order and gap ranks.  The
+matrix functions scan every pair or triple in Python, the way clustering
+and the ultrametric checks did before they ran on numpy arrays.  They are
+slow (quadratic memory on a caterpillar tree, cubic time on a matrix) and
+exist only so the differential tests can compare the fast paths against
+them.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
+from dendrowave.hcluster import LINKAGES
 from dendrowave.padic import PAdicCode, padd
 from dendrowave.tree import (
     Dendrogram,
@@ -20,6 +26,7 @@ from dendrowave.tree import (
     cluster,
     terminal,
 )
+from dendrowave.ultrametric import DEFAULT_TOL, TriangleCensus, Verdict, _checked_matrix
 
 
 def term_sets(d: Dendrogram) -> dict[NodeRef, frozenset[int]]:
@@ -169,3 +176,100 @@ def caterpillar(n: int, rng: np.random.Generator, with_levels: bool = False) -> 
         left = cluster(k)
     levels = np.cumsum(rng.uniform(0.1, 1.0, size=n - 1)).tolist() if with_levels else None
     return build_from_merges(merges, levels=levels)
+
+
+def pairwise_euclidean(X) -> np.ndarray:
+    """All differences at once: an n x n x m array."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    diffs = X[:, None, :] - X[None, :, :]
+    return np.sqrt((diffs**2).sum(axis=-1))
+
+
+def agglomerate_core(
+    M: np.ndarray, criterion: str
+) -> tuple[list[tuple[NodeRef, NodeRef]], list[float]]:
+    """Scan a dictionary of all cluster pairs for the closest one at every step."""
+    coeffs = LINKAGES[criterion]
+    n = M.shape[0]
+    refs: dict[int, NodeRef] = {i: terminal(i + 1) for i in range(n)}
+    sizes: dict[int, int] = {i: 1 for i in range(n)}
+    mins: dict[int, int] = {i: i for i in range(n)}
+    dist: dict[tuple[int, int], float] = {
+        (i, j): float(M[i, j]) for i in range(n) for j in range(i + 1, n)
+    }
+    active = set(range(n))
+    merges: list[tuple[NodeRef, NodeRef]] = []
+    levels: list[float] = []
+
+    def pair_key(i: int, j: int) -> tuple[int, int]:
+        return (i, j) if i < j else (j, i)
+
+    for step in range(1, n):
+        best = None
+        for i, j in dist:
+            lo, hi = sorted((mins[i], mins[j]))
+            cand = (dist[(i, j)], lo, hi, i, j)
+            if best is None or cand < best:
+                best = cand
+        level, _, _, ia, ib = best
+        if mins[ib] < mins[ia]:
+            ia, ib = ib, ia
+        merges.append((refs[ia], refs[ib]))
+        levels.append(level)
+
+        new_id = n + step - 1
+        na, nb = sizes[ia], sizes[ib]
+        d_ab = dist.pop(pair_key(ia, ib))
+        active.discard(ia)
+        active.discard(ib)
+        for k in active:
+            d_ka = dist.pop(pair_key(k, ia))
+            d_kb = dist.pop(pair_key(k, ib))
+            aa, ab, beta, gamma = coeffs(na, nb, sizes[k])
+            dist[pair_key(k, new_id)] = (
+                aa * d_ka + ab * d_kb + beta * d_ab + gamma * abs(d_ka - d_kb)
+            )
+        refs[new_id] = cluster(step)
+        sizes[new_id] = na + nb
+        mins[new_id] = min(mins[ia], mins[ib])
+        active.add(new_id)
+    return merges, levels
+
+
+def is_ultrametric(M, tol: float = DEFAULT_TOL) -> Verdict:
+    """Per anchor row, the bound over middle points built from a list of n rows."""
+    A = _checked_matrix(M).astype(float)
+    n = A.shape[0]
+    for x in range(n):
+        caps = np.minimum.reduce([np.maximum(A[x, y], A[y]) for y in range(n)])
+        bad = A[x] > caps * (1.0 + tol)
+        if bad.any():
+            z = int(np.flatnonzero(bad)[0])
+            y = int(np.argmin(np.array([max(A[x, t], A[t, z]) for t in range(n)])))
+            return Verdict(
+                False,
+                witness=(x, y, z),
+                detail=(
+                    f"d({x},{z}) = {float(A[x, z])!r} exceeds "
+                    f"max(d({x},{y}), d({y},{z})) = {float(max(A[x, y], A[y, z]))!r}"
+                ),
+            )
+    return Verdict(True)
+
+
+def triangle_classify(M, tol: float = DEFAULT_TOL) -> TriangleCensus:
+    """Sort the three sides of every triple in Python."""
+    A = _checked_matrix(M).astype(float)
+    n = A.shape[0]
+    eq = iso = bad = 0
+    for i, j, k in itertools.combinations(range(n), 3):
+        a, b, c = sorted((A[i, j], A[i, k], A[j, k]))
+        if c > b * (1.0 + tol):
+            bad += 1
+        elif c <= a * (1.0 + tol):
+            eq += 1
+        else:
+            iso += 1
+    return TriangleCensus(eq, iso, bad)

@@ -1,7 +1,8 @@
-"""Shared hypothesis strategies for random tree structures."""
+"""Shared hypothesis strategies for random tree structures and dissimilarity matrices."""
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import strategies as st
 
 from dendrowave.tree import Dendrogram, build_from_merges, cluster, terminal
@@ -36,3 +37,17 @@ def dendrograms(draw, min_n: int = 2, max_n: int = 12, levels: bool = False) -> 
 
 def coeff_vectors(length: int):
     return st.tuples(*([st.sampled_from((-1, 0, 1))] * length))
+
+
+@st.composite
+def dissimilarities(draw, min_n: int = 2, max_n: int = 14):
+    """Symmetric, zero-diagonal, nonnegative matrices; small halves make ties common."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    values = st.one_of(
+        st.integers(0, 8).map(lambda v: v / 2),
+        st.floats(min_value=0.0, max_value=100.0, allow_nan=False, allow_subnormal=False),
+    )
+    upper = draw(st.lists(values, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    M = np.zeros((n, n))
+    M[np.triu_indices(n, 1)] = upper
+    return M + M.T

@@ -82,7 +82,7 @@ def test_every_linkage_yields_ultrametric_ranks():
     M = pairwise_euclidean(X)
     for name in LINKAGES:
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("ignore", UserWarning)
             d = agglomerate(M, name)
         verdict = is_ultrametric(cophenetic(d, use="ranks"), tol=0)
         assert verdict.ok, name

@@ -1,0 +1,176 @@
+"""Differential tests: the numpy clustering and ultrametric paths against the
+pair and triple scans they replaced (kept in oracles.py), with exact equality."""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+import oracles
+from conftest import random_trees
+from strategies import dissimilarities
+
+from dendrowave import hcluster
+from dendrowave.hcluster import LINKAGES, _agglomerate_core, merge_levels, pairwise_euclidean
+from dendrowave.tree import cluster, terminal
+from dendrowave.ultrametric import cophenetic, is_ultrametric, triangle_classify
+
+
+def sample_matrices(count: int, seed: int):
+    """Euclidean, squared Euclidean, tie-heavy integer and grid Manhattan matrices."""
+    rng = np.random.default_rng(seed)
+    for t in range(count):
+        n = int(rng.integers(2, 32))
+        kind = t % 4
+        if kind < 2:
+            M = pairwise_euclidean(rng.normal(size=(n, 3)))
+            yield M**2 if kind else M
+        elif kind == 2:
+            M = np.triu(rng.integers(0, 4, size=(n, n)), 1).astype(float)
+            yield M + M.T
+        else:
+            G = rng.integers(0, 3, size=(n, 2))
+            yield np.abs(G[:, None] - G[None]).sum(axis=-1).astype(float)
+
+
+def assert_core_matches_oracle(M):
+    for name in LINKAGES:
+        merges, levels = _agglomerate_core(M, name)
+        want_merges, want_levels = oracles.agglomerate_core(M, name)
+        assert merges == want_merges, name
+        assert levels == want_levels, name
+
+
+def test_agglomerate_matches_pair_scan():
+    for M in sample_matrices(120, seed=301):
+        assert_core_matches_oracle(M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dissimilarities())
+def test_agglomerate_matches_pair_scan_hypothesis(M):
+    assert_core_matches_oracle(M)
+
+
+def test_tie_made_by_an_update_goes_to_the_lower_slot():
+    # merging {2, 4} at 1 turns d(1, {2, 4}) into 0.5 * 2.5 + 0.5 * 2 - 0.25 * 1
+    # = 2, tying d(1, 3) = 2; the pair (1, {2, 4}) is lexicographically first
+    M = np.array(
+        [
+            [0.0, 2.5, 2.0, 2.0],
+            [2.5, 0.0, 5.0, 1.0],
+            [2.0, 5.0, 0.0, 5.0],
+            [2.0, 1.0, 5.0, 0.0],
+        ]
+    )
+    merges, levels = _agglomerate_core(M, "median_wpgmc")
+    assert merges[1] == (terminal(1), cluster(1))
+    assert levels[:2] == [1.0, 2.0]
+    assert_core_matches_oracle(M)
+
+
+def test_agglomerate_reads_only_the_upper_triangle():
+    # validate_dissimilarity accepts tiny asymmetry; both cores read i < j
+    rng = np.random.default_rng(302)
+    M = pairwise_euclidean(rng.normal(size=(12, 2)))
+    M[np.tril_indices(12, -1)] *= 1 + 1e-12
+    assert_core_matches_oracle(M)
+
+
+def test_merge_levels_match_scipy():
+    hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+    from scipy.spatial.distance import squareform
+
+    # scipy updates ward, centroid and median on unsquared Euclidean
+    # distances, which equals our recurrence on squared ones
+    methods = {
+        "single": "single",
+        "complete": "complete",
+        "average": "average",
+        "ward": "ward",
+        "centroid": "centroid",
+        "median_wpgmc": "median",
+    }
+    rng = np.random.default_rng(303)
+    for _ in range(60):
+        n = int(rng.integers(3, 30))
+        M = pairwise_euclidean(rng.normal(size=(n, 3)))
+        for name, method in methods.items():
+            want = hierarchy.linkage(squareform(M, checks=False), method=method)[:, 2]
+            if name in ("ward", "centroid", "median_wpgmc"):
+                got = np.sqrt(merge_levels(M**2, name))
+            else:
+                got = np.array(merge_levels(M, name))
+            assert np.allclose(np.sort(got), np.sort(want), rtol=1e-9, atol=1e-12), name
+
+
+def test_pairwise_euclidean_blocks_match_one_shot(monkeypatch):
+    rng = np.random.default_rng(304)
+    X = rng.normal(size=(600, 8))
+    assert hcluster._BLOCK_ELEMS // X.size < 600 // 2  # three or more row blocks
+    assert np.array_equal(pairwise_euclidean(X), oracles.pairwise_euclidean(X))
+    monkeypatch.setattr(hcluster, "_BLOCK_ELEMS", 50)
+    for n, m in ((1, 3), (9, 1), (23, 5), (17, 200)):
+        X = rng.normal(size=(n, m)) * 10.0
+        assert np.array_equal(pairwise_euclidean(X), oracles.pairwise_euclidean(X))
+    line = [0.0, 3.0, 4.0]
+    assert np.array_equal(pairwise_euclidean(line), oracles.pairwise_euclidean(line))
+
+
+def census(c):
+    return (c.equilateral, c.isosceles_small_base, c.violating)
+
+
+def test_triangle_census_matches_triple_loop():
+    for M in sample_matrices(80, seed=306):
+        for tol in (0, 1e-9, 0.05):
+            assert census(triangle_classify(M, tol)) == census(oracles.triangle_classify(M, tol))
+    for d in random_trees(20, 14, seed=307):
+        M = cophenetic(d)
+        assert census(triangle_classify(M, 0)) == census(oracles.triangle_classify(M, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dissimilarities(min_n=1))
+def test_triangle_census_matches_triple_loop_hypothesis(M):
+    assert census(triangle_classify(M)) == census(oracles.triangle_classify(M))
+
+
+def broken_ultrametrics(seed: int):
+    rng = np.random.default_rng(seed)
+    for d in random_trees(40, 16, seed=seed):
+        M = cophenetic(d)
+        if d.n_terminals > 2:
+            i, j = rng.choice(d.n_terminals, 2, replace=False)
+            M[i, j] = M[j, i] = M[i, j] + int(rng.integers(1, 3))
+        yield M
+
+
+def test_is_ultrametric_verdict_matches_oracle():
+    failing = 0
+    matrices = list(broken_ultrametrics(308)) + list(sample_matrices(40, seed=309))
+    for M in matrices:
+        for tol in (0, 1e-9):
+            got, want = is_ultrametric(M, tol), oracles.is_ultrametric(M, tol)
+            assert (got.ok, got.witness, got.detail) == (want.ok, want.witness, want.detail)
+            failing += not got.ok
+    assert failing > len(matrices)  # most verdicts carry a witness to compare
+
+
+@settings(max_examples=60, deadline=None)
+@given(dissimilarities(min_n=1))
+def test_is_ultrametric_verdict_matches_oracle_hypothesis(M):
+    got, want = is_ultrametric(M), oracles.is_ultrametric(M)
+    assert (got.ok, got.witness, got.detail) == (want.ok, want.witness, want.detail)
+
+
+def test_tie_heavy_linkages_raise_no_runtime_warning():
+    M = np.full((9, 9), 2.0)
+    np.fill_diagonal(M, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", UserWarning)
+        assert_core_matches_oracle(M)
+        for name in LINKAGES:
+            hcluster.agglomerate(M, name)
