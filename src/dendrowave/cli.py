@@ -46,6 +46,7 @@ from .padic import (
 from .tree import (
     Dendrogram,
     ValidationError,
+    branch_signs,
     cluster,
     from_json,
     load_json,
@@ -75,12 +76,19 @@ def _outdir(args) -> Path:
 
 # ----------------------------------------------------------------------- CSV
 
-def _read_rows(path: str) -> list[list[str]]:
+def _read_text(path) -> str:
+    """The whole file as UTF-8 text, with read and decode failures located."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            return [row for row in csv.reader(fh) if row]
+            return fh.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: byte {exc.start}: not UTF-8 text") from exc
+
+
+def _read_rows(path: str) -> list[list[str]]:
+    return [row for row in csv.reader(io.StringIO(_read_text(path), newline="")) if row]
 
 
 def read_data_csv(path: str) -> tuple[list[str], np.ndarray]:
@@ -144,11 +152,16 @@ def _read_branch_csv(path: str) -> tuple[list[str], np.ndarray]:
             raise ValidationError(f"{path}: row {i}: expected {n} columns")
         for j, cell in enumerate(row[1:], start=2):
             try:
-                out[i - 2, j - 2] = int(cell)
+                sign = int(cell)
             except ValueError as exc:
                 raise ValidationError(
                     f"{path}: row {i}, column {j}: could not parse {cell.strip()!r}"
                 ) from exc
+            if sign not in (-1, 0, 1):
+                raise ValidationError(
+                    f"{path}: row {i}, column {j}: expected -1, 0 or +1, got {cell.strip()!r}"
+                )
+            out[i - 2, j - 2] = sign
     return labels, out
 
 
@@ -156,20 +169,27 @@ def _read_float_table(path: str, skip_first_col: bool) -> tuple[list[str], np.nd
     rows = _read_rows(path)
     if not rows:
         raise ValidationError(f"{path}: empty file")
-    header = rows[0][1:] if skip_first_col else rows[0]
+    skip = int(skip_first_col)
+    header = rows[0][skip:]
     body = rows[1:]
     out = np.zeros((len(body), len(header)))
     for i, row in enumerate(body, start=2):
-        cells = row[1:] if skip_first_col else row
+        cells = row[skip:]
         if len(cells) != len(header):
             raise ValidationError(f"{path}: row {i}: expected {len(header)} values")
-        for j, cell in enumerate(cells, start=1):
+        # columns are numbered as in the file, the skipped one included
+        for j, cell in enumerate(cells, start=skip + 1):
             try:
-                out[i - 2, j - 1] = float(cell)
+                value = float(cell)
             except ValueError as exc:
                 raise ValidationError(
                     f"{path}: row {i}, column {j}: could not parse {cell.strip()!r}"
                 ) from exc
+            if not np.isfinite(value):
+                raise ValidationError(
+                    f"{path}: row {i}, column {j}: expected a finite number, got {cell.strip()!r}"
+                )
+            out[i - 2, j - skip - 1] = value
     return [s.strip() for s in header], out
 
 
@@ -205,26 +225,55 @@ def save_bundle(w: WaveletDecomposition, features: list[str], outdir: Path) -> l
     return list(paths.values())
 
 
+def _child_sizes(sizes, tree: Dendrogram, where: Path) -> np.ndarray:
+    """The bundle's child sizes, which must be the tree's own subtree sizes."""
+    lay = tree.layout
+    want = np.stack((lay.mid - lay.lo, lay.hi - lay.mid), axis=1)
+    if not isinstance(sizes, list) or len(sizes) != len(want):
+        raise ValidationError(f"{where}: child_sizes must list one pair per merge ({len(want)})")
+    for k, (got, pair) in enumerate(zip(sizes, want.tolist()), start=1):
+        if got != pair or any(isinstance(v, bool) for v in got):
+            raise ValidationError(
+                f"{where}: child_sizes of rank {k} are {got!r}, but its subtrees hold {pair}"
+            )
+    return want
+
+
 def load_bundle(bundle_dir: str) -> tuple[WaveletDecomposition, list[str]]:
+    """Read a bundle written by `save_bundle` and check it against its own tree.
+
+    C must be the tree's branch signs, smooth.csv must hold one row, and
+    child sizes, when present, must be the tree's subtree sizes.
+    """
     base = Path(bundle_dir)
     meta_path = base / "meta.json"
     try:
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {meta_path}: {exc}") from exc
+        meta = json.loads(_read_text(meta_path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{meta_path}: not valid JSON: {exc}") from exc
-    if meta.get("format") != "decomposition":
+    if not isinstance(meta, dict) or meta.get("format") != "decomposition":
         raise ValidationError(f"{meta_path}: expected a decomposition bundle")
     tree = load_json(base / "dendrogram.json")
-    _, C = _read_branch_csv(str(base / "C.csv"))
+    c_path = base / "C.csv"
+    _, C = _read_branch_csv(str(c_path))
     if C.shape[0] != tree.n_terminals:
-        raise ValidationError(f"{base / 'C.csv'}: rows do not match the dendrogram")
+        raise ValidationError(f"{c_path}: rows do not match the dendrogram")
+    signs = branch_signs(tree)
+    if not np.array_equal(C, signs):
+        i, j = np.argwhere(C != signs)[0].tolist()
+        raise ValidationError(
+            f"{c_path}: row {i + 2}, column {j + 2}: sign {C[i, j]} differs from "
+            f"the dendrogram's {signs[i, j]}"
+        )
     features, D = _read_float_table(str(base / "D.csv"), skip_first_col=True)
-    _, smooth = _read_float_table(str(base / "smooth.csv"), skip_first_col=False)
+    smooth_path = base / "smooth.csv"
+    _, smooth = _read_float_table(str(smooth_path), skip_first_col=False)
+    if smooth.shape[0] != 1:
+        raise ValidationError(
+            f"{smooth_path}: expected one row of smooth values, got {smooth.shape[0]}"
+        )
     sizes = meta.get("child_sizes")
-    child_sizes = None if sizes is None else np.asarray(sizes, dtype=np.int64)
+    child_sizes = None if sizes is None else _child_sizes(sizes, tree, meta_path)
     w = WaveletDecomposition(
         tree, C, D, smooth[0], meta.get("mode", "ultrametric"), child_sizes=child_sizes
     )
@@ -409,8 +458,7 @@ def cmd_check(args) -> int:
         return 0 if verdict else 1
     if not path.endswith(".csv"):
         raise ValidationError(f"cannot tell matrix CSV from dendrogram JSON: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        labels, M = matrix_from_csv(fh.read())
+    labels, M = matrix_from_csv(_read_text(path))
     failures = 0
     try:
         verdict = is_ultrametric(M)

@@ -33,42 +33,82 @@ from .tree import (
 
 DEFAULT_BASE = 3
 
-_DIGITS = frozenset((-1, 0, 1))
+# a digit's int8 byte, and the three bytes that are digits
+_BYTE_OF_DIGIT = {-1: 0xFF, 0: 0x00, 1: 0x01}
+_DIGIT_BYTES = bytes(_BYTE_OF_DIGIT.values())
 
 
-@dataclass(frozen=True)
+def _pack(coeffs: Iterable[int]) -> bytes:
+    """The int8 bytes of a sequence of digits -1, 0, +1 (bools are not digits)."""
+    out = bytearray()
+    for j, c in enumerate(coeffs, start=1):
+        byte = None if isinstance(c, (bool, np.bool_)) else _BYTE_OF_DIGIT.get(c)
+        if byte is None:
+            raise ValidationError(f"coefficient of p^{j} must be -1, 0 or +1, got {c}")
+        out.append(byte)
+    return bytes(out)
+
+
+def _array(digits: bytes) -> np.ndarray:
+    """A read-only int8 view of stored digits."""
+    return np.frombuffer(digits, dtype=np.int8)
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class PAdicCode:
-    """Coefficients in {-1, 0, +1} for powers p^1..p^(n-1) of the base."""
+    """Coefficients in {-1, 0, +1} for powers p^1..p^(n-1) of the base.
 
-    coeffs: tuple[int, ...]
-    base: int = DEFAULT_BASE
+    The digits are stored once, as immutable int8 ``bytes`` with one byte
+    per power (-1 is 0xFF), and ``coeffs`` reads them back as a tuple of
+    ints.  Equality and hashing use the digits and the base.  ``coeffs``
+    may be given as any sequence of digits or as such bytes, which is how
+    `encode` slices one sign matrix into its rows.
+    """
 
-    def __post_init__(self) -> None:
-        if self.base < 2:
-            raise ValidationError(f"base must be >= 2, got {self.base}")
-        if _DIGITS.issuperset(self.coeffs):
-            return
-        # only reached on bad input, to name the offending power
-        for j, c in enumerate(self.coeffs, start=1):
-            if c not in (-1, 0, 1):
-                raise ValidationError(f"coefficient of p^{j} must be -1, 0 or +1, got {c}")
+    digits: bytes
+    base: int
+
+    def __init__(self, coeffs: Iterable[int] | bytes, base: int = DEFAULT_BASE) -> None:
+        if isinstance(base, bool) or base < 2:
+            raise ValidationError(f"base must be >= 2, got {base}")
+        digits = coeffs if isinstance(coeffs, bytes) else _pack(coeffs)
+        if digits.translate(None, _DIGIT_BYTES):
+            # only reached on bad bytes, to name the offending power
+            for j, c in enumerate(_array(digits).tolist(), start=1):
+                if c not in (-1, 0, 1):
+                    raise ValidationError(f"coefficient of p^{j} must be -1, 0 or +1, got {c}")
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "base", base)
+
+    def __repr__(self) -> str:
+        return f"PAdicCode(coeffs={self.coeffs!r}, base={self.base!r})"
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        return tuple(_array(self.digits).tolist())
 
     @property
     def n_terminals(self) -> int:
-        return len(self.coeffs) + 1
+        return len(self.digits) + 1
 
     @property
     def is_null(self) -> bool:
-        return not any(self.coeffs)
+        return not _array(self.digits).any()
+
+    def _terms(self) -> list[tuple[int, int]]:
+        """``(level, coefficient)`` of every nonzero coefficient, ascending."""
+        digits = _array(self.digits)
+        levels = np.flatnonzero(digits)
+        return list(zip((levels + 1).tolist(), digits[levels].tolist()))
 
     def support(self) -> tuple[int, ...]:
         """Levels whose coefficient is nonzero, ascending."""
-        return tuple(j for j, c in enumerate(self.coeffs, start=1) if c)
+        return tuple((np.flatnonzero(_array(self.digits)) + 1).tolist())
 
     def decimal(self, base: int | None = None) -> int:
         """Exact integer value sum(c_j * p**j)."""
         p = self.base if base is None else base
-        return sum(c * p**j for j, c in enumerate(self.coeffs, start=1))
+        return sum(c * p**j for j, c in self._terms())
 
     def to_string(self, symbol: str | None = None) -> str:
         """Signed-power form, e.g. ``+p^1+p^2+p^5+p^7``; the null code is ``0``.
@@ -77,11 +117,7 @@ class PAdicCode:
         base out.
         """
         sym = "p" if symbol is None else str(symbol)
-        parts = [
-            f"{'+' if c > 0 else '-'}{sym}^{j}"
-            for j, c in enumerate(self.coeffs, start=1)
-            if c
-        ]
+        parts = [f"{'+' if c > 0 else '-'}{sym}^{j}" for j, c in self._terms()]
         return "".join(parts) if parts else "0"
 
     def __str__(self) -> str:
@@ -147,11 +183,10 @@ def encode(d: Dendrogram, base: int = DEFAULT_BASE) -> tuple[list[PAdicCode], np
 
     Row i - 1 of the matrix holds the coefficients of terminal i's code.
     """
-    oriented = canonical_orient(d)
-    signs = branch_signs(oriented)
-    # one row at a time: a whole-matrix tolist() would hold n * (n - 1)
-    # list slots alive next to the code tuples built from them
-    codes = [PAdicCode(tuple(row.tolist()), base) for row in signs]
+    signs = branch_signs(canonical_orient(d))
+    # each code's digits are one row's bytes, sliced from a single buffer
+    buf, width = signs.tobytes(), signs.shape[1]
+    codes = [PAdicCode(buf[i * width : (i + 1) * width], base) for i in range(len(signs))]
     return codes, signs
 
 
@@ -160,7 +195,7 @@ def decimal_value(code: PAdicCode, base: int | None = None) -> int:
 
 
 def _require_same_context(a: PAdicCode, b: PAdicCode) -> None:
-    if len(a.coeffs) != len(b.coeffs) or a.base != b.base:
+    if len(a.digits) != len(b.digits) or a.base != b.base:
         raise ValidationError("codes come from different contexts (length or base differ)")
 
 
@@ -171,34 +206,24 @@ def padd(a: PAdicCode, b: PAdicCode) -> PAdicCode:
     stays 0.  The operation is commutative, associative and idempotent.
     """
     _require_same_context(a, b)
-    coeffs = tuple(ca if ca == cb else 0 for ca, cb in zip(a.coeffs, b.coeffs))
-    return PAdicCode(coeffs, a.base)
+    da, db = _array(a.digits), _array(b.digits)
+    return PAdicCode(np.where(da == db, da, np.int8(0)).tobytes(), a.base)
 
 
 def cluster_code(d: Dendrogram, node: NodeRef, base: int = DEFAULT_BASE) -> PAdicCode:
     """Code of any node: a terminal's own code, or the unanimity sum of members.
 
-    Read as the root path above the node, one sign per ancestor, and
-    checked against the unanimity sum of the members' rows of the
-    branch-code matrix; the two must agree.  The root gets the null code.
+    Both equal the root path above the node, one sign per ancestor, which
+    is read here from the canonical layout: the ancestors are the larger
+    clusters whose interval holds the node's, and the sign says on which
+    side of their split it lies.  The root gets the null code.
     """
     oriented = canonical_orient(d)
     start, end = oriented.span(node)
-    mid = oriented.layout.mid
-    coeffs = [0] * oriented.n_clusters
-    ref = oriented.root
-    while ref != node:
-        k = ref.index
-        first, second = oriented.children(k)
-        if start < mid[k - 1]:
-            coeffs[k - 1], ref = 1, first
-        else:
-            coeffs[k - 1], ref = -1, second
-    members = branch_signs(oriented)[oriented.layout.order[start:end] - 1]
-    folded = np.where((members == members[0]).all(axis=0), members[0], 0)
-    if folded.tolist() != coeffs:
-        raise ValidationError(f"member sum and root path disagree at {node!r}")
-    return PAdicCode(tuple(coeffs), base)
+    lay = oriented.layout
+    above = (lay.lo <= start) & (end <= lay.hi) & (lay.size > end - start)
+    digits = np.where(above, np.where(start < lay.mid, 1, -1), 0).astype(np.int8)
+    return PAdicCode(digits.tobytes(), base)
 
 
 # ----------------------------------------------------------------- polynomials
@@ -207,7 +232,7 @@ IntPoly = dict[int, int]
 
 
 def poly_from_code(code: PAdicCode) -> IntPoly:
-    return {j: c for j, c in enumerate(code.coeffs, start=1) if c}
+    return dict(code._terms())
 
 
 def pmultiply(a: IntPoly, b: IntPoly, n_terminals: int) -> IntPoly:
@@ -231,8 +256,7 @@ def dilate(code: PAdicCode) -> PAdicCode:
     The top coefficient becomes 0, so n - 1 applications send any code to
     the null code.
     """
-    coeffs = code.coeffs[1:] + (0,)
-    return PAdicCode(coeffs, code.base)
+    return PAdicCode(code.digits[1:] + b"\x00", code.base)
 
 
 def dilation_steps_to_null(code: PAdicCode) -> int:
@@ -324,8 +348,9 @@ def pdistance(
     _require_same_context(a, b)
     if a == b:
         return Fraction(0)
-    common = [j for j, (ca, cb) in enumerate(zip(a.coeffs, b.coeffs), start=1) if ca and cb]
-    r = common[0] if common else a.n_terminals - 1
+    # -1 is 0xFF, so a bitwise and is nonzero exactly where both digits are
+    common = np.flatnonzero(_array(a.digits) & _array(b.digits))
+    r = int(common[0]) + 1 if common.size else a.n_terminals - 1
     return Fraction(1, a.base**r)
 
 
@@ -372,12 +397,13 @@ def decode(
     if isinstance(codes_or_matrix, np.ndarray):
         mat = np.asarray(codes_or_matrix)
     else:
-        rows = [c.coeffs for c in codes_or_matrix]
-        mat = np.array(rows, dtype=np.int8) if rows else np.zeros((1, 0), dtype=np.int8)
-        if mat.shape[0] and mat.shape[1] != mat.shape[0] - 1:
-            raise ValidationError(
-                f"{mat.shape[0]} codes need length {mat.shape[0] - 1}, got {mat.shape[1]}"
-            )
+        codes = list(codes_or_matrix)
+        n = len(codes)
+        for code in codes:
+            if len(code.digits) != n - 1:
+                raise ValidationError(f"{n} codes need length {n - 1}, got {len(code.digits)}")
+        rows = b"".join(code.digits for code in codes)
+        mat = _array(rows).reshape(n, n - 1) if codes else np.zeros((1, 0), dtype=np.int8)
     if mat.ndim != 2:
         raise ValidationError("branch codes must form a 2-d matrix")
     n, m = mat.shape

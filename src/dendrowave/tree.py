@@ -163,29 +163,32 @@ class Dendrogram:
             raise ValidationError(
                 f"{n} terminals require {n - 1} merges, got {len(self.merges)}"
             )
-        seen: set[NodeRef] = set()
+        # seen[i - 1] for terminal i, seen[n + j - 1] for cluster q<j>
+        seen = bytearray(2 * n - 1)
         for k, pair in enumerate(self.merges, start=1):
             if len(pair) != 2:
                 raise ValidationError(f"rank {k}: a merge joins exactly two nodes")
             for child in pair:
-                if child.is_terminal:
+                if child.kind == "terminal":
                     if child.index > n:
                         raise ValidationError(
                             f"rank {k}: terminal {child.index} out of range 1..{n}"
                         )
+                    slot = child.index - 1
                 elif child.index >= k:
                     raise ValidationError(
                         f"rank {k}: child cluster q{child.index} must rank below {k}"
                     )
-                if child in seen:
+                else:
+                    slot = n + child.index - 1
+                if seen[slot]:
                     raise ValidationError(f"rank {k}: {child!r} already merged earlier")
-                seen.add(child)
-        for i in range(1, n + 1):
-            if n > 1 and terminal(i) not in seen:
-                raise ValidationError(f"terminal {i} never takes part in a merge")
-        for j in range(1, n - 1):
-            if cluster(j) not in seen:
-                raise ValidationError(f"cluster q{j} is never merged further (dangling)")
+                seen[slot] = 1
+        if n > 1 and 0 in seen[:n]:
+            raise ValidationError(f"terminal {seen.index(0) + 1} never takes part in a merge")
+        if 0 in seen[n : 2 * n - 2]:
+            j = seen.index(0, n) - n + 1
+            raise ValidationError(f"cluster q{j} is never merged further (dangling)")
         if self.levels is not None:
             if len(self.levels) != n - 1:
                 raise ValidationError(
@@ -220,6 +223,26 @@ class Dendrogram:
     def layout(self) -> TreeLayout:
         """The array form of the tree, built once in O(n) and shared by every reader."""
         return _build_layout(self.merges, self.n_terminals)
+
+    @cached_property
+    def canonical(self) -> Dendrogram:
+        """This hierarchy with the subtree holding the smallest terminal first.
+
+        Built once per tree; a tree that is already canonical is its own
+        canonical form.
+        """
+        low = self.layout.low.tolist()
+
+        def lowest(node: NodeRef) -> int:
+            return node.index if node.is_terminal else low[node.index - 1]
+
+        swap = [lowest(a) > lowest(b) for a, b in self.merges]
+        if not any(swap):
+            return self
+        merges = tuple((b, a) if s else (a, b) for (a, b), s in zip(self.merges, swap))
+        oriented = Dendrogram(self.labels, merges, self.levels)
+        oriented.__dict__["canonical"] = oriented
+        return oriented
 
     def _check_node(self, node: NodeRef) -> None:
         bound = self.n_terminals if node.is_terminal else self.n_clusters
@@ -311,19 +334,12 @@ def canonical_orient(d: Dendrogram) -> Dendrogram:
     """Reorder children so the subtree holding the smallest terminal comes first.
 
     All 2**(n-1) representations of the same hierarchy collapse to this one
-    fixed point, and applying the function twice changes nothing.  A tree
-    that is already canonical is returned as it is.
+    fixed point, and applying the function twice changes nothing.  The
+    result is cached on ``d`` (`Dendrogram.canonical`), so every call on the
+    same tree returns the same object, and a tree that is already canonical
+    is returned as it is.
     """
-    low = d.layout.low.tolist()
-
-    def lowest(node: NodeRef) -> int:
-        return node.index if node.is_terminal else low[node.index - 1]
-
-    swap = [lowest(a) > lowest(b) for a, b in d.merges]
-    if not any(swap):
-        return d
-    merges = tuple((b, a) if s else (a, b) for (a, b), s in zip(d.merges, swap))
-    return Dendrogram(d.labels, merges, d.levels)
+    return d.canonical
 
 
 def branch_signs(d: Dendrogram) -> np.ndarray:
@@ -443,7 +459,11 @@ def save_json(d: Dendrogram, path) -> None:
 
 def load_json(path) -> Dendrogram:
     with open(path, "r", encoding="utf-8") as fh:
-        return from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: byte {exc.start}: not UTF-8 text") from exc
+    return from_json(text)
 
 
 # ------------------------------------------------------------------ generators

@@ -3,16 +3,19 @@
 The tree functions read the tree node by node, with term sets built as
 frozensets and ancestors found through a parent map, the way the library
 did before it derived everything from the leaf order and gap ranks.  The
-matrix functions scan every pair or triple in Python, the way clustering
-and the ultrametric checks did before they ran on numpy arrays.  They are
-slow (quadratic memory on a caterpillar tree, cubic time on a matrix) and
-exist only so the differential tests can compare the fast paths against
-them.
+p-adic codes are dense tuples of Python ints, as they were before codes
+stored their digits as bytes.  The matrix functions scan every pair or
+triple in Python, the way clustering and the ultrametric checks did
+before they ran on numpy arrays.  They are slow (quadratic memory on a
+caterpillar tree, cubic time on a matrix) and exist only so the
+differential tests can compare the fast paths against them.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -27,6 +30,34 @@ from dendrowave.tree import (
     terminal,
 )
 from dendrowave.ultrametric import DEFAULT_TOL, TriangleCensus, Verdict, _checked_matrix
+
+
+def check_merges(labels: tuple[str, ...], merges) -> None:
+    """The merge-list checks of `Dendrogram`, with a set of seen NodeRefs."""
+    n = len(labels)
+    seen: set[NodeRef] = set()
+    for k, pair in enumerate(merges, start=1):
+        if len(pair) != 2:
+            raise ValidationError(f"rank {k}: a merge joins exactly two nodes")
+        for child in pair:
+            if child.is_terminal:
+                if child.index > n:
+                    raise ValidationError(
+                        f"rank {k}: terminal {child.index} out of range 1..{n}"
+                    )
+            elif child.index >= k:
+                raise ValidationError(
+                    f"rank {k}: child cluster q{child.index} must rank below {k}"
+                )
+            if child in seen:
+                raise ValidationError(f"rank {k}: {child!r} already merged earlier")
+            seen.add(child)
+    for i in range(1, n + 1):
+        if n > 1 and terminal(i) not in seen:
+            raise ValidationError(f"terminal {i} never takes part in a merge")
+    for j in range(1, n - 1):
+        if cluster(j) not in seen:
+            raise ValidationError(f"cluster q{j} is never merged further (dangling)")
 
 
 def term_sets(d: Dendrogram) -> dict[NodeRef, frozenset[int]]:
@@ -130,6 +161,61 @@ def cluster_code(d: Dendrogram, node: NodeRef, base: int = 3) -> PAdicCode:
         child = cluster(k)
     assert PAdicCode(tuple(coeffs), base) == folded, node
     return folded
+
+
+@dataclass(frozen=True)
+class TupleCode:
+    """A p-adic code as a dense tuple of Python ints, one per power."""
+
+    coeffs: tuple[int, ...]
+    base: int = 3
+
+    @property
+    def n_terminals(self) -> int:
+        return len(self.coeffs) + 1
+
+    @property
+    def is_null(self) -> bool:
+        return not any(self.coeffs)
+
+    def support(self) -> tuple[int, ...]:
+        return tuple(j for j, c in enumerate(self.coeffs, start=1) if c)
+
+    def decimal(self, base: int | None = None) -> int:
+        p = self.base if base is None else base
+        return sum(c * p**j for j, c in enumerate(self.coeffs, start=1))
+
+    def to_string(self, symbol: str | None = None) -> str:
+        sym = "p" if symbol is None else str(symbol)
+        parts = [
+            f"{'+' if c > 0 else '-'}{sym}^{j}"
+            for j, c in enumerate(self.coeffs, start=1)
+            if c
+        ]
+        return "".join(parts) if parts else "0"
+
+
+def encode(d: Dendrogram, base: int = 3) -> tuple[list[TupleCode], np.ndarray]:
+    """One code tuple per row of the canonical branch signs."""
+    signs = branch_signs(canonical_orient(d))
+    return [TupleCode(tuple(row.tolist()), base) for row in signs], signs
+
+
+def padd_tuples(a: TupleCode, b: TupleCode) -> TupleCode:
+    return TupleCode(tuple(ca if ca == cb else 0 for ca, cb in zip(a.coeffs, b.coeffs)), a.base)
+
+
+def dilate_tuples(code: TupleCode) -> TupleCode:
+    return TupleCode(code.coeffs[1:] + (0,), code.base)
+
+
+def pdistance_tuples(a: TupleCode, b: TupleCode) -> Fraction:
+    """p^-r with r the first level where both codes are nonzero."""
+    if a == b:
+        return Fraction(0)
+    common = [j for j, (ca, cb) in enumerate(zip(a.coeffs, b.coeffs), start=1) if ca and cb]
+    r = common[0] if common else a.n_terminals - 1
+    return Fraction(1, a.base**r)
 
 
 def decode(mat: np.ndarray, labels=None) -> Dendrogram:

@@ -1,10 +1,11 @@
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dendrowave.cli import load_bundle, main
-from dendrowave.haar import forward
+from dendrowave.cli import load_bundle, main, save_bundle
+from dendrowave.haar import forward, forward_weighted, inverse
 from dendrowave.tree import load_json, save_json, to_json
 from dendrowave.ultrametric import cophenetic, matrix_to_csv
 
@@ -297,3 +298,89 @@ def test_outdir_env_fallback(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert (target / "dendrogram.json").exists()
     assert (target / "cophenetic.csv").exists()
+
+
+def _edit_cell(text: str, row: int, col: int, value: str) -> str:
+    """Replace one cell of a CSV text, counting rows and columns from 1."""
+    lines = text.split("\n")
+    cells = lines[row - 1].split(",")
+    cells[col - 1] = value
+    lines[row - 1] = ",".join(cells)
+    return "\n".join(lines)
+
+
+MALFORMED_BUNDLES = {
+    "smooth-header-only": (
+        "smooth.csv", lambda b: b.split(b"\n")[0] + b"\n", "smooth.csv: expected one row"
+    ),
+    "meta-list": ("meta.json", lambda b: b"[]\n", "meta.json: expected a decomposition"),
+    "D-not-utf8": ("D.csv", lambda b: b.replace(b"\n", b"\n\xff", 1), "D.csv: byte "),
+    "C-cell-300": (
+        "C.csv",
+        lambda b: _edit_cell(b.decode(), 2, 2, "300").encode(),
+        "C.csv: row 2, column 2: expected -1, 0 or +1, got '300'",
+    ),
+    "C-sign-flipped": (
+        "C.csv",
+        lambda b: _edit_cell(b.decode(), 2, 2, "-1").encode(),
+        "C.csv: row 2, column 2: sign -1 differs from the dendrogram's 1",
+    ),
+    "D-not-finite": (
+        "D.csv",
+        lambda b: _edit_cell(b.decode(), 2, 2, "inf").encode(),
+        "D.csv: row 2, column 2: expected a finite number",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BUNDLES))
+def test_malformed_bundles_exit_two(tmp_path, capsys, demo_json, case):
+    name, edit, message = MALFORMED_BUNDLES[case]
+    out = make_bundle(tmp_path, demo_json, capsys)
+    path = out / name
+    path.write_bytes(edit(path.read_bytes()))
+    for argv in (["--sweep"], ["--value", "2"]):
+        assert main(["filter", str(out), *argv, "--out", str(tmp_path / "f")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err, err
+
+
+def _set_child_sizes(out, sizes):
+    meta_path = out / "meta.json"
+    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    meta["child_sizes"] = sizes
+    meta_path.write_text(json.dumps(meta), encoding="utf-8")
+
+
+def test_bundle_child_sizes_must_be_the_subtree_sizes(tmp_path, capsys, demo_json, demo8):
+    out = make_bundle(tmp_path, demo_json, capsys)
+    for sizes, message in (
+        ([[0, 0]] * 7, "child_sizes of rank 1 are [0, 0], but its subtrees hold [1, 1]"),
+        ([[True, True]] + [[0, 0]] * 6, "child_sizes of rank 1 are [True, True]"),
+        ([[1, 1]] * 6, "one pair per merge (7)"),
+        ("sizes", "one pair per merge (7)"),
+    ):
+        _set_child_sizes(out, sizes)
+        assert main(["filter", str(out), "--sweep"]) == 2
+        err = capsys.readouterr().err
+        assert "meta.json" in err and message in err, err
+
+
+def test_weighted_bundle_with_its_child_sizes_loads(tmp_path, capsys, demo8):
+    X = np.random.default_rng(95).normal(size=(8, 2))
+    w = forward_weighted(X, demo8)
+    out = tmp_path / "weighted"
+    save_bundle(w, ["f1", "f2"], out)
+    loaded, _ = load_bundle(out)
+    assert np.array_equal(loaded.child_sizes, w.child_sizes)
+    assert np.allclose(inverse(loaded), X)
+    assert main(["filter", str(out), "--sweep"]) == 0
+    capsys.readouterr()
+
+
+def test_non_utf8_inputs_exit_two(tmp_path, capsys, demo_json):
+    for name in ("tree.json", "matrix.csv"):
+        path = tmp_path / name
+        path.write_bytes(b"\xff\xfe")
+        assert main(["check", str(path)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
