@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import re
@@ -50,6 +49,7 @@ from .tree import (
     cluster,
     from_json,
     load_json,
+    read_text,
     save_json,
     terminal,
 )
@@ -59,6 +59,7 @@ from .ultrametric import (
     is_ultrametric,
     matrix_from_csv,
     matrix_to_csv,
+    read_table,
     triangle_classify,
 )
 
@@ -76,42 +77,13 @@ def _outdir(args) -> Path:
 
 # ----------------------------------------------------------------------- CSV
 
-def _read_text(path) -> str:
-    """The whole file as UTF-8 text, with read and decode failures located."""
+def _parse(path, parse, *args):
+    """``parse(text, *args)`` on the file's UTF-8 text; its errors name the file."""
+    text = read_text(path)
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: byte {exc.start}: not UTF-8 text") from exc
-
-
-def _read_rows(path: str) -> list[list[str]]:
-    return [row for row in csv.reader(io.StringIO(_read_text(path), newline="")) if row]
-
-
-def read_data_csv(path: str) -> tuple[list[str], np.ndarray]:
-    """Numeric observation matrix: header row of feature names, then rows."""
-    rows = _read_rows(path)
-    if not rows:
-        raise ValidationError(f"{path}: empty file")
-    header = [s.strip() for s in rows[0]]
-    width = len(header)
-    data = np.zeros((len(rows) - 1, width))
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != width:
-            raise ValidationError(
-                f"{path}: row {i}: expected {width} values, got {len(row)}"
-            )
-        for j, cell in enumerate(row, start=1):
-            try:
-                data[i - 2, j - 1] = float(cell)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{path}: row {i}, column {j}: could not parse {cell.strip()!r}"
-                ) from exc
-    return header, data
+        return parse(text, *args)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _write_csv(path: Path, rows: list[list[str]]) -> None:
@@ -139,58 +111,23 @@ def _write_smooth_csv(path: Path, w: WaveletDecomposition, features: list[str]) 
     _write_csv(path, [features, [_fmt(v) for v in w.smooth]])
 
 
-def _read_branch_csv(path: str) -> tuple[list[str], np.ndarray]:
-    """Branch-code CSV as written by transform: labels column, sign columns."""
-    rows = _read_rows(path)
-    n = len(rows) - 1
+def _read_signs(text: str) -> tuple[np.ndarray, list[str]]:
+    """Branch-code CSV as written by transform: a label column, then n - 1 sign columns."""
+    header, labels, C = read_table(text, labelled=True)
+    n = len(labels)
     if n < 1:
-        raise ValidationError(f"{path}: expected a header row plus terminal rows")
-    labels = [row[0] for row in rows[1:]]
-    out = np.zeros((n, n - 1), dtype=np.int8)
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != n:
-            raise ValidationError(f"{path}: row {i}: expected {n} columns")
-        for j, cell in enumerate(row[1:], start=2):
-            try:
-                sign = int(cell)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{path}: row {i}, column {j}: could not parse {cell.strip()!r}"
-                ) from exc
-            if sign not in (-1, 0, 1):
-                raise ValidationError(
-                    f"{path}: row {i}, column {j}: expected -1, 0 or +1, got {cell.strip()!r}"
-                )
-            out[i - 2, j - 2] = sign
-    return labels, out
-
-
-def _read_float_table(path: str, skip_first_col: bool) -> tuple[list[str], np.ndarray]:
-    rows = _read_rows(path)
-    if not rows:
-        raise ValidationError(f"{path}: empty file")
-    skip = int(skip_first_col)
-    header = rows[0][skip:]
-    body = rows[1:]
-    out = np.zeros((len(body), len(header)))
-    for i, row in enumerate(body, start=2):
-        cells = row[skip:]
-        if len(cells) != len(header):
-            raise ValidationError(f"{path}: row {i}: expected {len(header)} values")
-        # columns are numbered as in the file, the skipped one included
-        for j, cell in enumerate(cells, start=skip + 1):
-            try:
-                value = float(cell)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{path}: row {i}, column {j}: could not parse {cell.strip()!r}"
-                ) from exc
-            if not np.isfinite(value):
-                raise ValidationError(
-                    f"{path}: row {i}, column {j}: expected a finite number, got {cell.strip()!r}"
-                )
-            out[i - 2, j - skip - 1] = value
-    return [s.strip() for s in header], out
+        raise ValidationError("expected a header row plus terminal rows")
+    if len(header) != n - 1:
+        raise ValidationError(
+            f"row 1: expected {n} columns for {n} terminals, got {len(header) + 1}"
+        )
+    bad = np.argwhere((C != -1) & (C != 0) & (C != 1))
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise ValidationError(
+            f"row {i + 2}, column {j + 2}: expected -1, 0 or +1, got {format(C[i, j], 'g')!r}"
+        )
+    return C.astype(np.int8), labels
 
 
 # -------------------------------------------------------------------- bundles
@@ -248,14 +185,14 @@ def load_bundle(bundle_dir: str) -> tuple[WaveletDecomposition, list[str]]:
     base = Path(bundle_dir)
     meta_path = base / "meta.json"
     try:
-        meta = json.loads(_read_text(meta_path))
+        meta = json.loads(read_text(meta_path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{meta_path}: not valid JSON: {exc}") from exc
     if not isinstance(meta, dict) or meta.get("format") != "decomposition":
         raise ValidationError(f"{meta_path}: expected a decomposition bundle")
     tree = load_json(base / "dendrogram.json")
     c_path = base / "C.csv"
-    _, C = _read_branch_csv(str(c_path))
+    C, _ = _parse(c_path, _read_signs)
     if C.shape[0] != tree.n_terminals:
         raise ValidationError(f"{c_path}: rows do not match the dendrogram")
     signs = branch_signs(tree)
@@ -265,9 +202,9 @@ def load_bundle(bundle_dir: str) -> tuple[WaveletDecomposition, list[str]]:
             f"{c_path}: row {i + 2}, column {j + 2}: sign {C[i, j]} differs from "
             f"the dendrogram's {signs[i, j]}"
         )
-    features, D = _read_float_table(str(base / "D.csv"), skip_first_col=True)
+    features, _, D = _parse(base / "D.csv", read_table, True)
     smooth_path = base / "smooth.csv"
-    _, smooth = _read_float_table(str(smooth_path), skip_first_col=False)
+    _, _, smooth = _parse(smooth_path, read_table)
     if smooth.shape[0] != 1:
         raise ValidationError(
             f"{smooth_path}: expected one row of smooth values, got {smooth.shape[0]}"
@@ -283,7 +220,7 @@ def load_bundle(bundle_dir: str) -> tuple[WaveletDecomposition, list[str]]:
 # ------------------------------------------------------------------- commands
 
 def cmd_cluster(args) -> int:
-    header, X = read_data_csv(args.data)
+    _, _, X = _parse(args.data, read_table)
     if X.shape[0] < 2:
         raise ValidationError(f"{args.data}: need n >= 2 observation rows")
     diss = pairwise_euclidean(X)
@@ -318,7 +255,7 @@ def cmd_transform(args) -> int:
     else:
         if args.data == "-":
             raise ValidationError("ultrametric mode needs a data CSV")
-        features, X = read_data_csv(args.data)
+        features, _, X = _parse(args.data, read_table)
         w = forward(X, tree)
     outdir = _outdir(args)
     for path in save_bundle(w, features, outdir):
@@ -392,8 +329,7 @@ def cmd_padic(args) -> int:
             file=sys.stderr,
         )
     if args.padic_cmd == "decode":
-        labels, mat = _read_branch_csv(args.matrix)
-        tree = decode(mat, labels=labels)
+        tree = _parse(args.matrix, lambda text: decode(*_read_signs(text)))
         outdir = _outdir(args)
         path = outdir / "dendrogram.json"
         save_json(tree, path)
@@ -458,7 +394,7 @@ def cmd_check(args) -> int:
         return 0 if verdict else 1
     if not path.endswith(".csv"):
         raise ValidationError(f"cannot tell matrix CSV from dendrogram JSON: {path}")
-    labels, M = matrix_from_csv(_read_text(path))
+    labels, M = _parse(path, matrix_from_csv)
     failures = 0
     try:
         verdict = is_ultrametric(M)

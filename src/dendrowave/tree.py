@@ -457,13 +457,19 @@ def save_json(d: Dendrogram, path) -> None:
         fh.write("\n")
 
 
+def read_text(path) -> str:
+    """The whole file as UTF-8 text, with read and decode failures located."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: byte {exc.start}: not UTF-8 text") from exc
+
+
 def load_json(path) -> Dendrogram:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ValidationError(f"{path}: byte {exc.start}: not UTF-8 text") from exc
-    return from_json(text)
+    return from_json(read_text(path))
 
 
 # ------------------------------------------------------------------ generators

@@ -286,25 +286,53 @@ def matrix_to_csv(M, labels) -> str:
     return buf.getvalue()
 
 
+def read_table(
+    text: str, labelled: bool = False
+) -> tuple[list[str], list[str] | None, np.ndarray]:
+    """Parse a CSV table: a header row, then rows of finite numbers.
+
+    Blank lines are skipped and every row must be as wide as the header.
+    With ``labelled`` the first column holds row labels, returned apart;
+    the header then names the value columns.  Both come back stripped.
+    Errors number rows from the header, row 1, skipping blank lines.
+    """
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    except csv.Error as exc:
+        raise ValidationError(f"not a CSV table: {exc}") from exc
+    if not rows:
+        raise ValidationError("empty file")
+    header, body = rows[0], rows[1:]
+    for i, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise ValidationError(f"row {i}: expected {len(header)} values, got {len(row)}")
+    skip = int(labelled)
+    cells = [row[skip:] for row in body]
+    try:
+        values = np.array(cells, dtype=float).reshape(len(body), len(header) - skip)
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        # failure path only: name the first cell that is not a finite number
+        for i, row in enumerate(cells, start=2):
+            for j, cell in enumerate(row, start=skip + 1):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValidationError(
+                        f"row {i}, column {j}: could not parse {cell.strip()!r}"
+                    ) from None
+                if not np.isfinite(value):
+                    raise ValidationError(
+                        f"row {i}, column {j}: expected a finite number, got {cell.strip()!r}"
+                    )
+    labels = [row[0].strip() for row in body] if labelled else None
+    return [s.strip() for s in header[skip:]], labels, values
+
+
 def matrix_from_csv(text: str) -> tuple[list[str], np.ndarray]:
     """Parse a labelled square matrix written by `matrix_to_csv`."""
-    rows = list(csv.reader(io.StringIO(text)))
-    rows = [r for r in rows if r]
-    if not rows:
-        raise ValidationError("empty matrix file")
-    labels = [s.strip() for s in rows[0]]
-    n = len(labels)
-    if len(rows) - 1 != n:
-        raise ValidationError(f"header names {n} columns but {len(rows) - 1} rows follow")
-    out = np.zeros((n, n))
-    for i, row in enumerate(rows[1:], start=2):
-        if len(row) != n:
-            raise ValidationError(f"row {i}: expected {n} values, got {len(row)}")
-        for j, cell in enumerate(row, start=1):
-            try:
-                out[i - 2, j - 1] = float(cell)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"row {i}, column {j}: could not parse {cell.strip()!r}"
-                ) from exc
-    return labels, out
+    labels, _, M = read_table(text)
+    if M.shape[0] != len(labels):
+        raise ValidationError(f"header names {len(labels)} columns but {M.shape[0]} rows follow")
+    return labels, M

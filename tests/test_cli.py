@@ -330,6 +330,11 @@ MALFORMED_BUNDLES = {
         lambda b: _edit_cell(b.decode(), 2, 2, "inf").encode(),
         "D.csv: row 2, column 2: expected a finite number",
     ),
+    "C-one-column-too-wide": (
+        "C.csv",
+        lambda b: b.replace(b"\n", b",0\n"),
+        "C.csv: row 1: expected 8 columns for 8 terminals, got 9",
+    ),
 }
 
 
@@ -384,3 +389,46 @@ def test_non_utf8_inputs_exit_two(tmp_path, capsys, demo_json):
         path.write_bytes(b"\xff\xfe")
         assert main(["check", str(path)]) == 2
         assert "not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["cluster", "transform"])
+def test_non_finite_data_cell_is_located(tmp_path, capsys, demo_json, command):
+    data = write_data(tmp_path, np.arange(16.0).reshape(8, 2))
+    Path(data).write_text(_edit_cell(Path(data).read_text(), 4, 2, "nan"), encoding="utf-8")
+    args = [data, demo_json] if command == "transform" else [data]
+    assert main([command, *args, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {data}: row 4, column 2: expected a finite number, got 'nan'\n"
+
+
+def test_check_matrix_parse_errors_exit_two_and_name_the_file(tmp_path, capsys):
+    path = tmp_path / "matrix.csv"
+    for text, where in (
+        ("a,b,c\n0,3,nan\n3,0,3\n4,3,0\n", "row 2, column 3: expected a finite number, got 'nan'"),
+        ("a,b,c\n0,3,4\n3,0,3\n4,3,oops\n", "row 4, column 3: could not parse 'oops'"),
+    ):
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {where}\n"
+
+
+def test_check_matrix_content_failures_exit_one(tmp_path, capsys):
+    path = tmp_path / "matrix.csv"
+    for text, message in (
+        ("a,b\n0,1\n2,0\n", "is not symmetric"),
+        ("a,b\n1,1\n1,0\n", "needs a zero diagonal"),
+    ):
+        path.write_text(text, encoding="utf-8")
+        assert main(["check", str(path)]) == 1
+        assert f"matrix check FAILED: distance matrix {message}" in capsys.readouterr().out
+
+
+def test_padic_decode_rejects_a_header_wider_than_its_rows(tmp_path, capsys, demo_json):
+    out = tmp_path / "w"
+    assert main(["transform", "-", demo_json, "--mode", "indicator", "--out", str(out)]) == 0
+    capsys.readouterr()
+    c_path = out / "C.csv"
+    lines = c_path.read_text(encoding="utf-8").split("\n")
+    c_path.write_text("\n".join([lines[0] + ",cluster_8"] + lines[1:]), encoding="utf-8")
+    assert main(["padic", "decode", str(c_path), "--out", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err == f"error: {c_path}: row 2: expected 9 values, got 8\n"
