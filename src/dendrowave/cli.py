@@ -60,6 +60,7 @@ from .ultrametric import (
     matrix_from_csv,
     matrix_to_csv,
     read_table,
+    subdominant,
     triangle_classify,
 )
 
@@ -202,12 +203,18 @@ def load_bundle(bundle_dir: str) -> tuple[WaveletDecomposition, list[str]]:
             f"{c_path}: row {i + 2}, column {j + 2}: sign {C[i, j]} differs from "
             f"the dendrogram's {signs[i, j]}"
         )
-    features, _, D = _parse(base / "D.csv", read_table, True)
+    d_path = base / "D.csv"
+    features, _, D = _parse(d_path, read_table, True)
+    if D.shape[0] != tree.n_clusters:
+        raise ValidationError(
+            f"{d_path}: expected {tree.n_clusters} detail rows, one per merge, got {D.shape[0]}"
+        )
     smooth_path = base / "smooth.csv"
     _, _, smooth = _parse(smooth_path, read_table)
-    if smooth.shape[0] != 1:
+    if smooth.shape != (1, D.shape[1]):
         raise ValidationError(
-            f"{smooth_path}: expected one row of smooth values, got {smooth.shape[0]}"
+            f"{smooth_path}: expected one row of {D.shape[1]} smooth values, "
+            f"one per feature, got {smooth.shape[0]} x {smooth.shape[1]}"
         )
     sizes = meta.get("child_sizes")
     child_sizes = None if sizes is None else _child_sizes(sizes, tree, meta_path)
@@ -256,6 +263,11 @@ def cmd_transform(args) -> int:
         if args.data == "-":
             raise ValidationError("ultrametric mode needs a data CSV")
         features, _, X = _parse(args.data, read_table)
+        if X.shape[0] != tree.n_terminals:
+            raise ValidationError(
+                f"{args.data}: expected {tree.n_terminals} observation rows, "
+                f"one per terminal, got {X.shape[0]}"
+            )
         w = forward(X, tree)
     outdir = _outdir(args)
     for path in save_bundle(w, features, outdir):
@@ -419,9 +431,7 @@ def cmd_check(args) -> int:
         f"violating={census.violating}"
     )
     if verdict:
-        order_tree = agglomerate(M, "single")
-        order = [i - 1 for i in order_tree.leaf_order()]
-        _, canon = canonical_form(M, order)
+        _, canon = canonical_form(M, subdominant(M).order)
         print(f"canonical layout under single-linkage order: {'PASS' if canon else 'FAIL'}")
         if not canon:
             failures += 1

@@ -391,7 +391,8 @@ def decode(
     Accepts the n x (n-1) sign matrix or the list of terminal codes (its
     rows).  Column supports must form a laminar family with +1 rows and -1
     rows each covering exactly one already-built node; otherwise a
-    `ValidationError` reports the offending column.  Composing with
+    `ValidationError` names the offending column by its C.csv header,
+    ``cluster_k`` for the column of rank k.  Composing with
     `encode` returns the canonical orientation of the original tree.
     """
     if isinstance(codes_or_matrix, np.ndarray):
@@ -425,13 +426,13 @@ def decode(
         positive = col[rows] == 1
         sides = (rows[positive], rows[~positive])
         if not sides[0].size or not sides[1].size:
-            raise ValidationError(f"column {k}: both signs must appear")
+            raise ValidationError(f"column cluster_{k}: both signs must appear")
         children = []
         for rows, name in zip(sides, ("+1", "-1")):
             node_id = int(cover[rows[0]])
             if rows.size != size[node_id] or (cover[rows] != node_id).any():
                 raise ValidationError(
-                    f"column {k}: {name} rows do not match any current subtree "
+                    f"column cluster_{k}: {name} rows do not match any current subtree "
                     "(not a laminar family)"
                 )
             children.append(ref(node_id))

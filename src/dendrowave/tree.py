@@ -353,12 +353,14 @@ def branch_signs(d: Dendrogram) -> np.ndarray:
     lay = d.layout
     n, cols = d.n_terminals, np.arange(d.n_clusters)
     # In leaf order column k is +1 on [lo, mid) and -1 on [mid, hi): mark
-    # the three boundaries and let a running sum down the column fill both.
+    # the three boundaries and let a running sum down the columns fill both,
+    # adding one contiguous row at a time.
     by_pos = np.zeros((n + 1, d.n_clusters), dtype=np.int8)
     by_pos[lay.lo, cols] = 1
     by_pos[lay.mid, cols] = -2
     by_pos[lay.hi, cols] = 1
-    np.cumsum(by_pos, axis=0, dtype=np.int8, out=by_pos)
+    for p in range(1, n):
+        np.add(by_pos[p - 1], by_pos[p], out=by_pos[p])
     return by_pos[lay.pos]
 
 

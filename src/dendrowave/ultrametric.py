@@ -5,6 +5,16 @@ inequality d(x, z) <= max(d(x, y), d(y, z)).  Cophenetic matrices of
 node-ranked dendrograms always qualify, whether valued in ranks (exact
 integers) or merge levels.  The validators here return verdict objects
 carrying a concrete witness when they fail.
+
+The validators rest on the subdominant ultrametric U of a matrix M, the
+cophenetic level matrix of its minimum spanning tree (`subdominant`):
+U <= M everywhere, with equality exactly when M is an ultrametric, and
+its entries are entries of M, so comparing the two involves no rounding.
+Building U and comparing it with M takes O(n^2) time.  An ultrametric
+therefore passes `is_ultrametric` in O(n^2), gets its triangle census
+from the tree, and is laid out in the tree's leaf order; only a matrix
+that is not one pays for an O(n^2) witness scan per row that exceeds U,
+and for the O(n^3) census.
 """
 
 from __future__ import annotations
@@ -16,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import Dendrogram, ValidationError
+from .tree import Dendrogram, ValidationError, build_from_merges, cluster, terminal
 
 DEFAULT_TOL = 1e-9
 
@@ -89,21 +99,148 @@ def _checked_matrix(M) -> np.ndarray:
     return M
 
 
+def _scale(tol: float) -> float:
+    if not tol >= 0:
+        raise ValidationError(f"tol must be a nonnegative number, got {tol!r}")
+    return 1.0 + tol
+
+
+# ------------------------------------------------------- subdominant ultrametric
+
+# rows per block of the n x n passes, sized so one block holds about this many cells
+_BLOCK_ELEMS = 1 << 20
+
+
+@dataclass(frozen=True)
+class Subdominant:
+    """The single-linkage tree of a distance matrix and its merge levels.
+
+    Its cophenetic level matrix U is the subdominant ultrametric, the
+    largest ultrametric lying below the matrix: U[x, z] is the smallest
+    possible longest step on a path from x to z, so U <= M everywhere,
+    with equality exactly when M is an ultrametric.  ``levels[k - 1]`` is
+    the level of rank k, an entry of M; levels never decrease with rank
+    but may repeat, so they are kept apart from the tree, which carries
+    ranks only.
+    """
+
+    tree: Dendrogram
+    levels: np.ndarray
+
+    @property
+    def order(self) -> np.ndarray:
+        """0-based leaf order, each merge's subtree with the lowest point first."""
+        return self.tree.layout.order - 1
+
+    def matrix(self) -> np.ndarray:
+        """U as an n x n matrix."""
+        return np.concatenate(([0.0], self.levels))[cophenetic(self.tree)]
+
+    def _rows_above(self, A: np.ndarray, scale: float) -> np.ndarray:
+        """Mask of the points x with A[x, z] > U[x, z] * scale for some z.
+
+        In leaf order, U right of the diagonal is a running maximum of the
+        gap levels along each row, so a block of rows at a time is one
+        accumulate, and no n x n matrix is built.
+        """
+        lay = self.tree.layout
+        n = len(lay.order)
+        order = lay.order - 1
+        # rounding is monotone, so scaling the gaps scales their maxima exactly
+        gap_caps = self.levels[lay.gaps - 1] * scale
+        above = np.zeros(n, dtype=bool)  # by leaf position
+        step = max(1, _BLOCK_ELEMS // n)
+        for p0 in range(0, n - 1, step):
+            p1 = min(p0 + step, n - 1)
+            # caps[i, j] is U * scale at positions (p0 + i, p0 + 1 + j) for
+            # j >= i; gaps left of row i's start are blanked (levels are >= 0)
+            caps = np.tile(gap_caps[p0:], (p1 - p0, 1))
+            left = np.tri(p1 - p0, k=-1, dtype=bool)
+            caps[:, : p1 - p0][left] = 0.0
+            np.maximum.accumulate(caps, axis=1, out=caps)
+            caps[:, : p1 - p0][left] = np.inf
+            over = A[np.ix_(order[p0:p1], order[p0 + 1 :])] > caps
+            above[p0:p1] |= over.any(axis=1)
+            above[p0 + 1 :] |= over.any(axis=0)
+        return above[lay.pos]
+
+
+def subdominant(M) -> Subdominant:
+    """Single-linkage tree of M from a minimum spanning tree, in O(n^2) numpy.
+
+    Prim's algorithm grows the spanning tree from point 0; merging its
+    n - 1 edges by increasing weight (ties in the order Prim found them)
+    gives the ranks (Gower & Ross, 1969).  Each merge stores the subtree
+    holding the lower point index first.
+    """
+    return _subdominant(_checked_matrix(M).astype(float))
+
+
+def _subdominant(A: np.ndarray) -> Subdominant:
+    n = A.shape[0]
+    if n == 0:
+        raise ValidationError("need at least one point")
+    best = A[0].copy()  # each point's distance to the tree grown so far
+    near = np.zeros(n, dtype=np.int64)  # the tree point that distance reaches
+    outside = np.ones(n, dtype=bool)
+    outside[0] = False
+    best[0] = np.inf
+    ends = np.empty((n - 1, 2), dtype=np.int64)
+    weights = np.empty(n - 1)
+    closer = np.empty(n, dtype=bool)
+    for t in range(n - 1):
+        v = int(np.argmin(best))
+        ends[t] = near[v], v
+        weights[t] = best[v]
+        outside[v] = False
+        best[v] = np.inf
+        np.less(A[v], best, out=closer)
+        closer &= outside
+        np.copyto(best, A[v], where=closer)
+        np.copyto(near, v, where=closer)
+
+    by_weight = np.argsort(weights, kind="stable")
+    # union-find over points: a component's root is its lowest point
+    root = list(range(n))
+    node = [terminal(i + 1) for i in range(n)]
+    merges = []
+    for k, ends_k in enumerate(ends[by_weight].tolist(), start=1):
+        a, b = sorted(_find(root, i) for i in ends_k)
+        merges.append((node[a], node[b]))
+        root[b] = a
+        node[a] = cluster(k)
+    return Subdominant(build_from_merges(merges), weights[by_weight])
+
+
+def _find(root: list[int], i: int) -> int:
+    while root[i] != i:
+        root[i] = root[root[i]]
+        i = root[i]
+    return i
+
+
+# ------------------------------------------------------------------- verdicts
+
 def is_ultrametric(M, tol: float = DEFAULT_TOL) -> Verdict:
     """Check the strong triangle inequality over all triples.
 
     ``tol`` is relative; pass 0 for exact comparison (the natural choice
     for integer rank matrices).  On failure the witness (x, y, z) satisfies
-    d(x, z) > max(d(x, y), d(y, z)).
+    d(x, z) > max(d(x, y), d(y, z)), and is the first in x, then z, whose
+    cap over one middle point, min_y max(d(x, y), d(y, z)), falls short.
+
+    That cap is never below the subdominant ultrametric U, so after row 0
+    only the rows with some d(x, z) > U[x, z] (1 + tol) can fail; they are
+    scanned in increasing x, O(n^2) each.  A matrix with no such row
+    passes in O(n^2).
     """
     A = _checked_matrix(M).astype(float)
-    n = A.shape[0]
-    for x in range(n):
-        # the tightest bound over middle points: min_y max(d(x,y), d(y,z))
-        caps = np.maximum(A[x][:, None], A).min(axis=0)
-        bad = A[x] > caps * (1.0 + tol)
-        if bad.any():
-            z = int(np.flatnonzero(bad)[0])
+    scale = _scale(tol)
+    if A.shape[0] < 3:
+        return Verdict(True)
+    for x in _scan_rows(A, scale):
+        z = _row_violation(A, x, scale)
+        if z is not None:
             y = int(np.argmin(np.maximum(A[x], A[:, z])))
             return Verdict(
                 False,
@@ -116,32 +253,123 @@ def is_ultrametric(M, tol: float = DEFAULT_TOL) -> Verdict:
     return Verdict(True)
 
 
+def _scan_rows(A: np.ndarray, scale: float):
+    """Row 0, then the later rows above U * scale in increasing order.
+
+    Row 0 is scanned first whether or not it exceeds U, so a matrix far
+    from ultrametric fails before U is built.
+    """
+    yield 0
+    above = _subdominant(A)._rows_above(A, scale)
+    yield from (x for x in np.flatnonzero(above).tolist() if x)
+
+
+def _row_violation(A: np.ndarray, x: int, scale: float) -> int | None:
+    """The first z with A[x, z] > min_y max(A[x, y], A[y, z]) * scale, if any."""
+    caps = np.maximum(A[x][:, None], A).min(axis=0)
+    bad = np.flatnonzero(A[x] > caps * scale)
+    return int(bad[0]) if bad.size else None
+
+
 def triangle_classify(M, tol: float = DEFAULT_TOL) -> TriangleCensus:
     """Classify every triple of points by its triangle shape.
 
-    One anchor i at a time, the triangles (i, j, k) with i < j < k form the
-    block over j, k > i; sorting each triple's sides is exact elementwise
-    min and max.  The block is symmetric, so both triangle counts come
-    from the whole block minus its diagonal, halved.  Memory is O(n^2).
+    A matrix equal to its subdominant ultrametric is counted from the
+    single-linkage tree in O(n log n) once U is built; any other matrix
+    is counted one anchor at a time in O(n^3).
     """
     A = _checked_matrix(M).astype(float)
+    scale = _scale(tol)
     n = A.shape[0]
-    scale = 1.0 + tol
+    total = n * (n - 1) * (n - 2) // 6
+    if n < 3:
+        return TriangleCensus(0, 0, 0)
+    # a violation in row 0 already shows that A is no ultrametric, so A != U
+    if _row_violation(A, 0, 1.0) is None:
+        sub = _subdominant(A)
+        if not sub._rows_above(A, 1.0).any():  # A == U, since U <= A
+            eq = _tree_equilateral(sub, scale)
+            return TriangleCensus(eq, total - eq, 0)
+    eq, bad = _anchor_census(A, scale)
+    return TriangleCensus(eq, total - eq - bad, bad)
+
+
+def _tree_equilateral(sub: Subdominant, scale: float) -> int:
+    """Equilateral triples of the ultrametric that ``sub`` generates.
+
+    Each triple's two closer points meet first at some cluster c, with
+    child sizes s1 and s2, and the third joins at an ancestor a: the sides
+    are level(c), level(a), level(a), so the triple is equilateral iff
+    level(a) <= level(c) (1 + tol).  Levels grow toward the root, so the
+    qualifying ancestors run up to a highest one, a*, and c contributes
+    s1 s2 (size(a*) - size(c)).  a* is found for every c at once by
+    jumping up the tree in powers of two.
+    """
+    lay = sub.tree.layout
+    levels = sub.levels
+    m = len(levels)
+    # the highest rank whose level qualifies, as an index into levels
+    top = np.searchsorted(levels, levels * scale, side="right") - 1
+    parent = np.full(m, m - 1, dtype=np.int64)
+    for k, pair in enumerate(sub.tree.merges):
+        for child in pair:
+            if not child.is_terminal:
+                parent[child.index - 1] = k
+    jumps = [parent]
+    while 1 << len(jumps) < m:
+        jumps.append(jumps[-1][jumps[-1]])
+    best = np.arange(m)
+    for up in reversed(jumps):
+        nxt = up[best]
+        best = np.where(nxt <= top, nxt, best)
+    pairs = (lay.mid - lay.lo) * (lay.hi - lay.mid)
+    return int((pairs * (lay.size[best] - lay.size)).sum())
+
+
+def _anchor_census(A: np.ndarray, scale: float) -> tuple[int, int]:
+    """Equilateral and violating triples of A, one anchor row at a time.
+
+    The triangles (i, j, k) with i < j < k form the block over j, k > i;
+    sorting each triple's sides is exact elementwise min and max.  The
+    block is symmetric, so both counts come from the whole block minus its
+    diagonal, halved.  Three float and two bool buffers sized for the
+    first block are reused by every anchor.
+    """
+    n = A.shape[0]
+    size = (n - 1) ** 2
+    lo_buf, hi_buf, big_buf = (np.empty(size) for _ in range(3))
+    bad_buf, eq_buf = (np.empty(size, dtype=bool) for _ in range(2))
     eq = bad = 0
     for i in range(n - 2):
         x = A[i, i + 1 :]
         z = A[i + 1 :, i + 1 :]
-        shorter = np.minimum.outer(x, x)
-        longer = np.maximum.outer(x, x)
-        small = np.minimum(shorter, z)
-        middle = np.maximum(shorter, np.minimum(longer, z))
-        large = np.maximum(longer, z)
-        violating = large > middle * scale
-        equilateral = ~violating & (large <= small * scale)
-        bad += (int(violating.sum()) - int(violating.diagonal().sum())) // 2
-        eq += (int(equilateral.sum()) - int(equilateral.diagonal().sum())) // 2
-    total = n * (n - 1) * (n - 2) // 6
-    return TriangleCensus(eq, total - eq - bad, bad)
+        m = len(x)
+        low, high, large = (b[: m * m].reshape(m, m) for b in (lo_buf, hi_buf, big_buf))
+        violating, equilateral = (b[: m * m].reshape(m, m) for b in (bad_buf, eq_buf))
+        np.minimum(x[:, None], x, out=low)  # shorter of the two sides at i
+        np.maximum(x[:, None], x, out=high)  # longer of them
+        np.maximum(high, z, out=large)
+        np.minimum(high, z, out=high)
+        np.maximum(low, high, out=high)  # middle side
+        np.minimum(low, z, out=low)  # smallest side
+        high *= scale
+        np.greater(large, high, out=violating)
+        low *= scale
+        # large <= small (1 + tol) already rules out large > middle (1 + tol)
+        np.less_equal(large, low, out=equilateral)
+        bad += _pairs_off_diagonal(violating)
+        eq += _pairs_off_diagonal(equilateral)
+    return eq, bad
+
+
+def _pairs_off_diagonal(mask: np.ndarray) -> int:
+    """Unordered pairs j != k set in a symmetric mask."""
+    return (int(np.count_nonzero(mask)) - int(np.count_nonzero(mask.diagonal()))) // 2
+
+
+def _close(u: np.ndarray, v: np.ndarray, tol: float) -> np.ndarray:
+    """Relative equality of nonnegative entries, as in `canonical_form`."""
+    return np.abs(u - v) <= tol * np.maximum(u, v)
 
 
 def canonical_form(M, order, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, Verdict]:
@@ -152,45 +380,64 @@ def canonical_form(M, order, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, Verd
     A[k, k+1] = ... = A[k, k+l+1] is a maximal run of equal values, the
     next row obeys A[k+1, j] <= A[k, j] inside the run and
     A[k+1, j] = A[k, j] beyond it.  The left-to-right terminal order of
-    any dendrogram generating M passes this test.
+    any dendrogram generating M passes this test.  Equality is relative,
+    within ``tol``.  The rows are tested for a decrease, then for the run
+    rules, each time a block of rows at a time; the witness is the first
+    failing cell in that order.
     """
     A = _checked_matrix(M).astype(float)
+    _scale(tol)
     n = A.shape[0]
     order = list(order)
     if sorted(order) != list(range(n)):
         raise ValidationError(f"order must be a permutation of 0..{n - 1}")
     A = A[np.ix_(order, order)]
-
-    def close(u: float, v: float) -> bool:
-        return abs(u - v) <= tol * max(abs(u), abs(v))
-
-    for k in range(n - 1):
-        for j in range(k + 1, n - 1):
-            if A[k, j] > A[k, j + 1] and not close(A[k, j], A[k, j + 1]):
+    step = max(1, _BLOCK_ELEMS // max(1, n))
+    # the last two rows have no cell to test
+    blocks = [(k0, min(k0 + step, n - 2)) for k0 in range(0, n - 2, step)]
+    for k0, k1 in blocks:
+        # rows k0 .. k1 - 1 at columns j > k, which start at k0 + 1
+        ks = np.arange(k0, k1)[:, None]
+        js = np.arange(k0 + 1, n - 1)
+        u, v = A[k0:k1, k0 + 1 : -1], A[k0:k1, k0 + 2 :]
+        drop = (u > v) & (js > ks)
+        if drop.any():
+            drop &= ~_close(u, v, tol)
+            if drop.any():
+                k, j = _first(drop, k0, k0 + 1)
                 return A, Verdict(
                     False,
                     witness=(k, j, j + 1),
                     detail=f"row {k} decreases from column {j} to {j + 1}",
                 )
-    for k in range(n - 1):
-        run_end = k + 1
-        while run_end + 1 < n and close(A[k, run_end + 1], A[k, k + 1]):
-            run_end += 1
-        for j in range(k + 2, run_end + 1):
-            if A[k + 1, j] > A[k, j] and not close(A[k + 1, j], A[k, j]):
-                return A, Verdict(
-                    False,
-                    witness=(k, k + 1, j),
-                    detail=f"row {k + 1} exceeds row {k} at column {j} inside the equal run",
-                )
-        for j in range(run_end + 1, n):
-            if not close(A[k + 1, j], A[k, j]):
-                return A, Verdict(
-                    False,
-                    witness=(k, k + 1, j),
-                    detail=f"rows {k} and {k + 1} differ at column {j} beyond the equal run",
-                )
+    for k0, k1 in blocks:
+        # rows k0 .. k1 - 1 and the rows below them at columns j >= k + 2
+        ks = np.arange(k0, k1)[:, None]
+        js = np.arange(k0 + 2, n)
+        row, below = A[k0:k1, k0 + 2 :], A[k0 + 1 : k1 + 1, k0 + 2 :]
+        # row k's equal run ends before its first column j >= k + 2 not close to A[k, k + 1]
+        leaves = (js > ks + 1) & ~_close(row, A[ks, ks + 1], tol)
+        run_end = np.where(leaves.any(axis=1), leaves.argmax(axis=1) + k0 + 1, n - 1)
+        inside = js <= run_end[:, None]
+        # a failing cell is not close to the one above it, so it differs from
+        # it and, inside the run, is the larger of the two
+        fail = (js > ks + 1) & np.where(inside, below > row, below != row)
+        if fail.any():
+            fail &= ~_close(below, row, tol)
+            if fail.any():
+                k, j = _first(fail, k0, k0 + 2)
+                if j <= run_end[k - k0]:
+                    detail = f"row {k + 1} exceeds row {k} at column {j} inside the equal run"
+                else:
+                    detail = f"rows {k} and {k + 1} differ at column {j} beyond the equal run"
+                return A, Verdict(False, witness=(k, k + 1, j), detail=detail)
     return A, Verdict(True)
+
+
+def _first(mask: np.ndarray, row0: int, col0: int) -> tuple[int, int]:
+    """Row and column of the first set cell of a block whose corner is (row0, col0)."""
+    i, j = np.unravel_index(np.argmax(mask), mask.shape)
+    return int(i) + row0, int(j) + col0
 
 
 # ------------------------------------------------------------------------ balls
@@ -268,7 +515,11 @@ def distance_from_proximity(p):
 # --------------------------------------------------------------------- CSV I/O
 
 def matrix_to_csv(M, labels) -> str:
-    """Render a square matrix as CSV with a header row of terminal labels."""
+    """Render a square matrix as CSV with a header row of terminal labels.
+
+    Integers print exactly and floats with 12 significant digits.  Each
+    distinct value is formatted once; a cophenetic matrix has at most n.
+    """
     M = np.asarray(M)
     labels = list(labels)
     if M.shape[0] != len(labels):
@@ -276,13 +527,18 @@ def matrix_to_csv(M, labels) -> str:
             f"{len(labels)} labels for a {M.shape[0]}-row matrix"
         )
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(labels)
-    integral = np.issubdtype(M.dtype, np.integer)
-    for row in M:
-        writer.writerow(
-            [str(int(v)) if integral else format(float(v), ".12g") for v in row]
-        )
+    csv.writer(buf, lineterminator="\n").writerow(labels)
+    if np.issubdtype(M.dtype, np.integer):
+        keys = M
+        values = np.unique(keys)
+        text = [str(v) for v in values.tolist()]
+    else:
+        # distinct bit patterns, so 0.0 and -0.0 keep their own text
+        keys = M.astype(float).view(np.int64)
+        values = np.unique(keys)
+        text = [format(v, ".12g") for v in values.view(float).tolist()]
+    cells = np.array(text, dtype=object)[np.searchsorted(values, keys)]
+    buf.writelines(",".join(row) + "\n" for row in cells.tolist())
     return buf.getvalue()
 
 

@@ -6,13 +6,19 @@ did before it derived everything from the leaf order and gap ranks.  The
 p-adic codes are dense tuples of Python ints, as they were before codes
 stored their digits as bytes.  The matrix functions scan every pair or
 triple in Python, the way clustering and the ultrametric checks did
-before they ran on numpy arrays.  They are slow (quadratic memory on a
-caterpillar tree, cubic time on a matrix) and exist only so the
-differential tests can compare the fast paths against them.
+before they ran on numpy arrays.  `is_ultrametric_rows`,
+`triangle_classify_anchors` and `canonical_form_loops` are the checks as
+they ran before they were built on the subdominant ultrametric: cubic
+scans one anchor row at a time, and the layout rules cell by cell.  They
+are slow (quadratic memory on a caterpillar tree, cubic time on a matrix)
+and exist only so the differential tests can compare the fast paths
+against them.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -231,13 +237,13 @@ def decode(mat: np.ndarray, labels=None) -> Dendrogram:
         plus = frozenset(int(i) + 1 for i in np.flatnonzero(col == 1))
         minus = frozenset(int(i) + 1 for i in np.flatnonzero(col == -1))
         if not plus or not minus:
-            raise ValidationError(f"column {k}: both signs must appear")
+            raise ValidationError(f"column cluster_{k}: both signs must appear")
         children = []
         for side, name in ((plus, "+1"), (minus, "-1")):
             node = covering[min(side)]
             if node_terms[node] != side:
                 raise ValidationError(
-                    f"column {k}: {name} rows do not match any current subtree "
+                    f"column cluster_{k}: {name} rows do not match any current subtree "
                     "(not a laminar family)"
                 )
             children.append(node)
@@ -359,3 +365,106 @@ def triangle_classify(M, tol: float = DEFAULT_TOL) -> TriangleCensus:
         else:
             iso += 1
     return TriangleCensus(eq, iso, bad)
+
+
+def is_ultrametric_rows(M, tol: float = DEFAULT_TOL) -> Verdict:
+    """Every anchor row in turn: its cap over one middle point, as an n x n max."""
+    A = _checked_matrix(M).astype(float)
+    n = A.shape[0]
+    for x in range(n):
+        # the tightest bound over middle points: min_y max(d(x,y), d(y,z))
+        caps = np.maximum(A[x][:, None], A).min(axis=0)
+        bad = A[x] > caps * (1.0 + tol)
+        if bad.any():
+            z = int(np.flatnonzero(bad)[0])
+            y = int(np.argmin(np.maximum(A[x], A[:, z])))
+            return Verdict(
+                False,
+                witness=(x, y, z),
+                detail=(
+                    f"d({x},{z}) = {float(A[x, z])!r} exceeds "
+                    f"max(d({x},{y}), d({y},{z})) = {float(max(A[x, y], A[y, z]))!r}"
+                ),
+            )
+    return Verdict(True)
+
+
+def triangle_classify_anchors(M, tol: float = DEFAULT_TOL) -> TriangleCensus:
+    """One anchor i at a time, elementwise min and max over the block of j, k > i.
+
+    The block is symmetric, so both counts come from the whole block minus
+    its diagonal, halved.
+    """
+    A = _checked_matrix(M).astype(float)
+    n = A.shape[0]
+    scale = 1.0 + tol
+    eq = bad = 0
+    for i in range(n - 2):
+        x = A[i, i + 1 :]
+        z = A[i + 1 :, i + 1 :]
+        shorter = np.minimum.outer(x, x)
+        longer = np.maximum.outer(x, x)
+        small = np.minimum(shorter, z)
+        middle = np.maximum(shorter, np.minimum(longer, z))
+        large = np.maximum(longer, z)
+        violating = large > middle * scale
+        equilateral = ~violating & (large <= small * scale)
+        bad += (int(violating.sum()) - int(violating.diagonal().sum())) // 2
+        eq += (int(equilateral.sum()) - int(equilateral.diagonal().sum())) // 2
+    total = n * (n - 1) * (n - 2) // 6
+    return TriangleCensus(eq, total - eq - bad, bad)
+
+
+def canonical_form_loops(M, order, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, Verdict]:
+    """The canonical-layout conditions tested cell by cell in Python loops."""
+    A = _checked_matrix(M).astype(float)
+    n = A.shape[0]
+    order = list(order)
+    if sorted(order) != list(range(n)):
+        raise ValidationError(f"order must be a permutation of 0..{n - 1}")
+    A = A[np.ix_(order, order)]
+
+    def close(u: float, v: float) -> bool:
+        return abs(u - v) <= tol * max(abs(u), abs(v))
+
+    for k in range(n - 1):
+        for j in range(k + 1, n - 1):
+            if A[k, j] > A[k, j + 1] and not close(A[k, j], A[k, j + 1]):
+                return A, Verdict(
+                    False,
+                    witness=(k, j, j + 1),
+                    detail=f"row {k} decreases from column {j} to {j + 1}",
+                )
+    for k in range(n - 1):
+        run_end = k + 1
+        while run_end + 1 < n and close(A[k, run_end + 1], A[k, k + 1]):
+            run_end += 1
+        for j in range(k + 2, run_end + 1):
+            if A[k + 1, j] > A[k, j] and not close(A[k + 1, j], A[k, j]):
+                return A, Verdict(
+                    False,
+                    witness=(k, k + 1, j),
+                    detail=f"row {k + 1} exceeds row {k} at column {j} inside the equal run",
+                )
+        for j in range(run_end + 1, n):
+            if not close(A[k + 1, j], A[k, j]):
+                return A, Verdict(
+                    False,
+                    witness=(k, k + 1, j),
+                    detail=f"rows {k} and {k + 1} differ at column {j} beyond the equal run",
+                )
+    return A, Verdict(True)
+
+
+def matrix_to_csv_cells(M, labels) -> str:
+    """The matrix CSV written through the csv module, formatting every cell."""
+    M = np.asarray(M)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(list(labels))
+    integral = np.issubdtype(M.dtype, np.integer)
+    for row in M:
+        writer.writerow(
+            [str(int(v)) if integral else format(float(v), ".12g") for v in row]
+        )
+    return buf.getvalue()

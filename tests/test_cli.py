@@ -124,6 +124,13 @@ def test_transform_ultrametric_requires_data(tmp_path, capsys, demo_json):
     assert "needs a data CSV" in capsys.readouterr().err
 
 
+def test_transform_names_a_data_file_with_the_wrong_row_count(tmp_path, capsys, demo_json):
+    data = write_data(tmp_path, np.ones((7, 2)))
+    assert main(["transform", data, demo_json, "--out", str(tmp_path / "w")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {data}: expected 8 observation rows, one per terminal, got 7\n"
+
+
 def make_bundle(tmp_path, demo_json, capsys):
     rng = np.random.default_rng(93)
     data = write_data(tmp_path, rng.normal(size=(8, 2)))
@@ -313,6 +320,16 @@ MALFORMED_BUNDLES = {
     "smooth-header-only": (
         "smooth.csv", lambda b: b.split(b"\n")[0] + b"\n", "smooth.csv: expected one row"
     ),
+    "smooth-one-feature-short": (
+        "smooth.csv",
+        lambda b: b"\n".join(line.rsplit(b",", 1)[0] for line in b.split(b"\n")),
+        "smooth.csv: expected one row of 2 smooth values, one per feature, got 1 x 1",
+    ),
+    "D-quote-swallows-the-rows": (
+        "D.csv",
+        lambda b: _edit_cell(b.decode(), 1, 1, '"').encode(),
+        "D.csv: expected 7 detail rows, one per merge, got 0",
+    ),
     "meta-list": ("meta.json", lambda b: b"[]\n", "meta.json: expected a decomposition"),
     "D-not-utf8": ("D.csv", lambda b: b.replace(b"\n", b"\n\xff", 1), "D.csv: byte "),
     "C-cell-300": (
@@ -432,3 +449,20 @@ def test_padic_decode_rejects_a_header_wider_than_its_rows(tmp_path, capsys, dem
     c_path.write_text("\n".join([lines[0] + ",cluster_8"] + lines[1:]), encoding="utf-8")
     assert main(["padic", "decode", str(c_path), "--out", str(tmp_path / "d")]) == 2
     assert capsys.readouterr().err == f"error: {c_path}: row 2: expected 9 values, got 8\n"
+
+
+def test_padic_decode_names_the_failing_column_by_its_header(tmp_path, capsys, demo_json):
+    out = tmp_path / "w"
+    assert main(["transform", "-", demo_json, "--mode", "indicator", "--out", str(out)]) == 0
+    capsys.readouterr()
+    c_path = out / "C.csv"
+    lines = c_path.read_text(encoding="utf-8").splitlines()
+    assert lines[0].split(",")[1] == "cluster_1"
+    # file column 2, cluster_1, loses its -1 cells
+    rows = [line.split(",") for line in lines]
+    for row in rows[1:]:
+        row[1] = "0" if row[1] == "-1" else row[1]
+    c_path.write_text("\n".join(",".join(row) for row in rows) + "\n", encoding="utf-8")
+    assert main(["padic", "decode", str(c_path), "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {c_path}: column cluster_1: both signs must appear\n"

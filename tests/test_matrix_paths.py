@@ -14,7 +14,7 @@ from strategies import dissimilarities
 from dendrowave import hcluster
 from dendrowave.hcluster import LINKAGES, _agglomerate_core, merge_levels, pairwise_euclidean
 from dendrowave.tree import cluster, terminal
-from dendrowave.ultrametric import cophenetic, is_ultrametric, triangle_classify
+from dendrowave.ultrametric import cophenetic, is_ultrametric, matrix_to_csv, triangle_classify
 
 
 def sample_matrices(count: int, seed: int):
@@ -174,3 +174,19 @@ def test_tie_heavy_linkages_raise_no_runtime_warning():
         assert_core_matches_oracle(M)
         for name in LINKAGES:
             hcluster.agglomerate(M, name)
+
+
+def test_matrix_csv_matches_the_cell_writer():
+    rng = np.random.default_rng(310)
+    for n in (0, 1, 2, 9, 40):
+        labels = [f"x{i}" for i in range(n)]
+        if n > 2:
+            labels[1], labels[2] = 'a,"b"', " spaced "
+        ints = rng.integers(-3, 1000, size=(n, n))
+        floats = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-12, 12, size=(n, n))
+        signed_zeros = np.zeros((n, n)) * rng.choice([-1.0, 1.0], size=(n, n))
+        for M in (ints, ints.astype(np.uint16), floats, floats.astype(np.float32), signed_zeros):
+            assert matrix_to_csv(M, labels) == oracles.matrix_to_csv_cells(M, labels)
+    for d in random_trees(20, 30, seed=311, with_levels=True):
+        for M in (cophenetic(d), cophenetic(d, use="levels")):
+            assert matrix_to_csv(M, d.labels) == oracles.matrix_to_csv_cells(M, d.labels)

@@ -388,7 +388,7 @@ def test_decode_inverts_encode():
 
 def test_decode_rejects_non_laminar():
     bad = np.array([[1, 1], [-1, 0], [0, -1]], dtype=np.int8)
-    with pytest.raises(ValidationError, match="column 2"):
+    with pytest.raises(ValidationError, match="column cluster_2:"):
         decode(bad)
 
 
