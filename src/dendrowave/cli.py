@@ -54,6 +54,7 @@ from .tree import (
     terminal,
 )
 from .ultrametric import (
+    _Distances,
     canonical_form,
     cophenetic,
     is_ultrametric,
@@ -93,12 +94,13 @@ def _write_csv(path: Path, rows: list[list[str]]) -> None:
         writer.writerows(rows)
 
 
+_SIGN_TEXT = np.array(["-1", "0", "1"], dtype=object)
+
+
 def _write_branch_csv(path: Path, w: WaveletDecomposition) -> None:
     header = ["terminal"] + [f"cluster_{k}" for k in w.order]
-    rows = [header]
-    for i, label in enumerate(w.tree.labels):
-        rows.append([label] + [str(int(v)) for v in w.branch_codes[i]])
-    _write_csv(path, rows)
+    cells = _SIGN_TEXT[np.asarray(w.branch_codes, dtype=np.int8) + 1].tolist()
+    _write_csv(path, [header] + [[label] + row for label, row in zip(w.tree.labels, cells)])
 
 
 def _write_detail_csv(path: Path, w: WaveletDecomposition, features: list[str]) -> None:
@@ -409,7 +411,8 @@ def cmd_check(args) -> int:
     labels, M = _parse(path, matrix_from_csv)
     failures = 0
     try:
-        verdict = is_ultrametric(M)
+        D = _Distances(M)  # validated once, its spanning tree built at most once
+        verdict = is_ultrametric(D)
     except ValidationError as exc:
         print(f"matrix check FAILED: {exc}")
         return 1
@@ -424,14 +427,14 @@ def cmd_check(args) -> int:
             f"d({labels[x]},{labels[z]}) = {_fmt(M[x, z])} > "
             f"max({_fmt(M[x, y])}, {_fmt(M[y, z])})"
         )
-    census = triangle_classify(M)
+    census = triangle_classify(D)
     print(
         f"triangles: equilateral={census.equilateral} "
         f"isosceles-small-base={census.isosceles_small_base} "
         f"violating={census.violating}"
     )
     if verdict:
-        _, canon = canonical_form(M, subdominant(M).order)
+        _, canon = canonical_form(D, subdominant(D).order)
         print(f"canonical layout under single-linkage order: {'PASS' if canon else 'FAIL'}")
         if not canon:
             failures += 1

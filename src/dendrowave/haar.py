@@ -23,14 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import (
-    Dendrogram,
-    NodeRef,
-    ValidationError,
-    branch_signs,
-    canonical_orient,
-    cluster,
-)
+from .tree import Dendrogram, ValidationError, branch_signs, canonical_orient
 
 MODE_ULTRAMETRIC = "ultrametric"
 MODE_INDICATOR = "indicator"
@@ -114,14 +107,12 @@ def _ascend(X, tree: Dendrogram, merge) -> tuple[np.ndarray, np.ndarray, np.ndar
     """
     lay = tree.layout
     sizes = np.stack((lay.mid - lay.lo, lay.hi - lay.mid), axis=1)
-    smooth: list[np.ndarray] = []
+    smooth = list(X)  # by node id: the terminal rows, then each cluster as it merges
     details = np.zeros((tree.n_clusters, X.shape[1]))
-    for k, ((a, b), (na, nb)) in enumerate(zip(tree.merges, sizes.tolist())):
-        sa = X[a.index - 1] if a.is_terminal else smooth[a.index - 1]
-        sb = X[b.index - 1] if b.is_terminal else smooth[b.index - 1]
-        merged, details[k] = merge(sa, sb, na, nb)
+    for k, ((a, b), (na, nb)) in enumerate(zip(lay.kids.tolist(), sizes.tolist())):
+        merged, details[k] = merge(smooth[a], smooth[b], na, nb)
         smooth.append(merged)
-    final = smooth[-1] if smooth else X[0].copy()
+    final = smooth[-1] if tree.n_clusters else X[0].copy()
     return details, final, sizes
 
 
@@ -166,27 +157,25 @@ def inverse(w: WaveletDecomposition) -> np.ndarray:
     """Reconstruct the data matrix by descending the ranks from the root."""
     tree = w.tree
     n, m = tree.n_terminals, w.n_features
-    X = np.zeros((n, m))
+    X = np.empty((n, m))
     if tree.n_clusters == 0:
         X[0] = w.smooth
         return X
-    smooth: dict[NodeRef, np.ndarray] = {tree.root: np.asarray(w.smooth, dtype=float)}
-    for k in range(tree.n_clusters, 0, -1):
-        a, b = tree.children(k)
-        s = smooth.pop(cluster(k))
-        detail = w.details[k - 1]
-        if w.child_sizes is None:
-            sa = s + detail
-            sb = s - detail
-        else:
-            na, nb = w.child_sizes[k - 1]
-            sa = s + detail
-            sb = s - (na / nb) * detail
-        for node, val in ((a, sa), (b, sb)):
-            if node.is_terminal:
-                X[node.index - 1] = val
-            else:
-                smooth[node] = val
+    smooth = np.empty((n - 1, m))
+    smooth[-1] = w.smooth
+    rows = list(X) + list(smooth)  # by node id
+    kids, details = tree.layout.kids.tolist(), list(w.details)
+    if w.child_sizes is None:
+        for k in range(n - 2, -1, -1):
+            s, detail, (a, b) = rows[n + k], details[k], kids[k]
+            np.add(s, detail, out=rows[a])
+            np.subtract(s, detail, out=rows[b])
+    else:
+        ratios = (w.child_sizes[:, 0] / w.child_sizes[:, 1]).tolist()
+        for k in range(n - 2, -1, -1):
+            s, detail, (a, b) = rows[n + k], details[k], kids[k]
+            np.add(s, detail, out=rows[a])
+            np.subtract(s, ratios[k] * detail, out=rows[b])
     return X
 
 

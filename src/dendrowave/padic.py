@@ -394,17 +394,24 @@ def decode(
     `ValidationError` names the offending column by its C.csv header,
     ``cluster_k`` for the column of rank k.  Composing with
     `encode` returns the canonical orientation of the original tree.
+
+    Column k's first +1 row and first -1 row name its two children: the
+    largest nodes built so far over them.  The tree those choices give is
+    accepted when its branch signs are the matrix, which is exactly when
+    the column-by-column check accepts the matrix, so that check runs only
+    on a matrix that fails, to name the first failing column.
     """
     if isinstance(codes_or_matrix, np.ndarray):
         mat = np.asarray(codes_or_matrix)
     else:
         codes = list(codes_or_matrix)
+        if not codes:
+            raise ValidationError("need at least one code")
         n = len(codes)
         for code in codes:
             if len(code.digits) != n - 1:
                 raise ValidationError(f"{n} codes need length {n - 1}, got {len(code.digits)}")
-        rows = b"".join(code.digits for code in codes)
-        mat = _array(rows).reshape(n, n - 1) if codes else np.zeros((1, 0), dtype=np.int8)
+        mat = _array(b"".join(code.digits for code in codes)).reshape(n, n - 1)
     if mat.ndim != 2:
         raise ValidationError("branch codes must form a 2-d matrix")
     n, m = mat.shape
@@ -413,13 +420,78 @@ def decode(
     if not ((mat == 0) | (mat == 1) | (mat == -1)).all():
         raise ValidationError("branch codes contain entries other than -1, 0, +1")
 
-    # node ids: terminal i is i - 1, cluster k is n + k - 1
+    tree = _candidate(mat, labels)
+    if tree is not None and np.array_equal(branch_signs(tree), mat):
+        return tree
+    return _decode_columns(mat, labels)
+
+
+def _candidate(mat: np.ndarray, labels: Sequence[str] | None) -> Dendrogram | None:
+    """The tree whose rank-k children hold column k's first +1 and -1 rows.
+
+    The rows are read from one contiguous copy of the transposed matrix,
+    freed on return.  None when no such tree can be built, or when the
+    labels are bad: the column check then raises, naming any failing
+    column before the labels.
+    """
+    cols = np.ascontiguousarray(mat.T)
+    plus, minus = cols.argmax(axis=1), cols.argmin(axis=1)
+    ranks = np.arange(len(cols))
+    if not ((cols[ranks, plus] == 1).all() and (cols[ranks, minus] == -1).all()):
+        return None
+    merges = _candidate_merges(plus.tolist(), minus.tolist(), mat.shape[0])
+    if merges is None:
+        return None
+    try:
+        return _build(merges, labels)
+    except ValidationError:
+        return None
+
+
+def _build(merges: list[tuple[NodeRef, NodeRef]], labels: Sequence[str] | None) -> Dendrogram:
+    """`build_from_merges`, after checking that there is one label per terminal."""
+    n = len(merges) + 1
+    if labels is not None and len(labels) != n:
+        raise ValidationError(f"{len(labels)} labels given for {n} terminals")
+    return build_from_merges(merges, labels=labels)
+
+
+def _ref(node_id: int, n: int) -> NodeRef:
+    """Terminal i has node id i - 1, cluster k has node id n + k - 1."""
+    return terminal(node_id + 1) if node_id < n else cluster(node_id - n + 1)
+
+
+def _candidate_merges(
+    plus: list[int], minus: list[int], n: int
+) -> list[tuple[NodeRef, NodeRef]] | None:
+    """Merge the largest nodes over rows ``plus[k - 1]`` and ``minus[k - 1]`` at rank k.
+
+    A union-find over node ids holds the largest node built over each row.
+    None when the two rows of some column already share a node.
+    """
+    top = list(range(2 * n - 1))  # a node's parent, or itself while it is unmerged
+
+    def find(i: int) -> int:
+        while top[i] != i:
+            top[i] = top[top[i]]
+            i = top[i]
+        return i
+
+    merges = []
+    for new_id, p, q in zip(range(n, 2 * n - 1), plus, minus):
+        a, b = find(p), find(q)
+        if a == b:
+            return None
+        top[a] = top[b] = new_id
+        merges.append((_ref(a, n), _ref(b, n)))
+    return merges
+
+
+def _decode_columns(mat: np.ndarray, labels: Sequence[str] | None) -> Dendrogram:
+    """Check the columns one at a time, raising at the first that fails."""
+    n = mat.shape[0]
     cover = np.arange(n)  # the id of the largest node built so far over each row
     size = np.ones(2 * n - 1, dtype=np.int64)
-
-    def ref(node_id: int) -> NodeRef:
-        return terminal(node_id + 1) if node_id < n else cluster(node_id - n + 1)
-
     merges: list[tuple[NodeRef, NodeRef]] = []
     for k, col in enumerate(np.ascontiguousarray(mat.T), start=1):
         rows = np.flatnonzero(col)
@@ -435,11 +507,11 @@ def decode(
                     f"column cluster_{k}: {name} rows do not match any current subtree "
                     "(not a laminar family)"
                 )
-            children.append(ref(node_id))
+            children.append(_ref(node_id, n))
         new_id = n + k - 1
         cover[sides[0]] = cover[sides[1]] = new_id
         size[new_id] = sides[0].size + sides[1].size
         merges.append((children[0], children[1]))
     if merges and size[-1] != n:
         raise ValidationError("the final column must merge everything into the root")
-    return build_from_merges(merges, labels=labels)
+    return _build(merges, labels)

@@ -79,8 +79,11 @@ class TreeLayout:
     them.
 
     Cluster arrays are indexed by rank - 1 and ``pos`` by terminal - 1,
-    like ``Dendrogram.merges`` and ``Dendrogram.labels``.  The arrays are
-    read-only because every caller shares them.
+    like ``Dendrogram.merges`` and ``Dendrogram.labels``.  ``kids`` names
+    each cluster's two children by node id: terminal i is i - 1 and
+    cluster k is n + k - 1, so rows of a (2n - 1)-row array can hold one
+    value per node.  The arrays are read-only because every caller shares
+    them.
     """
 
     order: np.ndarray  # terminal index at each leaf position
@@ -91,42 +94,36 @@ class TreeLayout:
     size: np.ndarray  # hi - lo, the number of terminals under each cluster
     low: np.ndarray  # smallest terminal index under each cluster
     gaps: np.ndarray  # gaps[mid[k - 1] - 1] == k
+    kids: np.ndarray  # node ids of the first and second child of each cluster
 
 
 def _build_layout(merges: Sequence[tuple[NodeRef, NodeRef]], n: int) -> TreeLayout:
-    size = [0] * (n - 1)
-    low = [0] * (n - 1)
-    for k, (a, b) in enumerate(merges):
-        size[k] = (1 if a.is_terminal else size[a.index - 1]) + (
-            1 if b.is_terminal else size[b.index - 1]
-        )
-        low[k] = min(
-            a.index if a.is_terminal else low[a.index - 1],
-            b.index if b.is_terminal else low[b.index - 1],
-        )
+    kids = [
+        [a.index - 1 if a.is_terminal else n + a.index - 1,
+         b.index - 1 if b.is_terminal else n + b.index - 1]
+        for a, b in merges
+    ]
+    # by node id
+    size = [1] * n + [0] * (n - 1)
+    low = list(range(1, n + 1)) + [0] * (n - 1)
+    for node, (a, b) in enumerate(kids, start=n):
+        size[node] = size[a] + size[b]
+        low[node] = min(low[a], low[b])
     # descend from the root: the first child starts where its parent does
-    lo = [0] * (n - 1)
-    mid = [0] * (n - 1)
-    order = [1] * n
-    for k in range(n - 1, 0, -1):
-        a, b = merges[k - 1]
-        start = lo[k - 1]
-        mid[k - 1] = start + (1 if a.is_terminal else size[a.index - 1])
-        for child, at in ((a, start), (b, mid[k - 1])):
-            if child.is_terminal:
-                order[at] = child.index
-            else:
-                lo[child.index - 1] = at
-    order_arr, lo_arr, mid_arr, size_arr, low_arr = (
-        np.array(v, dtype=np.int64) for v in (order, lo, mid, size, low)
-    )
-    pos = np.empty(n, dtype=np.int64)
-    pos[order_arr - 1] = np.arange(n)
+    start = [0] * (2 * n - 1)
+    for node in range(2 * n - 2, n - 1, -1):
+        a, b = kids[node - n]
+        start[a] = start[node]
+        start[b] = start[node] + size[a]
+    start_arr, size_arr, low_arr = (np.array(v, dtype=np.int64) for v in (start, size, low))
+    kids_arr = np.array(kids, dtype=np.int64).reshape(n - 1, 2)
+    pos, lo, size_arr = start_arr[:n], start_arr[n:], size_arr[n:]
+    mid = start_arr[kids_arr[:, 1]]
+    order = np.empty(n, dtype=np.int64)
+    order[pos] = np.arange(1, n + 1)
     gaps = np.empty(n - 1, dtype=np.int64)
-    gaps[mid_arr - 1] = np.arange(1, n)
-    layout = TreeLayout(
-        order_arr, pos, lo_arr, mid_arr, lo_arr + size_arr, size_arr, low_arr, gaps
-    )
+    gaps[mid - 1] = np.arange(1, n)
+    layout = TreeLayout(order, pos, lo, mid, lo + size_arr, size_arr, low_arr[n:], gaps, kids_arr)
     for arr in vars(layout).values():
         arr.flags.writeable = False
     return layout
@@ -387,20 +384,52 @@ def _node_from_json(obj: object, where: str) -> NodeRef:
     return NodeRef(kind, index)
 
 
+def _json_items(values: Sequence) -> list[str]:
+    """Each value as `json.dumps` writes it, all from one encoder call.
+
+    Strings escape every control character, so no item holds a NUL, and
+    NUL can separate the items.
+    """
+    if not values:
+        return []
+    return json.dumps(list(values), separators=("\0", ": "))[1:-1].split("\0")
+
+
 def to_json(d: Dendrogram, indent: int | None = 2) -> str:
-    """Serialize to the JSON interchange schema (ranks explicit per merge)."""
-    doc: dict = {
-        "format": _FORMAT,
-        "n_terminals": d.n_terminals,
-        "terminals": list(d.labels),
-        "merges": [
-            {"rank": k, "children": [_node_to_json(a), _node_to_json(b)]}
-            for k, (a, b) in enumerate(d.merges, start=1)
-        ],
-    }
+    """Serialize to the JSON interchange schema (ranks explicit per merge).
+
+    The text is what ``json.dumps(doc, indent=indent, sort_keys=True)``
+    writes for the schema's document, written directly: with an indent,
+    `json.dumps` runs its pure-Python encoder over every node.
+    """
+    if indent is None:
+        sep, breaks = ", ", [""] * 6
+    else:
+        # json.dumps: a newline plus the indent once per nesting level
+        sep, breaks = ",", ["\n" + " " * indent * level for level in range(6)]
+
+    def block(items: list[str], level: int, brackets: str) -> str:
+        if not items:
+            return brackets
+        inner = breaks[level + 1]
+        return brackets[0] + inner + (sep + inner).join(items) + breaks[level] + brackets[1]
+
+    # the merges list is at level 1, so each merge is at 2 and its children at 4
+    node = block(['"%s": %d'], 4, "{}")
+    merge = block(['"children": ' + block([node, node], 3, "[]"), '"rank": %d'], 2, "{}")
+    merges = [
+        merge % (a.kind, a.index, b.kind, b.index, k)
+        for k, (a, b) in enumerate(d.merges, start=1)
+    ]
+    fields = [f'"format": "{_FORMAT}"']
     if d.levels is not None:
-        doc["levels"] = list(d.levels)
-    return json.dumps(doc, indent=indent, sort_keys=True)
+        fields.append('"levels": ' + block(_json_items(d.levels), 1, "[]"))
+    fields += [
+        '"merges": ' + block(merges, 1, "[]"),
+        f'"n_terminals": {d.n_terminals}',
+        '"terminals": ' + block(_json_items(d.labels), 1, "[]"),
+    ]
+    return block(fields, 0, "{}")
 
 
 def from_json(text: str) -> Dendrogram:

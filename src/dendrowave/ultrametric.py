@@ -23,6 +23,7 @@ import csv
 import io
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -173,7 +174,7 @@ def subdominant(M) -> Subdominant:
     gives the ranks (Gower & Ross, 1969).  Each merge stores the subtree
     holding the lower point index first.
     """
-    return _subdominant(_checked_matrix(M).astype(float))
+    return _as_distances(M).sub
 
 
 def _subdominant(A: np.ndarray) -> Subdominant:
@@ -219,6 +220,33 @@ def _find(root: list[int], i: int) -> int:
     return i
 
 
+class _Distances:
+    """A validated distance matrix as floats, and its subdominant ultrametric.
+
+    `subdominant`, `is_ultrametric`, `triangle_classify` and
+    `canonical_form` take one in place of a matrix, so several checks of
+    one matrix share one validation and one minimum spanning tree.  The
+    tree is built on first use, so a check that decides from row 0 never
+    builds it.
+    """
+
+    def __init__(self, M) -> None:
+        self.A = _checked_matrix(M).astype(float)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The matrix's shape, which `np.shape` reads as it would an array's."""
+        return self.A.shape
+
+    @cached_property
+    def sub(self) -> Subdominant:
+        return _subdominant(self.A)
+
+
+def _as_distances(M) -> _Distances:
+    return M if isinstance(M, _Distances) else _Distances(M)
+
+
 # ------------------------------------------------------------------- verdicts
 
 def is_ultrametric(M, tol: float = DEFAULT_TOL) -> Verdict:
@@ -234,11 +262,12 @@ def is_ultrametric(M, tol: float = DEFAULT_TOL) -> Verdict:
     scanned in increasing x, O(n^2) each.  A matrix with no such row
     passes in O(n^2).
     """
-    A = _checked_matrix(M).astype(float)
+    D = _as_distances(M)
+    A = D.A
     scale = _scale(tol)
     if A.shape[0] < 3:
         return Verdict(True)
-    for x in _scan_rows(A, scale):
+    for x in _scan_rows(D, scale):
         z = _row_violation(A, x, scale)
         if z is not None:
             y = int(np.argmin(np.maximum(A[x], A[:, z])))
@@ -253,14 +282,14 @@ def is_ultrametric(M, tol: float = DEFAULT_TOL) -> Verdict:
     return Verdict(True)
 
 
-def _scan_rows(A: np.ndarray, scale: float):
+def _scan_rows(D: _Distances, scale: float):
     """Row 0, then the later rows above U * scale in increasing order.
 
     Row 0 is scanned first whether or not it exceeds U, so a matrix far
     from ultrametric fails before U is built.
     """
     yield 0
-    above = _subdominant(A)._rows_above(A, scale)
+    above = D.sub._rows_above(D.A, scale)
     yield from (x for x in np.flatnonzero(above).tolist() if x)
 
 
@@ -278,7 +307,8 @@ def triangle_classify(M, tol: float = DEFAULT_TOL) -> TriangleCensus:
     single-linkage tree in O(n log n) once U is built; any other matrix
     is counted one anchor at a time in O(n^3).
     """
-    A = _checked_matrix(M).astype(float)
+    D = _as_distances(M)
+    A = D.A
     scale = _scale(tol)
     n = A.shape[0]
     total = n * (n - 1) * (n - 2) // 6
@@ -286,7 +316,7 @@ def triangle_classify(M, tol: float = DEFAULT_TOL) -> TriangleCensus:
         return TriangleCensus(0, 0, 0)
     # a violation in row 0 already shows that A is no ultrametric, so A != U
     if _row_violation(A, 0, 1.0) is None:
-        sub = _subdominant(A)
+        sub = D.sub
         if not sub._rows_above(A, 1.0).any():  # A == U, since U <= A
             eq = _tree_equilateral(sub, scale)
             return TriangleCensus(eq, total - eq, 0)
@@ -385,7 +415,7 @@ def canonical_form(M, order, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, Verd
     rules, each time a block of rows at a time; the witness is the first
     failing cell in that order.
     """
-    A = _checked_matrix(M).astype(float)
+    A = _as_distances(M).A
     _scale(tol)
     n = A.shape[0]
     order = list(order)

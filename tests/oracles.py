@@ -12,7 +12,11 @@ they ran before they were built on the subdominant ultrametric: cubic
 scans one anchor row at a time, and the layout rules cell by cell.  They
 are slow (quadratic memory on a caterpillar tree, cubic time on a matrix)
 and exist only so the differential tests can compare the fast paths
-against them.
+against them.  `decode_columns`, `to_json_dumps`, `inverse_dict` and
+`write_branch_csv_cells` are the codec as it ran before it worked by node
+id: a check of every column while decoding, the document serialized by
+`json.dumps`, a dict of smooth rows keyed by node, and one formatted
+string per C.csv cell.
 """
 
 from __future__ import annotations
@@ -20,13 +24,15 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from dendrowave.hcluster import LINKAGES
-from dendrowave.padic import PAdicCode, padd
+from dendrowave.haar import WaveletDecomposition
+from dendrowave.padic import PAdicCode, _array, padd
 from dendrowave.tree import (
     Dendrogram,
     NodeRef,
@@ -255,6 +261,111 @@ def decode(mat: np.ndarray, labels=None) -> Dendrogram:
     if merges and node_terms[cluster(n - 1)] != frozenset(range(1, n + 1)):
         raise ValidationError("the final column must merge everything into the root")
     return build_from_merges(merges, labels=labels)
+
+
+def decode_columns(codes_or_matrix, labels=None) -> Dendrogram:
+    """`padic.decode` checking every column as it builds the tree."""
+    if isinstance(codes_or_matrix, np.ndarray):
+        mat = np.asarray(codes_or_matrix)
+    else:
+        codes = list(codes_or_matrix)
+        n = len(codes)
+        for code in codes:
+            if len(code.digits) != n - 1:
+                raise ValidationError(f"{n} codes need length {n - 1}, got {len(code.digits)}")
+        rows = b"".join(code.digits for code in codes)
+        mat = _array(rows).reshape(n, n - 1) if codes else np.zeros((1, 0), dtype=np.int8)
+    if mat.ndim != 2:
+        raise ValidationError("branch codes must form a 2-d matrix")
+    n, m = mat.shape
+    if m != n - 1:
+        raise ValidationError(f"matrix must be n x (n-1), got {n} x {m}")
+    if not ((mat == 0) | (mat == 1) | (mat == -1)).all():
+        raise ValidationError("branch codes contain entries other than -1, 0, +1")
+
+    # node ids: terminal i is i - 1, cluster k is n + k - 1
+    cover = np.arange(n)  # the id of the largest node built so far over each row
+    size = np.ones(2 * n - 1, dtype=np.int64)
+
+    def ref(node_id: int) -> NodeRef:
+        return terminal(node_id + 1) if node_id < n else cluster(node_id - n + 1)
+
+    merges: list[tuple[NodeRef, NodeRef]] = []
+    for k, col in enumerate(np.ascontiguousarray(mat.T), start=1):
+        rows = np.flatnonzero(col)
+        positive = col[rows] == 1
+        sides = (rows[positive], rows[~positive])
+        if not sides[0].size or not sides[1].size:
+            raise ValidationError(f"column cluster_{k}: both signs must appear")
+        children = []
+        for rows, name in zip(sides, ("+1", "-1")):
+            node_id = int(cover[rows[0]])
+            if rows.size != size[node_id] or (cover[rows] != node_id).any():
+                raise ValidationError(
+                    f"column cluster_{k}: {name} rows do not match any current subtree "
+                    "(not a laminar family)"
+                )
+            children.append(ref(node_id))
+        new_id = n + k - 1
+        cover[sides[0]] = cover[sides[1]] = new_id
+        size[new_id] = sides[0].size + sides[1].size
+        merges.append((children[0], children[1]))
+    if merges and size[-1] != n:
+        raise ValidationError("the final column must merge everything into the root")
+    return build_from_merges(merges, labels=labels)
+
+
+def to_json_dumps(d: Dendrogram, indent: int | None = 2) -> str:
+    """The dendrogram document serialized by `json.dumps`."""
+    doc: dict = {
+        "format": "dendrogram",
+        "n_terminals": d.n_terminals,
+        "terminals": list(d.labels),
+        "merges": [
+            {"rank": k, "children": [{a.kind: a.index}, {b.kind: b.index}]}
+            for k, (a, b) in enumerate(d.merges, start=1)
+        ],
+    }
+    if d.levels is not None:
+        doc["levels"] = list(d.levels)
+    return json.dumps(doc, indent=indent, sort_keys=True)
+
+
+def inverse_dict(w: WaveletDecomposition) -> np.ndarray:
+    """Descend the ranks keeping each cluster's smooth in a dict keyed by node."""
+    tree = w.tree
+    n, m = tree.n_terminals, w.n_features
+    X = np.zeros((n, m))
+    if tree.n_clusters == 0:
+        X[0] = w.smooth
+        return X
+    smooth: dict[NodeRef, np.ndarray] = {tree.root: np.asarray(w.smooth, dtype=float)}
+    for k in range(tree.n_clusters, 0, -1):
+        a, b = tree.children(k)
+        s = smooth.pop(cluster(k))
+        detail = w.details[k - 1]
+        if w.child_sizes is None:
+            sa = s + detail
+            sb = s - detail
+        else:
+            na, nb = w.child_sizes[k - 1]
+            sa = s + detail
+            sb = s - (na / nb) * detail
+        for node, val in ((a, sa), (b, sb)):
+            if node.is_terminal:
+                X[node.index - 1] = val
+            else:
+                smooth[node] = val
+    return X
+
+
+def write_branch_csv_cells(path, w: WaveletDecomposition) -> None:
+    """C.csv through the csv module, formatting every sign cell."""
+    rows = [["terminal"] + [f"cluster_{k}" for k in w.order]]
+    for i, label in enumerate(w.tree.labels):
+        rows.append([label] + [str(int(v)) for v in w.branch_codes[i]])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def caterpillar(n: int, rng: np.random.Generator, with_levels: bool = False) -> Dendrogram:
