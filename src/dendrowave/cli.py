@@ -305,7 +305,12 @@ def cmd_filter(args) -> int:
         return 0
     if args.value is None:
         raise ValidationError("--value is required unless --sweep is given")
-    value = int(args.value) if args.rule == "keep-k" else float(args.value)
+    integer = args.rule == "keep-k"
+    try:
+        value = int(args.value) if integer else float(args.value)
+    except ValueError:
+        need = "an integer" if integer else "a number"
+        raise ValidationError(f"--value {args.value!r}: rule {args.rule} needs {need}") from None
     filtered = hard_threshold(w, args.rule, value)
     full = inverse(w)
     rec = inverse(filtered)

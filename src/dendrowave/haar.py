@@ -214,12 +214,7 @@ def hard_threshold(w: WaveletDecomposition, rule: str, value) -> WaveletDecompos
     if rule not in THRESHOLD_RULES:
         raise ValidationError(f"rule must be one of {THRESHOLD_RULES}, got {rule!r}")
     D = w.details.copy()
-    if rule == "absolute":
-        t = float(value)
-        if t < 0:
-            raise ValidationError("threshold must be >= 0")
-        D[np.abs(D) < t] = 0.0
-    elif rule == "keep-k":
+    if rule == "keep-k":
         k = int(value)
         if not 0 <= k <= D.shape[0]:
             raise ValidationError(f"keep-k needs 0 <= k <= {D.shape[0]}, got {k}")
@@ -231,9 +226,10 @@ def hard_threshold(w: WaveletDecomposition, rule: str, value) -> WaveletDecompos
         D[mask] = 0.0
     else:
         t = float(value)
-        if t < 0:
-            raise ValidationError("threshold must be >= 0")
-        D[np.linalg.norm(D, axis=1) < t] = 0.0
+        if not t >= 0:  # NaN too
+            raise ValidationError(f"threshold must be >= 0, got {t!r}")
+        size = np.abs(D) if rule == "absolute" else np.linalg.norm(D, axis=1)
+        D[size < t] = 0.0
     return WaveletDecomposition(
         w.tree, w.branch_codes, D, w.smooth.copy(), w.mode, child_sizes=w.child_sizes
     )

@@ -24,6 +24,8 @@ from .tree import (
     Dendrogram,
     NodeRef,
     ValidationError,
+    _find,
+    _node_ref,
     branch_signs,
     build_from_merges,
     canonical_orient,
@@ -456,11 +458,6 @@ def _build(merges: list[tuple[NodeRef, NodeRef]], labels: Sequence[str] | None) 
     return build_from_merges(merges, labels=labels)
 
 
-def _ref(node_id: int, n: int) -> NodeRef:
-    """Terminal i has node id i - 1, cluster k has node id n + k - 1."""
-    return terminal(node_id + 1) if node_id < n else cluster(node_id - n + 1)
-
-
 def _candidate_merges(
     plus: list[int], minus: list[int], n: int
 ) -> list[tuple[NodeRef, NodeRef]] | None:
@@ -470,20 +467,13 @@ def _candidate_merges(
     None when the two rows of some column already share a node.
     """
     top = list(range(2 * n - 1))  # a node's parent, or itself while it is unmerged
-
-    def find(i: int) -> int:
-        while top[i] != i:
-            top[i] = top[top[i]]
-            i = top[i]
-        return i
-
     merges = []
     for new_id, p, q in zip(range(n, 2 * n - 1), plus, minus):
-        a, b = find(p), find(q)
+        a, b = _find(top, p), _find(top, q)
         if a == b:
             return None
         top[a] = top[b] = new_id
-        merges.append((_ref(a, n), _ref(b, n)))
+        merges.append((_node_ref(a, n), _node_ref(b, n)))
     return merges
 
 
@@ -507,7 +497,7 @@ def _decode_columns(mat: np.ndarray, labels: Sequence[str] | None) -> Dendrogram
                     f"column cluster_{k}: {name} rows do not match any current subtree "
                     "(not a laminar family)"
                 )
-            children.append(_ref(node_id, n))
+            children.append(_node_ref(node_id, n))
         new_id = n + k - 1
         cover[sides[0]] = cover[sides[1]] = new_id
         size[new_id] = sides[0].size + sides[1].size

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,13 +26,14 @@ from .tree import (
     Dendrogram,
     NodeRef,
     ValidationError,
-    _is_int,
-    _node_from_json,
-    _node_to_json,
+    _as_rng,
+    _check_merges,
+    _document,
+    _merges_from_json,
+    _random_merges,
     build_from_merges,
     cluster,
     default_labels,
-    terminal,
 )
 
 
@@ -55,29 +57,7 @@ class PWayTree:
             )
         if len(set(self.labels)) != n:
             raise ValidationError("terminal labels must be distinct")
-        seen: set[NodeRef] = set()
-        for k, kids in enumerate(self.merges, start=1):
-            if len(kids) != p:
-                raise ValidationError(f"rank {k}: expected {p} children, got {len(kids)}")
-            for child in kids:
-                if child.is_terminal:
-                    if child.index > n:
-                        raise ValidationError(
-                            f"rank {k}: terminal {child.index} out of range 1..{n}"
-                        )
-                elif child.index >= k:
-                    raise ValidationError(
-                        f"rank {k}: child cluster q{child.index} must rank below {k}"
-                    )
-                if child in seen:
-                    raise ValidationError(f"rank {k}: {child!r} already merged earlier")
-                seen.add(child)
-        for i in range(1, n + 1):
-            if t and terminal(i) not in seen:
-                raise ValidationError(f"terminal {i} never takes part in a merge")
-        for j in range(1, t):
-            if cluster(j) not in seen:
-                raise ValidationError(f"cluster q{j} is never merged further (dangling)")
+        _check_merges(self.merges, n, p)
 
     @property
     def n_terminals(self) -> int:
@@ -87,24 +67,19 @@ class PWayTree:
     def n_internal(self) -> int:
         return len(self.merges)
 
+    @cached_property
+    def _unfolded(self) -> Dendrogram:
+        return unfold(self)
+
     def term_set(self, node: NodeRef) -> frozenset[int]:
+        """Terminal indices under ``node``; q<k> reads the top of its unfolded chain."""
         if node.is_terminal:
             if node.index > self.n_terminals:
                 raise ValidationError(f"unknown node {node!r}")
             return frozenset((node.index,))
         if node.index > self.n_internal:
             raise ValidationError(f"unknown node {node!r}")
-        sets: list[frozenset[int]] = []
-        for kids in self.merges:
-            acc: frozenset[int] = frozenset()
-            for child in kids:
-                acc |= (
-                    frozenset((child.index,))
-                    if child.is_terminal
-                    else sets[child.index - 1]
-                )
-            sets.append(acc)
-        return sets[node.index - 1]
+        return self._unfolded.term_set(cluster(node.index * (self.arity - 1)))
 
 
 def build_pway(
@@ -127,20 +102,12 @@ def unfold(t: PWayTree) -> Dendrogram:
     node inherits the original cluster's terminal set.
     """
     p = t.arity
-
-    def top_rank(k: int) -> int:
-        return k * (p - 1)
-
-    def convert(ref: NodeRef) -> NodeRef:
-        return ref if ref.is_terminal else cluster(top_rank(ref.index))
-
     merges: list[tuple[NodeRef, NodeRef]] = []
     for k, kids in enumerate(t.merges, start=1):
-        base = (k - 1) * (p - 1)
-        left = convert(kids[0])
-        for offset, child in enumerate(kids[1:], start=1):
-            merges.append((left, convert(child)))
-            left = cluster(base + offset)
+        left, *rest = (c if c.is_terminal else cluster(c.index * (p - 1)) for c in kids)
+        for rank, child in enumerate(rest, start=(k - 1) * (p - 1) + 1):
+            merges.append((left, child))
+            left = cluster(rank)
     return build_from_merges(merges, labels=t.labels)
 
 
@@ -153,16 +120,7 @@ def random_pway_tree(
     """Draw a random p-way merge order with ``n_internal`` internal nodes."""
     if n_internal < 1:
         raise ValidationError("need at least one internal node")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    n = n_internal * (arity - 1) + 1
-    active: list[NodeRef] = [terminal(i) for i in range(1, n + 1)]
-    merges: list[tuple[NodeRef, ...]] = []
-    for k in range(1, n_internal + 1):
-        picks = sorted(gen.choice(len(active), size=arity, replace=False), reverse=True)
-        kids = tuple(reversed([active.pop(int(i)) for i in picks]))
-        merges.append(kids)
-        active.append(cluster(k))
-    return build_pway(arity, merges, labels=labels)
+    return build_pway(arity, _random_merges(n_internal, arity, _as_rng(rng)), labels=labels)
 
 
 # --------------------------------------------------------------------- filters
@@ -215,7 +173,7 @@ def to_json(t: PWayTree, indent: int | None = 2) -> str:
         "n_terminals": t.n_terminals,
         "terminals": list(t.labels),
         "merges": [
-            {"rank": k, "children": [_node_to_json(c) for c in kids]}
+            {"rank": k, "children": [{c.kind: c.index} for c in kids]}
             for k, kids in enumerate(t.merges, start=1)
         ],
     }
@@ -223,34 +181,9 @@ def to_json(t: PWayTree, indent: int | None = 2) -> str:
 
 
 def from_json(text: str) -> PWayTree:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
-        raise ValidationError(f"expected a {_FORMAT!r} document")
+    doc, labels = _document(text, _FORMAT)
     arity = doc.get("arity")
     if not isinstance(arity, int) or arity < 2:
         raise ValidationError(f"arity: expected an integer >= 2, got {arity!r}")
-    labels = doc.get("terminals")
-    if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
-        raise ValidationError("terminals: expected a list of strings")
-    raw = doc.get("merges")
-    if not isinstance(raw, list):
-        raise ValidationError("merges: expected a list")
-    by_rank: dict[int, tuple[NodeRef, ...]] = {}
-    for idx, entry in enumerate(raw):
-        where = f"merges[{idx}]"
-        if not isinstance(entry, dict) or not _is_int(entry.get("rank")):
-            raise ValidationError(f"{where}: expected an object with an integer rank")
-        rank = entry["rank"]
-        if rank in by_rank:
-            raise ValidationError(f"{where}: duplicate rank {rank}")
-        kids = entry.get("children")
-        if not isinstance(kids, list):
-            raise ValidationError(f"{where}: children must be a list")
-        by_rank[rank] = tuple(_node_from_json(c, where) for c in kids)
-    if sorted(by_rank) != list(range(1, len(raw) + 1)):
-        raise ValidationError("merge ranks must cover 1..t exactly once")
-    merges = tuple(by_rank[k] for k in range(1, len(raw) + 1))
-    return PWayTree(arity, tuple(labels), merges)
+    raw = doc["merges"]
+    return PWayTree(arity, tuple(labels), _merges_from_json(raw, len(raw), arity))

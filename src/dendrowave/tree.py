@@ -97,12 +97,59 @@ class TreeLayout:
     kids: np.ndarray  # node ids of the first and second child of each cluster
 
 
+def _node_id(node: NodeRef, n: int) -> int:
+    """Terminal i has node id i - 1, cluster k has node id n + k - 1."""
+    return node.index - 1 if node.is_terminal else n + node.index - 1
+
+
+def _node_ref(node_id: int, n: int) -> NodeRef:
+    """The node with id ``node_id`` in a tree on n terminals."""
+    return terminal(node_id + 1) if node_id < n else cluster(node_id - n + 1)
+
+
+def _find(parent: list[int], i: int) -> int:
+    """The root of i's set in a union-find forest, halving the path walked."""
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
+def _check_merges(merges: Sequence[Sequence[NodeRef]], n: int, arity: int) -> None:
+    """The merge rules that binary and p-way trees share.
+
+    Each merge joins ``arity`` children, every terminal and non-root
+    cluster is a child exactly once, and a child cluster ranks below its
+    parent.
+    """
+    t = len(merges)
+    seen = bytearray(n + t)  # by node id
+    for k, kids in enumerate(merges, start=1):
+        if len(kids) != arity:
+            raise ValidationError(f"rank {k}: expected {arity} children, got {len(kids)}")
+        for child in kids:
+            if child.is_terminal:
+                if child.index > n:
+                    raise ValidationError(
+                        f"rank {k}: terminal {child.index} out of range 1..{n}"
+                    )
+            elif child.index >= k:
+                raise ValidationError(
+                    f"rank {k}: child cluster q{child.index} must rank below {k}"
+                )
+            slot = _node_id(child, n)
+            if seen[slot]:
+                raise ValidationError(f"rank {k}: {child!r} already merged earlier")
+            seen[slot] = 1
+    if t and 0 in seen[:n]:
+        raise ValidationError(f"terminal {seen.index(0) + 1} never takes part in a merge")
+    if 0 in seen[n : n + t - 1]:
+        j = seen.index(0, n) - n + 1
+        raise ValidationError(f"cluster q{j} is never merged further (dangling)")
+
+
 def _build_layout(merges: Sequence[tuple[NodeRef, NodeRef]], n: int) -> TreeLayout:
-    kids = [
-        [a.index - 1 if a.is_terminal else n + a.index - 1,
-         b.index - 1 if b.is_terminal else n + b.index - 1]
-        for a, b in merges
-    ]
+    kids = [[_node_id(a, n), _node_id(b, n)] for a, b in merges]
     # by node id
     size = [1] * n + [0] * (n - 1)
     low = list(range(1, n + 1)) + [0] * (n - 1)
@@ -160,32 +207,7 @@ class Dendrogram:
             raise ValidationError(
                 f"{n} terminals require {n - 1} merges, got {len(self.merges)}"
             )
-        # seen[i - 1] for terminal i, seen[n + j - 1] for cluster q<j>
-        seen = bytearray(2 * n - 1)
-        for k, pair in enumerate(self.merges, start=1):
-            if len(pair) != 2:
-                raise ValidationError(f"rank {k}: a merge joins exactly two nodes")
-            for child in pair:
-                if child.kind == "terminal":
-                    if child.index > n:
-                        raise ValidationError(
-                            f"rank {k}: terminal {child.index} out of range 1..{n}"
-                        )
-                    slot = child.index - 1
-                elif child.index >= k:
-                    raise ValidationError(
-                        f"rank {k}: child cluster q{child.index} must rank below {k}"
-                    )
-                else:
-                    slot = n + child.index - 1
-                if seen[slot]:
-                    raise ValidationError(f"rank {k}: {child!r} already merged earlier")
-                seen[slot] = 1
-        if n > 1 and 0 in seen[:n]:
-            raise ValidationError(f"terminal {seen.index(0) + 1} never takes part in a merge")
-        if 0 in seen[n : 2 * n - 2]:
-            j = seen.index(0, n) - n + 1
-            raise ValidationError(f"cluster q{j} is never merged further (dangling)")
+        _check_merges(self.merges, n, 2)
         if self.levels is not None:
             if len(self.levels) != n - 1:
                 raise ValidationError(
@@ -221,24 +243,29 @@ class Dendrogram:
         """The array form of the tree, built once in O(n) and shared by every reader."""
         return _build_layout(self.merges, self.n_terminals)
 
-    @cached_property
+    @property
     def canonical(self) -> Dendrogram:
         """This hierarchy with the subtree holding the smallest terminal first.
 
         Built once per tree; a tree that is already canonical is its own
         canonical form.
         """
-        low = self.layout.low.tolist()
+        return self._oriented or self
 
-        def lowest(node: NodeRef) -> int:
-            return node.index if node.is_terminal else low[node.index - 1]
+    @cached_property
+    def _oriented(self) -> Dendrogram | None:
+        """The canonical form when it differs from this tree, else None.
 
-        swap = [lowest(a) > lowest(b) for a, b in self.merges]
-        if not any(swap):
-            return self
-        merges = tuple((b, a) if s else (a, b) for (a, b), s in zip(self.merges, swap))
-        oriented = Dendrogram(self.labels, merges, self.levels)
-        oriented.__dict__["canonical"] = oriented
+        Never the tree itself, so that no tree refers to itself and each
+        is freed when dropped rather than at a cyclic garbage collection.
+        """
+        lay = self.layout
+        low = np.concatenate((np.arange(1, self.n_terminals + 1), lay.low))  # by node id
+        swap = low[lay.kids[:, 0]] > low[lay.kids[:, 1]]
+        if not swap.any():
+            return None
+        oriented = apply_swap(self, swap.tolist())
+        oriented.__dict__["_oriented"] = None
         return oriented
 
     def _check_node(self, node: NodeRef) -> None:
@@ -371,10 +398,6 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _node_to_json(node: NodeRef) -> dict:
-    return {node.kind: node.index}
-
-
 def _node_from_json(obj: object, where: str) -> NodeRef:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise ValidationError(f"{where}: expected one-key node object, got {obj!r}")
@@ -432,46 +455,55 @@ def to_json(d: Dendrogram, indent: int | None = 2) -> str:
     return block(fields, 0, "{}")
 
 
-def from_json(text: str) -> Dendrogram:
-    """Parse the JSON schema produced by `to_json`, with located errors."""
+def _document(text: str, fmt: str) -> tuple[dict, list[str]]:
+    """The JSON document of format ``fmt`` and its terminal labels.
+
+    The merges must be a list.  ``n_terminals`` must match the labels;
+    only the binary format requires it.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != _FORMAT:
-        raise ValidationError(f"expected a {_FORMAT!r} document")
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise ValidationError(f"expected a {fmt!r} document")
     labels = doc.get("terminals")
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise ValidationError("terminals: expected a list of strings")
-    n = len(labels)
-    if isinstance(doc.get("n_terminals"), bool) or doc.get("n_terminals") != n:
-        raise ValidationError(
-            f"n_terminals says {doc.get('n_terminals')!r} but {n} labels given"
-        )
-    raw = doc.get("merges")
-    if not isinstance(raw, list):
+    n, count = len(labels), doc.get("n_terminals")
+    if ("n_terminals" in doc or fmt == _FORMAT) and (isinstance(count, bool) or count != n):
+        raise ValidationError(f"n_terminals says {count!r} but {n} labels given")
+    if not isinstance(doc.get("merges"), list):
         raise ValidationError("merges: expected a list")
-    by_rank: dict[int, tuple[NodeRef, NodeRef]] = {}
+    return doc, labels
+
+
+def _merges_from_json(raw: list, count: int, arity: int) -> tuple[tuple[NodeRef, ...], ...]:
+    """The children of ranks 1..count, each merge joining ``arity`` nodes."""
+    by_rank: dict[int, tuple[NodeRef, ...]] = {}
     for idx, entry in enumerate(raw):
         where = f"merges[{idx}]"
         if not isinstance(entry, dict):
             raise ValidationError(f"{where}: expected an object")
         rank = entry.get("rank")
-        if not _is_int(rank) or not 1 <= rank <= n - 1:
-            raise ValidationError(f"{where}: rank {rank!r} outside 1..{n - 1}")
+        if not _is_int(rank) or not 1 <= rank <= count:
+            raise ValidationError(f"{where}: rank {rank!r} is not an integer rank in 1..{count}")
         if rank in by_rank:
             raise ValidationError(f"{where}: duplicate rank {rank}")
         kids = entry.get("children")
-        if not isinstance(kids, list) or len(kids) != 2:
-            raise ValidationError(f"{where}: children must list exactly two nodes")
-        by_rank[rank] = (
-            _node_from_json(kids[0], where),
-            _node_from_json(kids[1], where),
-        )
-    if len(by_rank) != n - 1:
-        missing = sorted(set(range(1, n)) - set(by_rank))
+        if not isinstance(kids, list) or len(kids) != arity:
+            raise ValidationError(f"{where}: children must list exactly {arity} nodes")
+        by_rank[rank] = tuple(_node_from_json(c, where) for c in kids)
+    if len(by_rank) != count:
+        missing = sorted(set(range(1, count + 1)) - set(by_rank))
         raise ValidationError(f"missing merges for ranks {missing}")
-    merges = tuple(by_rank[k] for k in range(1, n))
+    return tuple(by_rank[k] for k in range(1, count + 1))
+
+
+def from_json(text: str) -> Dendrogram:
+    """Parse the JSON schema produced by `to_json`, with located errors."""
+    doc, labels = _document(text, _FORMAT)
+    merges = _merges_from_json(doc["merges"], len(labels) - 1, 2)
     levels = doc.get("levels")
     if levels is not None:
         if not isinstance(levels, list) or not all(
@@ -511,6 +543,20 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
+def _random_merges(
+    n_internal: int, arity: int, gen: np.random.Generator
+) -> list[tuple[NodeRef, ...]]:
+    """A uniform random merge order: each rank joins ``arity`` of the unmerged nodes."""
+    n = n_internal * (arity - 1) + 1
+    active: list[NodeRef] = [terminal(i) for i in range(1, n + 1)]
+    merges = []
+    for k in range(1, n_internal + 1):
+        picks = sorted(gen.choice(len(active), size=arity, replace=False), reverse=True)
+        merges.append(tuple(reversed([active.pop(int(i)) for i in picks])))
+        active.append(cluster(k))
+    return merges
+
+
 def random_dendrogram(
     n: int,
     rng: int | np.random.Generator | None = None,
@@ -521,14 +567,7 @@ def random_dendrogram(
     if n < 1:
         raise ValidationError("need at least one terminal")
     gen = _as_rng(rng)
-    active: list[NodeRef] = [terminal(i) for i in range(1, n + 1)]
-    merges: list[tuple[NodeRef, NodeRef]] = []
-    for k in range(1, n):
-        i, j = sorted(gen.choice(len(active), size=2, replace=False))
-        b = active.pop(int(j))
-        a = active.pop(int(i))
-        merges.append((a, b))
-        active.append(cluster(k))
+    merges = _random_merges(n - 1, 2, gen)
     levels = None
     if with_levels:
         levels = tuple(np.cumsum(gen.uniform(0.1, 1.0, size=n - 1)).tolist())

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tree import Dendrogram, ValidationError, build_from_merges, cluster, terminal
+from .tree import Dendrogram, ValidationError, _find, build_from_merges, cluster, terminal
 
 DEFAULT_TOL = 1e-9
 
@@ -213,13 +213,6 @@ def _subdominant(A: np.ndarray) -> Subdominant:
     return Subdominant(build_from_merges(merges), weights[by_weight])
 
 
-def _find(root: list[int], i: int) -> int:
-    while root[i] != i:
-        root[i] = root[root[i]]
-        i = root[i]
-    return i
-
-
 class _Distances:
     """A validated distance matrix as floats, and its subdominant ultrametric.
 
@@ -341,10 +334,9 @@ def _tree_equilateral(sub: Subdominant, scale: float) -> int:
     # the highest rank whose level qualifies, as an index into levels
     top = np.searchsorted(levels, levels * scale, side="right") - 1
     parent = np.full(m, m - 1, dtype=np.int64)
-    for k, pair in enumerate(sub.tree.merges):
-        for child in pair:
-            if not child.is_terminal:
-                parent[child.index - 1] = k
+    ids, n = lay.kids.ravel(), m + 1
+    inner = ids >= n
+    parent[ids[inner] - n] = np.repeat(np.arange(m), 2)[inner]
     jumps = [parent]
     while 1 << len(jumps) < m:
         jumps.append(jumps[-1][jumps[-1]])

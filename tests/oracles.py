@@ -16,7 +16,10 @@ against them.  `decode_columns`, `to_json_dumps`, `inverse_dict` and
 `write_branch_csv_cells` are the codec as it ran before it worked by node
 id: a check of every column while decoding, the document serialized by
 `json.dumps`, a dict of smooth rows keyed by node, and one formatted
-string per C.csv cell.
+string per C.csv cell.  `check_merges`, `pway_term_set`,
+`random_dendrogram` and `random_pway_merges` are p-way trees as they ran
+on their own code beside `Dendrogram`: a set of seen NodeRefs, every
+cluster's set rebuilt per call, and a random loop for each arity.
 """
 
 from __future__ import annotations
@@ -44,14 +47,14 @@ from dendrowave.tree import (
 from dendrowave.ultrametric import DEFAULT_TOL, TriangleCensus, Verdict, _checked_matrix
 
 
-def check_merges(labels: tuple[str, ...], merges) -> None:
-    """The merge-list checks of `Dendrogram`, with a set of seen NodeRefs."""
+def check_merges(labels: tuple[str, ...], merges, arity: int = 2) -> None:
+    """The merge-list checks of `Dendrogram` and `PWayTree`, with a set of seen NodeRefs."""
     n = len(labels)
     seen: set[NodeRef] = set()
-    for k, pair in enumerate(merges, start=1):
-        if len(pair) != 2:
-            raise ValidationError(f"rank {k}: a merge joins exactly two nodes")
-        for child in pair:
+    for k, kids in enumerate(merges, start=1):
+        if len(kids) != arity:
+            raise ValidationError(f"rank {k}: expected {arity} children, got {len(kids)}")
+        for child in kids:
             if child.is_terminal:
                 if child.index > n:
                     raise ValidationError(
@@ -65,11 +68,59 @@ def check_merges(labels: tuple[str, ...], merges) -> None:
                 raise ValidationError(f"rank {k}: {child!r} already merged earlier")
             seen.add(child)
     for i in range(1, n + 1):
-        if n > 1 and terminal(i) not in seen:
+        if merges and terminal(i) not in seen:
             raise ValidationError(f"terminal {i} never takes part in a merge")
-    for j in range(1, n - 1):
+    for j in range(1, len(merges)):
         if cluster(j) not in seen:
             raise ValidationError(f"cluster q{j} is never merged further (dangling)")
+
+
+def pway_term_set(t, node: NodeRef) -> frozenset[int]:
+    """`PWayTree.term_set`, rebuilding every cluster's set on each call."""
+    if node.is_terminal:
+        if node.index > t.n_terminals:
+            raise ValidationError(f"unknown node {node!r}")
+        return frozenset((node.index,))
+    if node.index > t.n_internal:
+        raise ValidationError(f"unknown node {node!r}")
+    sets: list[frozenset[int]] = []
+    for kids in t.merges:
+        acc: frozenset[int] = frozenset()
+        for child in kids:
+            acc |= frozenset((child.index,)) if child.is_terminal else sets[child.index - 1]
+        sets.append(acc)
+    return sets[node.index - 1]
+
+
+def random_dendrogram(n: int, rng, with_levels: bool = False) -> Dendrogram:
+    """`random_dendrogram` with its own loop: two sorted picks, the later popped first."""
+    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    active: list[NodeRef] = [terminal(i) for i in range(1, n + 1)]
+    merges: list[tuple[NodeRef, NodeRef]] = []
+    for k in range(1, n):
+        i, j = sorted(gen.choice(len(active), size=2, replace=False))
+        b = active.pop(int(j))
+        a = active.pop(int(i))
+        merges.append((a, b))
+        active.append(cluster(k))
+    levels = None
+    if with_levels:
+        levels = tuple(np.cumsum(gen.uniform(0.1, 1.0, size=n - 1)).tolist())
+    return build_from_merges(merges, levels=levels)
+
+
+def random_pway_merges(n_internal: int, arity: int, rng) -> list[tuple[NodeRef, ...]]:
+    """The merge list `random_pway_tree` drew with its own loop."""
+    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    n = n_internal * (arity - 1) + 1
+    active: list[NodeRef] = [terminal(i) for i in range(1, n + 1)]
+    merges: list[tuple[NodeRef, ...]] = []
+    for k in range(1, n_internal + 1):
+        picks = sorted(gen.choice(len(active), size=arity, replace=False), reverse=True)
+        kids = tuple(reversed([active.pop(int(i)) for i in picks]))
+        merges.append(kids)
+        active.append(cluster(k))
+    return merges
 
 
 def term_sets(d: Dendrogram) -> dict[NodeRef, frozenset[int]]:

@@ -180,6 +180,25 @@ def test_filter_needs_value(tmp_path, capsys, demo_json):
     assert "--value is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rule, value, message",
+    [
+        ("absolute", "abc", "--value 'abc': rule absolute needs a number"),
+        ("cluster-norm", "abc", "--value 'abc': rule cluster-norm needs a number"),
+        ("keep-k", "abc", "--value 'abc': rule keep-k needs an integer"),
+        ("keep-k", "2.5", "--value '2.5': rule keep-k needs an integer"),
+        ("absolute", "nan", "threshold must be >= 0, got nan"),
+        ("cluster-norm", "nan", "threshold must be >= 0, got nan"),
+    ],
+)
+def test_filter_rejects_a_bad_value(tmp_path, capsys, demo_json, rule, value, message):
+    out = make_bundle(tmp_path, demo_json, capsys)
+    dest = tmp_path / "bad"
+    assert main(["filter", str(out), "--rule", rule, "--value", value, "--out", str(dest)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (dest / "filtered").exists()
+
+
 def test_padic_encode(capsys, demo_json):
     assert main(["padic", "encode", demo_json]) == 0
     out = capsys.readouterr().out.splitlines()

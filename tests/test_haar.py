@@ -225,6 +225,14 @@ def test_threshold_rejections():
         hard_threshold(w, "keep-k", 7)
 
 
+@pytest.mark.parametrize("rule", ["absolute", "cluster-norm"])
+def test_threshold_rejects_nan(rule):
+    rng = np.random.default_rng(50)
+    w = forward(rng.normal(size=(5, 2)), random_dendrogram(5, rng))
+    with pytest.raises(ValidationError, match="threshold must be >= 0, got nan"):
+        hard_threshold(w, rule, float("nan"))
+
+
 def test_detail_norms_ordering():
     rng = np.random.default_rng(50)
     d = random_dendrogram(8, rng)

@@ -188,3 +188,13 @@ def test_pway_json_rejects_booleans_as_integers(merge, where):
     with pytest.raises(ValidationError, match=where):
         from_json(json.dumps(doc))
     from_json(json.dumps(doc).replace("true", "1"))
+
+
+def test_pway_json_checks_n_terminals_when_present():
+    doc = json.loads(to_json(random_pway_tree(3, 3, np.random.default_rng(85))))
+    assert doc["n_terminals"] == 7
+    for bad in (99, True):
+        with pytest.raises(ValidationError, match=f"n_terminals says {bad!r} but 7 labels given"):
+            from_json(json.dumps({**doc, "n_terminals": bad}))
+    del doc["n_terminals"]
+    assert from_json(json.dumps(doc)).n_terminals == 7

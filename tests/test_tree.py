@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -179,6 +181,28 @@ def test_canonical_puts_smallest_terminal_first():
 def test_canonical_orient_idempotent(d):
     once = canonical_orient(d)
     assert canonical_orient(once) == once
+
+
+def test_canonical_trees_are_freed_without_the_cycle_collector():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        d = random_dendrogram(30, 14)
+        oriented = canonical_orient(d)
+        assert oriented is not d and canonical_orient(d) is oriented
+        assert canonical_orient(oriented) is oriented
+        gone = weakref.ref(oriented)
+        del d, oriented
+        assert gone() is None
+
+        fixed = build_from_merges([(terminal(1), terminal(2)), (cluster(1), terminal(3))])
+        assert canonical_orient(fixed) is fixed
+        gone = weakref.ref(fixed)
+        del fixed
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_branch_signs_demo(demo8):
