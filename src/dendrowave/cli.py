@@ -155,9 +155,7 @@ def save_bundle(w: WaveletDecomposition, features: list[str], outdir: Path) -> l
         "n_terminals": w.n_terminals,
         "n_features": w.n_features,
         "features": features,
-        "child_sizes": None
-        if w.child_sizes is None
-        else [[int(a), int(b)] for a, b in w.child_sizes],
+        "child_sizes": None if w.child_sizes is None else w.child_sizes.astype(np.int64).tolist(),
     }
     with open(paths["meta"], "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -220,8 +218,8 @@ def load_bundle(bundle_dir: str) -> tuple[WaveletDecomposition, list[str]]:
         )
     sizes = meta.get("child_sizes")
     child_sizes = None if sizes is None else _child_sizes(sizes, tree, meta_path)
-    w = WaveletDecomposition(
-        tree, C, D, smooth[0], meta.get("mode", "ultrametric"), child_sizes=child_sizes
+    w = WaveletDecomposition(  # the tree's cached signs, equal to C
+        tree, signs, D, smooth[0], meta.get("mode", "ultrametric"), child_sizes=child_sizes
     )
     return w, features
 
@@ -277,10 +275,7 @@ def cmd_transform(args) -> int:
     if args.check:
         direct = inverse(w)
         matrix_form = reconstruct_matrix_form(w)
-        if args.mode == "indicator":
-            original = np.eye(tree.n_terminals)
-        else:
-            original = X
+        original = np.eye(tree.n_terminals) if args.mode == "indicator" else X
         err_direct = float(np.abs(direct - original).max(initial=0.0))
         err_paths = float(np.abs(direct - matrix_form).max(initial=0.0))
         print(f"round-trip max abs error: {_fmt(err_direct)}")
@@ -294,7 +289,6 @@ def cmd_transform(args) -> int:
 
 def cmd_filter(args) -> int:
     w, features = load_bundle(args.bundle)
-    outdir = _outdir(args)
     if args.sweep:
         print("keep-k sweep (Frobenius error against the full reconstruction):")
         full = inverse(w)
@@ -312,6 +306,7 @@ def cmd_filter(args) -> int:
         need = "an integer" if integer else "a number"
         raise ValidationError(f"--value {args.value!r}: rule {args.rule} needs {need}") from None
     filtered = hard_threshold(w, args.rule, value)
+    outdir = _outdir(args)  # only once the filter is accepted
     full = inverse(w)
     rec = inverse(filtered)
     bundle_dir = outdir / "filtered"
@@ -321,9 +316,7 @@ def cmd_filter(args) -> int:
     rows = [features] + [[_fmt(v) for v in row] for row in rec]
     _write_csv(rec_path, rows)
     print(f"wrote {rec_path}")
-    zeroed = int(
-        np.sum(np.any(filtered.details != w.details, axis=1))
-    )
+    zeroed = int(np.sum(np.any(filtered.details != w.details, axis=1)))
     print(f"rule {args.rule}, value {args.value}: {zeroed} detail rows changed")
     print(f"Frobenius error: {_fmt(float(np.linalg.norm(rec - full)))}")
     print(f"max abs error: {_fmt(float(np.abs(rec - full).max(initial=0.0)))}")

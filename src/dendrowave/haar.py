@@ -1,16 +1,16 @@
 """Haar wavelet transform driven by a node-ranked dendrogram.
 
-Ascending the merges in rank order, each cluster gets a smooth signal
-s = (s_first + s_second) / 2 and a detail d = (s_first - s_second) / 2,
-where first/second is the canonical child order.  Collecting the details
-row by row gives the matrix identity
+Ascending the tree, each cluster gets a smooth s = (s_first + s_second) / 2
+and a detail d = (s_first - s_second) / 2, first/second being the canonical
+child order.  All clusters of one height (a wave) merge in one numpy step:
+O(height) numpy calls, O(n m) work.  The details by rank give the identity
 
     X = C @ D + S
 
 with C the branch-code matrix (+1 / -1 / 0), D the (n-1) x m detail matrix
 and S the final smooth replicated over all n rows.  The transform is
-orthogonal-free but exactly invertible: descending the ranks recovers
-every terminal row.
+orthogonal-free but exactly invertible: descending the same waves
+recovers every terminal row.
 
 The weighted variant replaces the plain average by the cardinality
 weighted mean and stores the child sizes so its inverse stays exact; the
@@ -69,7 +69,7 @@ class WaveletDecomposition:
 
     @property
     def order(self) -> tuple[int, ...]:
-        """Cluster processing order: ranks ascending."""
+        """The clusters in the order of C's columns and D's rows: ranks ascending."""
         return tuple(range(1, self.tree.n_terminals))
 
     @property
@@ -100,20 +100,18 @@ def _weighted_merge(sa, sb, na, nb):
 
 
 def _ascend(X, tree: Dendrogram, merge) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared forward loop: smooth and detail of every cluster in rank order.
+    """Shared forward pass: smooth and detail of every cluster, one wave at a time.
 
-    ``merge(s_first, s_second, n_first, n_second)`` returns the cluster's
-    smooth and detail.  Also returns the (n-1) x 2 child sizes it was given.
+    ``merge(s_first, s_second, n_first, n_second)`` returns the smooths and
+    details of a wave's clusters.  Also returns the (n-1) x 2 child sizes.
     """
-    lay = tree.layout
+    lay, n, waves = tree.layout, tree.n_terminals, tree._waves
     sizes = np.stack((lay.mid - lay.lo, lay.hi - lay.mid), axis=1)
-    smooth = list(X)  # by node id: the terminal rows, then each cluster as it merges
-    details = np.zeros((tree.n_clusters, X.shape[1]))
-    for k, ((a, b), (na, nb)) in enumerate(zip(lay.kids.tolist(), sizes.tolist())):
-        merged, details[k] = merge(smooth[a], smooth[b], na, nb)
-        smooth.append(merged)
-    final = smooth[-1] if tree.n_clusters else X[0].copy()
-    return details, final, sizes
+    smooth = np.empty((2 * n - 1, X.shape[1]))  # by `Waves` row: the terminals, then each slot
+    smooth[:n], above, details = X, smooth[n:], np.empty((n - 1, X.shape[1]))
+    for a, b, na, nb, out in waves.steps:
+        above[out], details[out] = merge(smooth[a], smooth[b], na, nb)
+    return details[waves.slot], smooth[-1].copy(), sizes
 
 
 def forward(X, d: Dendrogram, orient: bool = True, mode: str = MODE_ULTRAMETRIC) -> WaveletDecomposition:
@@ -154,29 +152,20 @@ def forward_weighted(X, d: Dendrogram, orient: bool = True) -> WaveletDecomposit
 
 
 def inverse(w: WaveletDecomposition) -> np.ndarray:
-    """Reconstruct the data matrix by descending the ranks from the root."""
+    """Reconstruct the data matrix by descending the waves from the root."""
     tree = w.tree
     n, m = tree.n_terminals, w.n_features
-    X = np.empty((n, m))
-    if tree.n_clusters == 0:
-        X[0] = w.smooth
-        return X
-    smooth = np.empty((n - 1, m))
-    smooth[-1] = w.smooth
-    rows = list(X) + list(smooth)  # by node id
-    kids, details = tree.layout.kids.tolist(), list(w.details)
-    if w.child_sizes is None:
-        for k in range(n - 2, -1, -1):
-            s, detail, (a, b) = rows[n + k], details[k], kids[k]
-            np.add(s, detail, out=rows[a])
-            np.subtract(s, detail, out=rows[b])
-    else:
-        ratios = (w.child_sizes[:, 0] / w.child_sizes[:, 1]).tolist()
-        for k in range(n - 2, -1, -1):
-            s, detail, (a, b) = rows[n + k], details[k], kids[k]
-            np.add(s, detail, out=rows[a])
-            np.subtract(s, ratios[k] * detail, out=rows[b])
-    return X
+    waves = tree._waves
+    rows = np.empty((2 * n - 1, m))  # by `Waves` row
+    rows[-1], above, details = w.smooth, rows[n:], w.details[waves.order]
+    scaled = details  # what the second child subtracts: size ratio times detail if weighted
+    if w.child_sizes is not None:
+        scaled = (w.child_sizes[:, :1] / w.child_sizes[:, 1:])[waves.order] * details
+    for a, b, _, _, out in reversed(waves.steps):
+        s = above[out]
+        rows[a] = s + details[out]
+        rows[b] = s - scaled[out]
+    return rows[:n].copy()
 
 
 def inverse_weighted(w: WaveletDecomposition) -> np.ndarray:
@@ -190,9 +179,7 @@ def reconstruct_matrix_form(w: WaveletDecomposition) -> np.ndarray:
     """Evaluate C @ D + S directly (unweighted decompositions only)."""
     if w.child_sizes is not None:
         raise ValidationError("the matrix identity does not hold for the weighted variant")
-    n = w.n_terminals
-    prod = w.branch_codes.astype(float) @ w.details
-    return prod + np.tile(w.smooth, (n, 1))
+    return w.branch_codes.astype(float) @ w.details + w.smooth
 
 
 def detail_norms(w: WaveletDecomposition) -> np.ndarray:
@@ -215,15 +202,13 @@ def hard_threshold(w: WaveletDecomposition, rule: str, value) -> WaveletDecompos
         raise ValidationError(f"rule must be one of {THRESHOLD_RULES}, got {rule!r}")
     D = w.details.copy()
     if rule == "keep-k":
-        k = int(value)
+        if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
+            raise ValidationError(f"keep-k needs an integer, got {value!r}")
+        k, norms = int(value), np.linalg.norm(D, axis=1)
         if not 0 <= k <= D.shape[0]:
             raise ValidationError(f"keep-k needs 0 <= k <= {D.shape[0]}, got {k}")
-        norms = np.linalg.norm(D, axis=1)
-        # stable order: larger norm first, earlier rank breaks ties
-        keep = sorted(range(len(norms)), key=lambda i: (-norms[i], i))[:k]
-        mask = np.ones(len(norms), dtype=bool)
-        mask[keep] = False
-        D[mask] = 0.0
+        # stable order: larger norm first, earlier rank breaks ties; the first k are kept
+        D[np.lexsort((np.arange(len(norms)), -norms))[k:]] = 0.0
     else:
         t = float(value)
         if not t >= 0:  # NaN too

@@ -26,6 +26,7 @@ from .tree import (
     ValidationError,
     _find,
     _node_ref,
+    _sign_matrix,
     branch_signs,
     build_from_merges,
     canonical_orient,
@@ -423,7 +424,7 @@ def decode(
         raise ValidationError("branch codes contain entries other than -1, 0, +1")
 
     tree = _candidate(mat, labels)
-    if tree is not None and np.array_equal(branch_signs(tree), mat):
+    if tree is not None and np.array_equal(_sign_matrix(tree), mat):
         return tree
     return _decode_columns(mat, labels)
 

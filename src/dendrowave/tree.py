@@ -176,6 +176,21 @@ def _build_layout(merges: Sequence[tuple[NodeRef, NodeRef]], n: int) -> TreeLayo
     return layout
 
 
+@dataclass(frozen=True, eq=False)
+class Waves:
+    """Clusters in slots by (height, rank); a wave is all slots of one height.
+
+    Row j of a (2n - 1)-row array is terminal j + 1 or slot j - n.  Each
+    step is one wave's ``(first rows, second rows, first sizes, second
+    sizes, slots)``: scalars for one cluster, else arrays and a slice.
+    """
+
+    height: np.ndarray  # by row
+    order: np.ndarray  # rank - 1 of the cluster in each slot
+    slot: np.ndarray  # by rank - 1
+    steps: tuple
+
+
 @dataclass(frozen=True)
 class Dendrogram:
     """An ordered, node-ranked binary dendrogram.
@@ -242,6 +257,35 @@ class Dendrogram:
     def layout(self) -> TreeLayout:
         """The array form of the tree, built once in O(n) and shared by every reader."""
         return _build_layout(self.merges, self.n_terminals)
+
+    @cached_property
+    def _waves(self) -> Waves:
+        """The clusters by height, built once for trees that get transformed."""
+        lay, n = self.layout, self.n_terminals
+        height, ids = [0] * n, iter(lay.kids.ravel().tolist())  # by node id
+        for a, b in zip(ids, ids):
+            ha, hb = height[a], height[b]
+            height.append((ha if ha > hb else hb) + 1)
+        height = np.array(height, dtype=np.int64)
+        order = np.argsort(height[n:], kind="stable")
+        row, height[n:] = np.arange(2 * n - 1), height[n:][order]  # row by node id
+        row[n + order] = row[n:].copy()
+        kids, sizes = row[lay.kids[order]], np.append(np.ones(n), lay.size)[lay.kids[order]]
+        bounds = np.searchsorted(height[n:], np.arange(1, height[-1] + 2))
+        flat_kids, flat_sizes, steps = kids.ravel().tolist(), sizes.ravel().tolist(), []
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            if hi - lo == 1:
+                steps.append((*flat_kids[2 * lo : 2 * hi], *flat_sizes[2 * lo : 2 * hi], lo))
+            else:
+                w = slice(lo, hi)
+                steps.append((kids[w, 0], kids[w, 1], sizes[w, :1], sizes[w, 1:], w))
+        return Waves(height, order, row[n:] - n, tuple(steps))
+
+    @cached_property
+    def _signs(self) -> np.ndarray:
+        signs = _sign_matrix(self)
+        signs.flags.writeable = False
+        return signs
 
     @property
     def canonical(self) -> Dendrogram:
@@ -372,8 +416,14 @@ def branch_signs(d: Dendrogram) -> np.ndarray:
     Column k is +1 on terminals under the first child of rank k, -1 under
     the second child, 0 elsewhere.  Orientation follows the stored child
     order; canonicalize first if a representation-independent matrix is
-    wanted.
+    wanted.  The matrix is built once per tree and shared, so it is
+    read-only.
     """
+    return d._signs
+
+
+def _sign_matrix(d: Dendrogram) -> np.ndarray:
+    """`branch_signs` built afresh, for callers that must not cache it on ``d``."""
     lay = d.layout
     n, cols = d.n_terminals, np.arange(d.n_clusters)
     # In leaf order column k is +1 on [lo, mid) and -1 on [mid, hi): mark

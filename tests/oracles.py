@@ -16,7 +16,9 @@ against them.  `decode_columns`, `to_json_dumps`, `inverse_dict` and
 `write_branch_csv_cells` are the codec as it ran before it worked by node
 id: a check of every column while decoding, the document serialized by
 `json.dumps`, a dict of smooth rows keyed by node, and one formatted
-string per C.csv cell.  `check_merges`, `pway_term_set`,
+string per C.csv cell.  `ascend_ranks` and `inverse_ranks` are the Haar
+transform as it ran before it worked in waves of equal-height clusters:
+one numpy step per rank.  `check_merges`, `pway_term_set`,
 `random_dendrogram` and `random_pway_merges` are p-way trees as they ran
 on their own code beside `Dendrogram`: a set of seen NodeRefs, every
 cluster's set rebuilt per call, and a random loop for each arity.
@@ -407,6 +409,50 @@ def inverse_dict(w: WaveletDecomposition) -> np.ndarray:
                 X[node.index - 1] = val
             else:
                 smooth[node] = val
+    return X
+
+
+def ascend_ranks(X, tree: Dendrogram, merge) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Haar forward pass one rank at a time over rows indexed by node id.
+
+    ``merge`` is `haar._plain_merge` or `haar._weighted_merge`; ``X`` is the
+    checked n x m data.  Returns the details by rank, the final smooth and
+    the (n-1) x 2 child sizes.
+    """
+    lay = tree.layout
+    sizes = np.stack((lay.mid - lay.lo, lay.hi - lay.mid), axis=1)
+    smooth = list(X)  # by node id: the terminal rows, then each cluster as it merges
+    details = np.zeros((tree.n_clusters, X.shape[1]))
+    for k, ((a, b), (na, nb)) in enumerate(zip(lay.kids.tolist(), sizes.tolist())):
+        merged, details[k] = merge(smooth[a], smooth[b], na, nb)
+        smooth.append(merged)
+    final = smooth[-1] if tree.n_clusters else X[0].copy()
+    return details, final, sizes
+
+
+def inverse_ranks(w: WaveletDecomposition) -> np.ndarray:
+    """The Haar inverse one rank at a time, from the root down, by node id."""
+    tree = w.tree
+    n, m = tree.n_terminals, w.n_features
+    X = np.empty((n, m))
+    if tree.n_clusters == 0:
+        X[0] = w.smooth
+        return X
+    smooth = np.empty((n - 1, m))
+    smooth[-1] = w.smooth
+    rows = list(X) + list(smooth)  # by node id
+    kids, details = tree.layout.kids.tolist(), list(w.details)
+    if w.child_sizes is None:
+        for k in range(n - 2, -1, -1):
+            s, detail, (a, b) = rows[n + k], details[k], kids[k]
+            np.add(s, detail, out=rows[a])
+            np.subtract(s, detail, out=rows[b])
+    else:
+        ratios = (w.child_sizes[:, 0] / w.child_sizes[:, 1]).tolist()
+        for k in range(n - 2, -1, -1):
+            s, detail, (a, b) = rows[n + k], details[k], kids[k]
+            np.add(s, detail, out=rows[a])
+            np.subtract(s, ratios[k] * detail, out=rows[b])
     return X
 
 

@@ -199,6 +199,19 @@ def test_filter_rejects_a_bad_value(tmp_path, capsys, demo_json, rule, value, me
     assert not (dest / "filtered").exists()
 
 
+@pytest.mark.parametrize(
+    "rule, value",
+    [("keep-k", "2.5"), ("keep-k", "99"), ("keep-k", "-1"), ("absolute", "-1"),
+     ("cluster-norm", "nan")],
+)
+def test_rejected_filter_leaves_no_output_directory(tmp_path, capsys, demo_json, rule, value):
+    out = make_bundle(tmp_path, demo_json, capsys)
+    dest = tmp_path / "never" / "made"
+    assert main(["filter", str(out), "--rule", rule, "--value", value, "--out", str(dest)]) == 2
+    assert capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
 def test_padic_encode(capsys, demo_json):
     assert main(["padic", "encode", demo_json]) == 0
     out = capsys.readouterr().out.splitlines()
