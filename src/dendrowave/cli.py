@@ -25,7 +25,6 @@ from .demo import demo_names, load_demo, walkthrough_text
 from .haar import (
     THRESHOLD_RULES,
     WaveletDecomposition,
-    detail_norms,
     forward,
     forward_indicator,
     hard_threshold,
@@ -47,7 +46,6 @@ from .tree import (
     ValidationError,
     branch_signs,
     cluster,
-    from_json,
     load_json,
     read_text,
     save_json,

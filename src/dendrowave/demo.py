@@ -26,17 +26,10 @@ from .tree import Dendrogram, build_from_merges, cluster, terminal
 def walkthrough_tree() -> Dendrogram:
     """Eight terminals, seven ranked merges, no levels."""
     x, q = terminal, cluster
-    return build_from_merges(
-        [
-            (x(1), x(2)),
-            (q(1), x(3)),
-            (x(4), x(5)),
-            (q(3), x(6)),
-            (q(2), q(4)),
-            (x(7), x(8)),
-            (q(5), q(6)),
-        ]
-    )
+    return build_from_merges([
+        (x(1), x(2)), (q(1), x(3)), (x(4), x(5)), (q(3), x(6)),
+        (q(2), q(4)), (x(7), x(8)), (q(5), q(6)),
+    ])
 
 
 DEMOS = {"fig2": walkthrough_tree}

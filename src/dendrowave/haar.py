@@ -20,6 +20,7 @@ matrix identity above only holds for the unweighted filters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -153,18 +154,22 @@ def forward_weighted(X, d: Dendrogram, orient: bool = True) -> WaveletDecomposit
 
 def inverse(w: WaveletDecomposition) -> np.ndarray:
     """Reconstruct the data matrix by descending the waves from the root."""
-    tree = w.tree
-    n, m = tree.n_terminals, w.n_features
-    waves = tree._waves
+    n, m, waves = w.n_terminals, w.n_features, w.tree._waves
     rows = np.empty((2 * n - 1, m))  # by `Waves` row
     rows[-1], above, details = w.smooth, rows[n:], w.details[waves.order]
     scaled = details  # what the second child subtracts: size ratio times detail if weighted
     if w.child_sizes is not None:
         scaled = (w.child_sizes[:, :1] / w.child_sizes[:, 1:])[waves.order] * details
-    for a, b, _, _, out in reversed(waves.steps):
-        s = above[out]
-        rows[a] = s + details[out]
-        rows[b] = s - scaled[out]
+    for chain, group in groupby(reversed(waves.steps), key=lambda step: type(step[4]) is int):
+        run = list(group)  # a long chain is worth its few fixed numpy calls
+        for a, b, _, _, out in [(*map(np.array, zip(*run)),)] if chain and len(run) > 8 else run:
+            s = above[out]
+            if type(out) is np.ndarray:  # one-cluster waves, each cluster a child of the one above
+                up, first = out[:-1], (a[:-1] == n + out[1:])[:, None]
+                down = np.where(first, details[up], -scaled[up])  # from each smooth to the next
+                s = np.add.accumulate(np.concatenate((s[:1], down)))
+            rows[a] = s + details[out]
+            rows[b] = s - scaled[out]
     return rows[:n].copy()
 
 

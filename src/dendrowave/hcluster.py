@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tree import Dendrogram, NodeRef, ValidationError, build_from_merges, cluster, terminal
+from .tree import Dendrogram, ValidationError, _labels
 
 # coefficient table: (size_a, size_b, size_other) -> (alpha_a, alpha_b, beta, gamma)
 _Coeffs = Callable[[int, int, int], tuple[float, float, float, float]]
@@ -102,9 +102,7 @@ def _clustering_input(diss, criterion: str) -> np.ndarray:
     return M
 
 
-def _agglomerate_core(
-    M: np.ndarray, criterion: str
-) -> tuple[list[tuple[NodeRef, NodeRef]], list[float]]:
+def _agglomerate_core(M: np.ndarray, criterion: str) -> tuple[list[tuple[int, int]], list[float]]:
     """Merge the closest pair n - 1 times; ties go to the smallest index pair.
 
     A cluster lives in the slot of its smallest member, so a merge keeps
@@ -122,15 +120,15 @@ def _agglomerate_core(
     rowarg = D.argmin(axis=1)
     sizes = np.ones(n, dtype=np.int64)
     alive = np.ones(n, dtype=bool)
-    refs: list[NodeRef] = [terminal(i + 1) for i in range(n)]
-    merges: list[tuple[NodeRef, NodeRef]] = []
+    node = list(range(n))  # the node id in each slot
+    kids: list[tuple[int, int]] = []
     levels: list[float] = []
 
     for step in range(1, n):
         lo = int(np.argmin(rowmin))
         hi = int(rowarg[lo])
         d_ab = D[lo, hi]
-        merges.append((refs[lo], refs[hi]))
+        kids.append((node[lo], node[hi]))
         levels.append(float(d_ab))
 
         alive[hi] = False
@@ -148,7 +146,7 @@ def _agglomerate_core(
         D[:hi, hi] = np.inf
         D[hi, hi + 1 :] = np.inf
         sizes[lo] += sizes[hi]
-        refs[lo] = cluster(step)
+        node[lo] = n + step - 1
 
         # rows whose cached minimum sat in column lo or hi start over (row
         # lo among them); the other rows above lo only see column lo change
@@ -161,7 +159,7 @@ def _agglomerate_core(
         rowarg[stale] = D[stale].argmin(axis=1)
         rowmin[hi] = np.inf
         rowarg[hi] = -1
-    return merges, levels
+    return kids, levels
 
 
 def agglomerate(
@@ -176,7 +174,7 @@ def agglomerate(
     the levels are dropped with a warning and the ranks remain the
     authoritative order.
     """
-    merges, levels = _agglomerate_core(_clustering_input(diss, criterion), criterion)
+    kids, levels = _agglomerate_core(_clustering_input(diss, criterion), criterion)
     monotone = all(levels[k] < levels[k + 1] for k in range(len(levels) - 1))
     if not monotone:
         warnings.warn(
@@ -184,9 +182,8 @@ def agglomerate(
             "levels dropped, ranks keep the merge order",
             stacklevel=2,
         )
-    return build_from_merges(
-        merges, levels=levels if monotone else None, labels=labels
-    )
+    levels = tuple(levels) if monotone else None
+    return Dendrogram._from_ids(_labels(labels, len(kids) + 1), np.array(kids), levels)
 
 
 def merge_levels(diss, criterion: str) -> list[float]:

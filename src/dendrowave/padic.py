@@ -25,13 +25,10 @@ from .tree import (
     NodeRef,
     ValidationError,
     _find,
-    _node_ref,
+    _labels,
     _sign_matrix,
     branch_signs,
-    build_from_merges,
     canonical_orient,
-    cluster,
-    terminal,
 )
 
 DEFAULT_BASE = 3
@@ -280,31 +277,16 @@ def dilate_tree(d: Dendrogram) -> Dendrogram:
     if d.n_clusters == 0:
         raise ValidationError("a single terminal cannot be dilated further")
     oriented = canonical_orient(d)
-    a, b = oriented.children(1)
-    keep_pos, drop_pos = a.index, b.index
-    fused = f"{oriented.labels[keep_pos - 1]}+{oriented.labels[drop_pos - 1]}"
-
-    def remap(i: int) -> int:
-        return i - 1 if i > drop_pos else i
-
-    labels = [
-        fused if i == keep_pos else lab
-        for i, lab in enumerate(oriented.labels, start=1)
-        if i != drop_pos
-    ]
-
-    def convert(ref: NodeRef) -> NodeRef:
-        if ref.is_terminal:
-            return terminal(remap(ref.index))
-        if ref.index == 1:
-            return terminal(remap(keep_pos))
-        return cluster(ref.index - 1)
-
-    merges = [
-        (convert(x), convert(y)) for x, y in oriented.merges[1:]
-    ]
-    levels = None if oriented.levels is None else oriented.levels[1:]
-    return build_from_merges(merges, levels=levels, labels=labels)
+    n, kids = oriented.n_terminals, oriented.kids
+    keep, drop = kids[0].tolist()
+    labels = list(oriented.labels)
+    labels[keep] = f"{labels[keep]}+{labels.pop(drop)}"
+    # terminals past the dropped one move down 1, rank 1 to the kept one, later ranks down 2
+    ids = np.arange(2 * n - 1)
+    new_id = ids - (ids > drop) - (ids > n)
+    new_id[n] = new_id[keep]
+    levels = None if oriented.levels is None else tuple(map(float, oriented.levels[1:]))
+    return Dendrogram._from_ids(_labels(labels, n - 1), new_id[kids[1:]], levels)
 
 
 # -------------------------------------------------------------- norm, distance
@@ -442,40 +424,38 @@ def _candidate(mat: np.ndarray, labels: Sequence[str] | None) -> Dendrogram | No
     ranks = np.arange(len(cols))
     if not ((cols[ranks, plus] == 1).all() and (cols[ranks, minus] == -1).all()):
         return None
-    merges = _candidate_merges(plus.tolist(), minus.tolist(), mat.shape[0])
-    if merges is None:
+    kids = _candidate_merges(plus.tolist(), minus.tolist(), mat.shape[0])
+    if kids is None:
         return None
     try:
-        return _build(merges, labels)
+        return _build(kids, labels)
     except ValidationError:
         return None
 
 
-def _build(merges: list[tuple[NodeRef, NodeRef]], labels: Sequence[str] | None) -> Dendrogram:
-    """`build_from_merges`, after checking that there is one label per terminal."""
-    n = len(merges) + 1
+def _build(kids: list[tuple[int, int]], labels: Sequence[str] | None) -> Dendrogram:
+    """The tree with these child ids, after checking that there is one label per terminal."""
+    n = len(kids) + 1
     if labels is not None and len(labels) != n:
         raise ValidationError(f"{len(labels)} labels given for {n} terminals")
-    return build_from_merges(merges, labels=labels)
+    return Dendrogram._from_ids(_labels(labels, n), np.array(kids, dtype=np.int64))
 
 
-def _candidate_merges(
-    plus: list[int], minus: list[int], n: int
-) -> list[tuple[NodeRef, NodeRef]] | None:
+def _candidate_merges(plus: list[int], minus: list[int], n: int) -> list[tuple[int, int]] | None:
     """Merge the largest nodes over rows ``plus[k - 1]`` and ``minus[k - 1]`` at rank k.
 
     A union-find over node ids holds the largest node built over each row.
     None when the two rows of some column already share a node.
     """
     top = list(range(2 * n - 1))  # a node's parent, or itself while it is unmerged
-    merges = []
+    kids = []
     for new_id, p, q in zip(range(n, 2 * n - 1), plus, minus):
         a, b = _find(top, p), _find(top, q)
         if a == b:
             return None
         top[a] = top[b] = new_id
-        merges.append((_node_ref(a, n), _node_ref(b, n)))
-    return merges
+        kids.append((a, b))
+    return kids
 
 
 def _decode_columns(mat: np.ndarray, labels: Sequence[str] | None) -> Dendrogram:
@@ -483,7 +463,7 @@ def _decode_columns(mat: np.ndarray, labels: Sequence[str] | None) -> Dendrogram
     n = mat.shape[0]
     cover = np.arange(n)  # the id of the largest node built so far over each row
     size = np.ones(2 * n - 1, dtype=np.int64)
-    merges: list[tuple[NodeRef, NodeRef]] = []
+    kids: list[tuple[int, int]] = []
     for k, col in enumerate(np.ascontiguousarray(mat.T), start=1):
         rows = np.flatnonzero(col)
         positive = col[rows] == 1
@@ -498,11 +478,11 @@ def _decode_columns(mat: np.ndarray, labels: Sequence[str] | None) -> Dendrogram
                     f"column cluster_{k}: {name} rows do not match any current subtree "
                     "(not a laminar family)"
                 )
-            children.append(_node_ref(node_id, n))
+            children.append(node_id)
         new_id = n + k - 1
         cover[sides[0]] = cover[sides[1]] = new_id
         size[new_id] = sides[0].size + sides[1].size
-        merges.append((children[0], children[1]))
-    if merges and size[-1] != n:
+        kids.append((children[0], children[1]))
+    if kids and size[-1] != n:
         raise ValidationError("the final column must merge everything into the root")
-    return _build(merges, labels)
+    return _build(kids, labels)

@@ -27,45 +27,40 @@ from .tree import (
     NodeRef,
     ValidationError,
     _as_rng,
-    _check_merges,
     _document,
-    _merges_from_json,
-    _random_merges,
-    build_from_merges,
+    _IdTree,
+    _labels,
+    _random_ids,
+    _table_from_json,
     cluster,
-    default_labels,
 )
 
 
-@dataclass(frozen=True)
-class PWayTree:
-    """A node-ranked tree whose internal nodes all have arity p >= 2."""
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class PWayTree(_IdTree):
+    """A node-ranked tree whose internal nodes all have arity p >= 2.
+
+    Stored like `Dendrogram`, with p node ids per row of ``kids``.
+    """
 
     arity: int
     labels: tuple[str, ...]
-    merges: tuple[tuple[NodeRef, ...], ...]
+    kids: np.ndarray
+    _fields = ("arity", "labels", "kids")
 
-    def __post_init__(self) -> None:
-        p = self.arity
-        if p < 2:
-            raise ValidationError(f"arity must be >= 2, got {p}")
-        n = len(self.labels)
-        t = len(self.merges)
-        if n != t * (p - 1) + 1:
-            raise ValidationError(
-                f"{t} {p}-way merges cover {t * (p - 1) + 1} terminals, got {n} labels"
-            )
-        if len(set(self.labels)) != n:
+    def __init__(self, arity: int, labels, merges) -> None:
+        if arity < 2:
+            raise ValidationError(f"arity must be >= 2, got {arity}")
+        n, t = len(labels), len(merges)
+        if n != (need := t * (arity - 1) + 1):
+            raise ValidationError(f"{t} {arity}-way merges cover {need} terminals, got {n} labels")
+        if len(set(labels)) != n:
             raise ValidationError("terminal labels must be distinct")
-        _check_merges(self.merges, n, p)
-
-    @property
-    def n_terminals(self) -> int:
-        return len(self.labels)
+        self._store(labels, merges, arity, arity=arity)
 
     @property
     def n_internal(self) -> int:
-        return len(self.merges)
+        return len(self.kids)
 
     @cached_property
     def _unfolded(self) -> Dendrogram:
@@ -73,12 +68,10 @@ class PWayTree:
 
     def term_set(self, node: NodeRef) -> frozenset[int]:
         """Terminal indices under ``node``; q<k> reads the top of its unfolded chain."""
-        if node.is_terminal:
-            if node.index > self.n_terminals:
-                raise ValidationError(f"unknown node {node!r}")
-            return frozenset((node.index,))
-        if node.index > self.n_internal:
+        if node.index > (self.n_terminals if node.is_terminal else self.n_internal):
             raise ValidationError(f"unknown node {node!r}")
+        if node.is_terminal:
+            return frozenset((node.index,))
         return self._unfolded.term_set(cluster(node.index * (self.arity - 1)))
 
 
@@ -88,10 +81,7 @@ def build_pway(
     labels: Sequence[str] | None = None,
 ) -> PWayTree:
     merge_tuple = tuple(tuple(kids) for kids in merges)
-    n = len(merge_tuple) * (arity - 1) + 1
-    if labels is None:
-        labels = default_labels(n)
-    return PWayTree(arity, tuple(str(s) for s in labels), merge_tuple)
+    return PWayTree(arity, _labels(labels, len(merge_tuple) * (arity - 1) + 1), merge_tuple)
 
 
 def unfold(t: PWayTree) -> Dendrogram:
@@ -101,14 +91,12 @@ def unfold(t: PWayTree) -> Dendrogram:
     just below where k sat, i.e. (k-1)(p-1)+1 .. k(p-1); the topmost chain
     node inherits the original cluster's terminal set.
     """
-    p = t.arity
-    merges: list[tuple[NodeRef, NodeRef]] = []
-    for k, kids in enumerate(t.merges, start=1):
-        left, *rest = (c if c.is_terminal else cluster(c.index * (p - 1)) for c in kids)
-        for rank, child in enumerate(rest, start=(k - 1) * (p - 1) + 1):
-            merges.append((left, child))
-            left = cluster(rank)
-    return build_from_merges(merges, labels=t.labels)
+    kids, n, p = t.kids, t.n_terminals, t.arity
+    top = np.where(kids < n, kids, n - 1 + (kids - (n - 1)) * (p - 1))  # clusters by chain top
+    first = np.arange(n - 1, n - 1 + len(kids) * (p - 1))  # the previous binary rank's id
+    first[:: p - 1] = top[:, 0]
+    binary = np.stack((first, top[:, 1:].reshape(-1)), axis=1)
+    return Dendrogram._from_ids(_labels(t.labels, n), binary)
 
 
 def random_pway_tree(
@@ -120,7 +108,8 @@ def random_pway_tree(
     """Draw a random p-way merge order with ``n_internal`` internal nodes."""
     if n_internal < 1:
         raise ValidationError("need at least one internal node")
-    return build_pway(arity, _random_merges(n_internal, arity, _as_rng(rng)), labels=labels)
+    kids = _random_ids(n_internal, arity, _as_rng(rng))
+    return PWayTree._from_ids(arity, _labels(labels, n_internal * (arity - 1) + 1), kids)
 
 
 # --------------------------------------------------------------------- filters
@@ -186,4 +175,5 @@ def from_json(text: str) -> PWayTree:
     if not isinstance(arity, int) or arity < 2:
         raise ValidationError(f"arity: expected an integer >= 2, got {arity!r}")
     raw = doc["merges"]
-    return PWayTree(arity, tuple(labels), _merges_from_json(raw, len(raw), arity))
+    kids = _table_from_json(raw, len(raw), arity, len(labels))
+    return PWayTree._from_ids(arity, tuple(labels), kids)

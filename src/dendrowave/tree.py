@@ -9,7 +9,9 @@ exchanging the two subtrees at any subset of nodes can be produced
 (`canonical_orient`).
 
 Terminals are indexed 1..n and carry string labels; the label order fixes
-the row order of any data matrix associated with the tree.
+the row order of any data matrix associated with the tree.  A tree is
+stored as the read-only table of its children's node ids, one row per
+rank; the NodeRef pairs of `Dendrogram.merges` are read from it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ class ValidationError(ValueError):
     """Raised when a structural invariant is violated."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeRef:
     """Reference to one node: a terminal (index 1..n) or a cluster (rank 1..n-1)."""
 
@@ -34,12 +36,13 @@ class NodeRef:
     index: int
 
     def __post_init__(self) -> None:
-        if self.kind not in ("terminal", "cluster"):
-            raise ValidationError(f"unknown node kind {self.kind!r}")
-        if isinstance(self.index, bool):
-            raise ValidationError(f"{self.kind} index must be an integer, got {self.index!r}")
-        if self.index < 1:
-            raise ValidationError(f"{self.kind} index must be >= 1, got {self.index}")
+        kind, i = self.kind, self.index
+        if kind not in ("terminal", "cluster"):
+            raise ValidationError(f"unknown node kind {kind!r}")
+        if type(i) is not int and (type(i) is bool or not isinstance(i, (int, np.integer))):
+            raise ValidationError(f"{kind} index must be an integer, got {i!r}")
+        if i < 1:
+            raise ValidationError(f"{kind} index must be >= 1, got {i}")
 
     @property
     def is_terminal(self) -> bool:
@@ -79,11 +82,9 @@ class TreeLayout:
     them.
 
     Cluster arrays are indexed by rank - 1 and ``pos`` by terminal - 1,
-    like ``Dendrogram.merges`` and ``Dendrogram.labels``.  ``kids`` names
-    each cluster's two children by node id: terminal i is i - 1 and
-    cluster k is n + k - 1, so rows of a (2n - 1)-row array can hold one
-    value per node.  The arrays are read-only because every caller shares
-    them.
+    like ``Dendrogram.merges`` and ``Dendrogram.labels``.  ``kids`` is the
+    tree's own table of child node ids.  The arrays are read-only because
+    every caller shares them.
     """
 
     order: np.ndarray  # terminal index at each leaf position
@@ -95,11 +96,6 @@ class TreeLayout:
     low: np.ndarray  # smallest terminal index under each cluster
     gaps: np.ndarray  # gaps[mid[k - 1] - 1] == k
     kids: np.ndarray  # node ids of the first and second child of each cluster
-
-
-def _node_id(node: NodeRef, n: int) -> int:
-    """Terminal i has node id i - 1, cluster k has node id n + k - 1."""
-    return node.index - 1 if node.is_terminal else n + node.index - 1
 
 
 def _node_ref(node_id: int, n: int) -> NodeRef:
@@ -115,65 +111,126 @@ def _find(parent: list[int], i: int) -> int:
     return i
 
 
-def _check_merges(merges: Sequence[Sequence[NodeRef]], n: int, arity: int) -> None:
-    """The merge rules that binary and p-way trees share.
+def _table(terms: list[bool], index: list[int], n: int, arity: int) -> np.ndarray:
+    """The id table of children in rank order, given as terminal flags and indices.
 
-    Each merge joins ``arity`` children, every terminal and non-root
-    cluster is a child exactly once, and a child cluster ranks below its
-    parent.
+    Terminal i > n gets id -i; an index past every node makes it a table of Python ints.
     """
-    t = len(merges)
-    seen = bytearray(n + t)  # by node id
-    for k, kids in enumerate(merges, start=1):
-        if len(kids) != arity:
-            raise ValidationError(f"rank {k}: expected {arity} children, got {len(kids)}")
-        for child in kids:
-            if child.is_terminal:
-                if child.index > n:
-                    raise ValidationError(
-                        f"rank {k}: terminal {child.index} out of range 1..{n}"
-                    )
-            elif child.index >= k:
-                raise ValidationError(
-                    f"rank {k}: child cluster q{child.index} must rank below {k}"
-                )
-            slot = _node_id(child, n)
-            if seen[slot]:
-                raise ValidationError(f"rank {k}: {child!r} already merged earlier")
-            seen[slot] = 1
-    if t and 0 in seen[:n]:
-        raise ValidationError(f"terminal {seen.index(0) + 1} never takes part in a merge")
-    if 0 in seen[n : n + t - 1]:
-        j = seen.index(0, n) - n + 1
+    idx = np.array(index, dtype=object if index and max(index) > n + len(index) else np.int64)
+    return np.where(terms, np.where(idx > n, -idx, idx - 1), idx + (n - 1)).reshape(-1, arity)
+
+
+def _check_ids(ids: np.ndarray, n: int, arity: int, complete: bool = True) -> None:
+    """The merge rules of binary and p-way trees, on a `_table`, in O(1) numpy calls.
+
+    Every terminal and non-root cluster is a child exactly once, and below
+    its parent.  Raises the first rule broken in rank and child order; the
+    rules on the whole tree are checked only if the table is ``complete``.
+    """
+    flat, rank = ids.reshape(-1), np.arange(ids.size) // arity + 1
+    out = (flat < 0) | (flat - (n - 1) >= rank)  # a terminal beyond n, or a cluster not below
+    seen = None if out.any() else np.bincount(flat, minlength=n + len(ids))
+    if seen is None or seen.max(initial=0) > 1:
+        by_id = np.argsort(flat, kind="stable")
+        again = np.zeros_like(out)  # each use of an id after its first
+        again[by_id[1:][flat[by_id[1:]] == flat[by_id[:-1]]]] = True
+        at = int(np.argmax(out | again))
+        k, v = at // arity + 1, int(flat[at])
+        if v < 0:
+            raise ValidationError(f"rank {k}: terminal {-v} out of range 1..{n}")
+        if out[at]:
+            raise ValidationError(f"rank {k}: child cluster q{v - n + 1} must rank below {k}")
+        raise ValidationError(f"rank {k}: {_node_ref(v, n)!r} already merged earlier")
+    if complete and len(ids) and not seen[:n].all():
+        raise ValidationError(f"terminal {seen[:n].argmin() + 1} never takes part in a merge")
+    if complete and not seen[n:-1].all():  # the root, last, is no child
+        j = seen[n:-1].argmin() + 1
         raise ValidationError(f"cluster q{j} is never merged further (dangling)")
 
 
-def _build_layout(merges: Sequence[tuple[NodeRef, NodeRef]], n: int) -> TreeLayout:
-    kids = [[_node_id(a, n), _node_id(b, n)] for a, b in merges]
-    # by node id
-    size = [1] * n + [0] * (n - 1)
-    low = list(range(1, n + 1)) + [0] * (n - 1)
-    for node, (a, b) in enumerate(kids, start=n):
-        size[node] = size[a] + size[b]
-        low[node] = min(low[a], low[b])
+def _build_layout(kids: np.ndarray, n: int) -> TreeLayout:
+    pairs = kids.tolist()
+    size, low = [1] * n, list(range(1, n + 1))  # by node id, each cluster appended as it merges
+    for a, b in pairs:
+        size.append(size[a] + size[b])
+        low.append(low[a] if low[a] < low[b] else low[b])
     # descend from the root: the first child starts where its parent does
     start = [0] * (2 * n - 1)
-    for node in range(2 * n - 2, n - 1, -1):
-        a, b = kids[node - n]
+    for node, (a, b) in zip(range(2 * n - 2, n - 1, -1), reversed(pairs)):
         start[a] = start[node]
         start[b] = start[node] + size[a]
-    start_arr, size_arr, low_arr = (np.array(v, dtype=np.int64) for v in (start, size, low))
-    kids_arr = np.array(kids, dtype=np.int64).reshape(n - 1, 2)
-    pos, lo, size_arr = start_arr[:n], start_arr[n:], size_arr[n:]
-    mid = start_arr[kids_arr[:, 1]]
+    start_arr = np.array(start, dtype=np.int64)
+    size_arr, low_arr = (np.array(v[n:], dtype=np.int64) for v in (size, low))
+    pos, lo, mid = start_arr[:n], start_arr[n:], start_arr[kids[:, 1]]
     order = np.empty(n, dtype=np.int64)
     order[pos] = np.arange(1, n + 1)
     gaps = np.empty(n - 1, dtype=np.int64)
     gaps[mid - 1] = np.arange(1, n)
-    layout = TreeLayout(order, pos, lo, mid, lo + size_arr, size_arr, low_arr[n:], gaps, kids_arr)
+    layout = TreeLayout(order, pos, lo, mid, lo + size_arr, size_arr, low_arr, gaps, kids)
     for arr in vars(layout).values():
         arr.flags.writeable = False
     return layout
+
+
+def _labels(labels: Sequence[str] | None, n: int) -> tuple[str, ...]:
+    return default_labels(n) if labels is None else tuple(str(s) for s in labels)
+
+
+class _IdTree:
+    """A tree stored as ``kids``, the read-only table of its children's node ids.
+
+    Row k - 1 holds the children of rank k; terminal i has id i - 1 and
+    cluster k has id n + k - 1, so rows of a (2n - 1)-row array can hold
+    one value per node.  ``merges`` reads the table as NodeRefs.
+    """
+
+    _fields: tuple[str, ...]  # the constructor's arguments, in order
+
+    @classmethod
+    def _from_ids(cls, *fields):
+        """The tree of these fields, ``kids`` an array of node ids, validated as any other."""
+        return cls(*fields)
+
+    @property
+    def n_terminals(self) -> int:
+        return len(self.labels)
+
+    @cached_property
+    def merges(self) -> tuple[tuple[NodeRef, ...], ...]:
+        refs = iter([_node_ref(i, len(self.labels)) for i in self.kids.reshape(-1).tolist()])
+        return tuple(zip(*[refs] * self.kids.shape[1]))
+
+    def _key(self) -> tuple:
+        return tuple(self.kids.tobytes() if f == "kids" else getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return type(self)._from_ids, tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self) -> str:
+        shown = ("merges" if f == "kids" else f for f in self._fields)
+        return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in shown)})"
+
+    def _store(self, labels, kids, p: int, **fields) -> None:
+        """Check ``kids``, an array of node ids or NodeRef merges, and store the fields."""
+        n = len(labels)
+        if not isinstance(kids, np.ndarray):
+            counts = [len(row) for row in kids]
+            k = next((k for k, c in enumerate(counts, start=1) if c != p), 0)
+            given = [r for row in (kids[: k - 1] if k else kids) for r in row]
+            kids = _table([r.kind == "terminal" for r in given], [r.index for r in given], n, p)
+            if k:  # the ranks below k come first
+                _check_ids(kids, n, p, complete=False)
+                raise ValidationError(f"rank {k}: expected {p} children, got {counts[k - 1]}")
+        _check_ids(kids, n, p)
+        kids = kids.astype(np.int64).reshape(-1, p)
+        kids.flags.writeable = False
+        self.__dict__.update(labels=labels, kids=kids, **fields)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,8 +248,8 @@ class Waves:
     steps: tuple
 
 
-@dataclass(frozen=True)
-class Dendrogram:
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class Dendrogram(_IdTree):
     """An ordered, node-ranked binary dendrogram.
 
     Attributes
@@ -203,60 +260,53 @@ class Dendrogram:
         ``merges[k - 1]`` holds the ordered child pair of the cluster with
         rank k.  Every terminal and every non-root cluster appears exactly
         once as a child, and a child cluster's rank is strictly below its
-        parent's.
+        parent's.  Read on first use from ``kids``, the stored node ids.
     levels:
         Optional real merge heights, strictly increasing in rank.
     """
 
     labels: tuple[str, ...]
-    merges: tuple[tuple[NodeRef, NodeRef], ...]
+    kids: np.ndarray
     levels: tuple[float, ...] | None = None
+    _fields = ("labels", "kids", "levels")
 
-    def __post_init__(self) -> None:
-        n = len(self.labels)
+    def __init__(self, labels, merges, levels=None) -> None:
+        n = len(labels)
         if n < 1:
             raise ValidationError("need at least one terminal")
-        if len(set(self.labels)) != n:
+        if len(set(labels)) != n:
             raise ValidationError("terminal labels must be distinct")
-        if len(self.merges) != n - 1:
-            raise ValidationError(
-                f"{n} terminals require {n - 1} merges, got {len(self.merges)}"
-            )
-        _check_merges(self.merges, n, 2)
-        if self.levels is not None:
-            if len(self.levels) != n - 1:
-                raise ValidationError(
-                    f"levels must have one entry per merge, got {len(self.levels)}"
-                )
-            for k, v in enumerate(self.levels, start=1):
-                if not np.isfinite(v):
-                    raise ValidationError(f"rank {k}: level {v!r} is not finite")
-                if k >= 2 and not self.levels[k - 2] < v:
-                    raise ValidationError(
-                        f"rank {k}: levels must be strictly increasing "
-                        f"({self.levels[k - 2]!r} then {v!r})"
-                    )
+        if len(merges) != n - 1:
+            raise ValidationError(f"{n} terminals require {n - 1} merges, got {len(merges)}")
+        self._store(labels, merges, 2, levels=levels)
+        if levels is not None:
+            if len(levels) != n - 1:
+                raise ValidationError(f"levels must have one entry per merge, got {len(levels)}")
+            values = np.array(levels, dtype=float)
+            bad = ~np.isfinite(values)
+            bad[1:] |= ~(values[:-1] < values[1:])
+            for k in np.flatnonzero(bad)[:1].tolist():
+                if not np.isfinite(values[k]):
+                    raise ValidationError(f"rank {k + 1}: level {levels[k]!r} is not finite")
+                pair = f"({levels[k - 1]!r} then {levels[k]!r})"
+                raise ValidationError(f"rank {k + 1}: levels must be strictly increasing {pair}")
 
     # ------------------------------------------------------------------ sizes
 
     @property
-    def n_terminals(self) -> int:
-        return len(self.labels)
-
-    @property
     def n_clusters(self) -> int:
-        return len(self.merges)
+        return len(self.kids)
 
     @property
     def root(self) -> NodeRef:
-        return cluster(self.n_clusters) if self.merges else terminal(1)
+        return cluster(self.n_clusters) if self.n_clusters else terminal(1)
 
     # ------------------------------------------------------------- structure
 
     @cached_property
     def layout(self) -> TreeLayout:
         """The array form of the tree, built once in O(n) and shared by every reader."""
-        return _build_layout(self.merges, self.n_terminals)
+        return _build_layout(self.kids, self.n_terminals)
 
     @cached_property
     def _waves(self) -> Waves:
@@ -308,7 +358,7 @@ class Dendrogram:
         swap = low[lay.kids[:, 0]] > low[lay.kids[:, 1]]
         if not swap.any():
             return None
-        oriented = apply_swap(self, swap.tolist())
+        oriented = apply_swap(self, swap)
         oriented.__dict__["_oriented"] = None
         return oriented
 
@@ -373,11 +423,8 @@ def build_from_merges(
     result is the single-terminal tree.  Labels default to ``x1..xn``.
     """
     merge_tuple = tuple((a, b) for a, b in merges)
-    n = len(merge_tuple) + 1
-    if labels is None:
-        labels = default_labels(n)
     level_tuple = None if levels is None else tuple(float(v) for v in levels)
-    return Dendrogram(tuple(str(s) for s in labels), merge_tuple, level_tuple)
+    return Dendrogram(_labels(labels, len(merge_tuple) + 1), merge_tuple, level_tuple)
 
 
 # ---------------------------------------------------------------- reorientation
@@ -387,15 +434,11 @@ SwapMask = tuple[bool, ...]
 
 def apply_swap(d: Dendrogram, mask: Sequence[bool | int]) -> Dendrogram:
     """Exchange the two children at every node whose mask bit is set."""
-    bits = tuple(bool(b) for b in mask)
-    if len(bits) != d.n_clusters:
-        raise ValidationError(
-            f"mask needs {d.n_clusters} bits, got {len(bits)}"
-        )
-    merges = tuple(
-        (b, a) if bit else (a, b) for (a, b), bit in zip(d.merges, bits)
-    )
-    return Dendrogram(d.labels, merges, d.levels)
+    swap = np.fromiter(map(bool, mask), dtype=bool)
+    if len(swap) != d.n_clusters:
+        raise ValidationError(f"mask needs {d.n_clusters} bits, got {len(swap)}")
+    kids = np.where(swap[:, None], d.kids[:, ::-1], d.kids)
+    return Dendrogram._from_ids(d.labels, kids, d.levels)
 
 
 def canonical_orient(d: Dendrogram) -> Dendrogram:
@@ -448,15 +491,6 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _node_from_json(obj: object, where: str) -> NodeRef:
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise ValidationError(f"{where}: expected one-key node object, got {obj!r}")
-    kind, index = next(iter(obj.items()))
-    if kind not in ("terminal", "cluster") or not _is_int(index):
-        raise ValidationError(f"{where}: bad node {obj!r}")
-    return NodeRef(kind, index)
-
-
 def _json_items(values: Sequence) -> list[str]:
     """Each value as `json.dumps` writes it, all from one encoder call.
 
@@ -490,10 +524,10 @@ def to_json(d: Dendrogram, indent: int | None = 2) -> str:
     # the merges list is at level 1, so each merge is at 2 and its children at 4
     node = block(['"%s": %d'], 4, "{}")
     merge = block(['"children": ' + block([node, node], 3, "[]"), '"rank": %d'], 2, "{}")
-    merges = [
-        merge % (a.kind, a.index, b.kind, b.index, k)
-        for k, (a, b) in enumerate(d.merges, start=1)
-    ]
+    n, ids = d.n_terminals, d.kids.reshape(-1)
+    kinds = np.where(ids < n, "terminal", "cluster").tolist()
+    idx = np.where(ids < n, ids + 1, ids - (n - 1)).tolist()
+    merges = [merge % row for row in zip(kinds[::2], idx[::2], kinds[1::2], idx[1::2], range(1, n))]
     fields = [f'"format": "{_FORMAT}"']
     if d.levels is not None:
         fields.append('"levels": ' + block(_json_items(d.levels), 1, "[]"))
@@ -528,40 +562,47 @@ def _document(text: str, fmt: str) -> tuple[dict, list[str]]:
     return doc, labels
 
 
-def _merges_from_json(raw: list, count: int, arity: int) -> tuple[tuple[NodeRef, ...], ...]:
-    """The children of ranks 1..count, each merge joining ``arity`` nodes."""
-    by_rank: dict[int, tuple[NodeRef, ...]] = {}
+def _table_from_json(raw: list, count: int, arity: int, n: int):
+    """The `_table` of ranks 1..count, each merge joining ``arity`` nodes."""
+    rows: list = [None] * count
     for idx, entry in enumerate(raw):
         where = f"merges[{idx}]"
         if not isinstance(entry, dict):
             raise ValidationError(f"{where}: expected an object")
-        rank = entry.get("rank")
+        rank, kids = entry.get("rank"), entry.get("children")
         if not _is_int(rank) or not 1 <= rank <= count:
             raise ValidationError(f"{where}: rank {rank!r} is not an integer rank in 1..{count}")
-        if rank in by_rank:
+        if rows[rank - 1] is not None:
             raise ValidationError(f"{where}: duplicate rank {rank}")
-        kids = entry.get("children")
         if not isinstance(kids, list) or len(kids) != arity:
             raise ValidationError(f"{where}: children must list exactly {arity} nodes")
-        by_rank[rank] = tuple(_node_from_json(c, where) for c in kids)
-    if len(by_rank) != count:
-        missing = sorted(set(range(1, count + 1)) - set(by_rank))
+        rows[rank - 1] = row = []
+        for node in kids:
+            if not isinstance(node, dict) or len(node) != 1:
+                raise ValidationError(f"{where}: expected one-key node object, got {node!r}")
+            ((kind, index),) = node.items()
+            if kind not in ("terminal", "cluster") or not _is_int(index):
+                raise ValidationError(f"{where}: bad node {node!r}")
+            if index < 1:
+                raise ValidationError(f"{where}: {kind} index must be >= 1, got {index}")
+            row += (kind == "terminal", index)
+    missing = [k for k, row in enumerate(rows, start=1) if row is None]
+    if missing or len(rows) != count:
         raise ValidationError(f"missing merges for ranks {missing}")
-    return tuple(by_rank[k] for k in range(1, count + 1))
+    flat = [x for row in rows for x in row]  # flag, index, flag, index, ...
+    return _table(flat[::2], flat[1::2], n, arity)
 
 
 def from_json(text: str) -> Dendrogram:
     """Parse the JSON schema produced by `to_json`, with located errors."""
     doc, labels = _document(text, _FORMAT)
-    merges = _merges_from_json(doc["merges"], len(labels) - 1, 2)
+    kids = _table_from_json(doc["merges"], len(labels) - 1, 2, len(labels))
     levels = doc.get("levels")
     if levels is not None:
-        if not isinstance(levels, list) or not all(
-            _is_int(v) or isinstance(v, float) for v in levels
-        ):
+        if not isinstance(levels, list) or not all(type(v) in (int, float) for v in levels):
             raise ValidationError("levels: expected a list of numbers")
         levels = tuple(float(v) for v in levels)
-    return Dendrogram(tuple(labels), merges, levels)
+    return Dendrogram._from_ids(tuple(labels), kids, levels)
 
 
 def save_json(d: Dendrogram, path) -> None:
@@ -593,18 +634,15 @@ def _as_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
-def _random_merges(
-    n_internal: int, arity: int, gen: np.random.Generator
-) -> list[tuple[NodeRef, ...]]:
+def _random_ids(n_internal: int, arity: int, gen: np.random.Generator) -> np.ndarray:
     """A uniform random merge order: each rank joins ``arity`` of the unmerged nodes."""
     n = n_internal * (arity - 1) + 1
-    active: list[NodeRef] = [terminal(i) for i in range(1, n + 1)]
-    merges = []
-    for k in range(1, n_internal + 1):
+    active, kids = list(range(n)), []  # active node ids
+    for k in range(n_internal):
         picks = sorted(gen.choice(len(active), size=arity, replace=False), reverse=True)
-        merges.append(tuple(reversed([active.pop(int(i)) for i in picks])))
-        active.append(cluster(k))
-    return merges
+        kids.append([active.pop(int(i)) for i in picks][::-1])
+        active.append(n + k)
+    return np.array(kids, dtype=np.int64).reshape(n_internal, arity)
 
 
 def random_dendrogram(
@@ -617,8 +655,6 @@ def random_dendrogram(
     if n < 1:
         raise ValidationError("need at least one terminal")
     gen = _as_rng(rng)
-    merges = _random_merges(n - 1, 2, gen)
-    levels = None
-    if with_levels:
-        levels = tuple(np.cumsum(gen.uniform(0.1, 1.0, size=n - 1)).tolist())
-    return build_from_merges(merges, levels=levels, labels=labels)
+    kids = _random_ids(n - 1, 2, gen)
+    levels = tuple(np.cumsum(gen.uniform(0.1, 1.0, size=n - 1)).tolist()) if with_levels else None
+    return Dendrogram._from_ids(_labels(labels, n), kids, levels)

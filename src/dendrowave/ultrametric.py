@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tree import Dendrogram, ValidationError, _find, build_from_merges, cluster, terminal
+from .tree import Dendrogram, ValidationError, _find, default_labels
 
 DEFAULT_TOL = 1e-9
 
@@ -203,14 +203,14 @@ def _subdominant(A: np.ndarray) -> Subdominant:
     by_weight = np.argsort(weights, kind="stable")
     # union-find over points: a component's root is its lowest point
     root = list(range(n))
-    node = [terminal(i + 1) for i in range(n)]
-    merges = []
-    for k, ends_k in enumerate(ends[by_weight].tolist(), start=1):
+    node = list(range(n))  # the node id of each component, at its root
+    kids = np.empty((n - 1, 2), dtype=np.int64)
+    for new_id, ends_k in enumerate(ends[by_weight].tolist(), start=n):
         a, b = sorted(_find(root, i) for i in ends_k)
-        merges.append((node[a], node[b]))
+        kids[new_id - n] = node[a], node[b]
         root[b] = a
-        node[a] = cluster(k)
-    return Subdominant(build_from_merges(merges), weights[by_weight])
+        node[a] = new_id
+    return Subdominant(Dendrogram._from_ids(default_labels(n), kids), weights[by_weight])
 
 
 class _Distances:

@@ -22,6 +22,10 @@ one numpy step per rank.  `check_merges`, `pway_term_set`,
 `random_dendrogram` and `random_pway_merges` are p-way trees as they ran
 on their own code beside `Dendrogram`: a set of seen NodeRefs, every
 cluster's set rebuilt per call, and a random loop for each arity.
+`check_merges_marked`, `build_layout`, `dilate_tree` and `unfold` are the
+tree builders as they ran before a tree was stored as its table of child
+node ids: a byte per node id marked while walking the NodeRefs, a layout
+read from NodeRef pairs, and merges remapped one NodeRef at a time.
 """
 
 from __future__ import annotations
@@ -75,6 +79,109 @@ def check_merges(labels: tuple[str, ...], merges, arity: int = 2) -> None:
     for j in range(1, len(merges)):
         if cluster(j) not in seen:
             raise ValidationError(f"cluster q{j} is never merged further (dangling)")
+
+
+def _node_id(node: NodeRef, n: int) -> int:
+    """Terminal i has node id i - 1, cluster k has node id n + k - 1."""
+    return node.index - 1 if node.is_terminal else n + node.index - 1
+
+
+def check_merges_marked(merges, n: int, arity: int) -> None:
+    """The merge checks of `Dendrogram` and `PWayTree`, marking one byte per node id."""
+    t = len(merges)
+    seen = bytearray(n + t)  # by node id
+    for k, kids in enumerate(merges, start=1):
+        if len(kids) != arity:
+            raise ValidationError(f"rank {k}: expected {arity} children, got {len(kids)}")
+        for child in kids:
+            if child.is_terminal:
+                if child.index > n:
+                    raise ValidationError(
+                        f"rank {k}: terminal {child.index} out of range 1..{n}"
+                    )
+            elif child.index >= k:
+                raise ValidationError(
+                    f"rank {k}: child cluster q{child.index} must rank below {k}"
+                )
+            slot = _node_id(child, n)
+            if seen[slot]:
+                raise ValidationError(f"rank {k}: {child!r} already merged earlier")
+            seen[slot] = 1
+    if t and 0 in seen[:n]:
+        raise ValidationError(f"terminal {seen.index(0) + 1} never takes part in a merge")
+    if 0 in seen[n : n + t - 1]:
+        j = seen.index(0, n) - n + 1
+        raise ValidationError(f"cluster q{j} is never merged further (dangling)")
+
+
+def build_layout(merges, n: int) -> dict[str, np.ndarray]:
+    """The `TreeLayout` arrays by field name, read from NodeRef pairs."""
+    kids = [[_node_id(a, n), _node_id(b, n)] for a, b in merges]
+    # by node id
+    size = [1] * n + [0] * (n - 1)
+    low = list(range(1, n + 1)) + [0] * (n - 1)
+    for node, (a, b) in enumerate(kids, start=n):
+        size[node] = size[a] + size[b]
+        low[node] = min(low[a], low[b])
+    # descend from the root: the first child starts where its parent does
+    start = [0] * (2 * n - 1)
+    for node in range(2 * n - 2, n - 1, -1):
+        a, b = kids[node - n]
+        start[a] = start[node]
+        start[b] = start[node] + size[a]
+    start_arr, size_arr, low_arr = (np.array(v, dtype=np.int64) for v in (start, size, low))
+    kids_arr = np.array(kids, dtype=np.int64).reshape(n - 1, 2)
+    pos, lo, size_arr = start_arr[:n], start_arr[n:], size_arr[n:]
+    mid = start_arr[kids_arr[:, 1]]
+    order = np.empty(n, dtype=np.int64)
+    order[pos] = np.arange(1, n + 1)
+    gaps = np.empty(n - 1, dtype=np.int64)
+    gaps[mid - 1] = np.arange(1, n)
+    hi, low_arr = lo + size_arr, low_arr[n:]
+    return dict(order=order, pos=pos, lo=lo, mid=mid, hi=hi, size=size_arr, low=low_arr,
+                gaps=gaps, kids=kids_arr)
+
+
+def dilate_tree(d: Dendrogram) -> Dendrogram:
+    """`padic.dilate_tree`, remapping the canonical merges one NodeRef at a time."""
+    if d.n_clusters == 0:
+        raise ValidationError("a single terminal cannot be dilated further")
+    oriented = d.canonical
+    a, b = oriented.children(1)
+    keep_pos, drop_pos = a.index, b.index
+    fused = f"{oriented.labels[keep_pos - 1]}+{oriented.labels[drop_pos - 1]}"
+
+    def remap(i: int) -> int:
+        return i - 1 if i > drop_pos else i
+
+    labels = [
+        fused if i == keep_pos else lab
+        for i, lab in enumerate(oriented.labels, start=1)
+        if i != drop_pos
+    ]
+
+    def convert(ref: NodeRef) -> NodeRef:
+        if ref.is_terminal:
+            return terminal(remap(ref.index))
+        if ref.index == 1:
+            return terminal(remap(keep_pos))
+        return cluster(ref.index - 1)
+
+    merges = [(convert(x), convert(y)) for x, y in oriented.merges[1:]]
+    levels = None if oriented.levels is None else oriented.levels[1:]
+    return build_from_merges(merges, levels=levels, labels=labels)
+
+
+def unfold(t) -> Dendrogram:
+    """`pway.unfold`, writing each p-way merge's chain one NodeRef pair at a time."""
+    p = t.arity
+    merges: list[tuple[NodeRef, NodeRef]] = []
+    for k, kids in enumerate(t.merges, start=1):
+        left, *rest = (c if c.is_terminal else cluster(c.index * (p - 1)) for c in kids)
+        for rank, child in enumerate(rest, start=(k - 1) * (p - 1) + 1):
+            merges.append((left, child))
+            left = cluster(rank)
+    return build_from_merges(merges, labels=t.labels)
 
 
 def pway_term_set(t, node: NodeRef) -> frozenset[int]:

@@ -498,3 +498,18 @@ def test_padic_decode_names_the_failing_column_by_its_header(tmp_path, capsys, d
     assert main(["padic", "decode", str(c_path), "--out", str(tmp_path / "d")]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {c_path}: column cluster_1: both signs must appear\n"
+
+
+@pytest.mark.parametrize("node, message", [
+    ({"terminal": 0}, "merges[3]: terminal index must be >= 1, got 0"),
+    ({"cluster": -3}, "merges[3]: cluster index must be >= 1, got -3"),
+    ({"terminal": 10**30}, "rank 4: terminal 1000000000000000000000000000000 out of range 1..8"),
+])
+def test_padic_encode_locates_a_bad_node_index(tmp_path, capsys, demo_json, node, message):
+    doc = json.loads(Path(demo_json).read_text(encoding="utf-8"))
+    doc["merges"][3]["children"][0] = node
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["padic", "encode", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message}\n"

@@ -13,7 +13,7 @@ from strategies import dissimilarities
 
 from dendrowave import hcluster
 from dendrowave.hcluster import LINKAGES, _agglomerate_core, merge_levels, pairwise_euclidean
-from dendrowave.tree import cluster, terminal
+from dendrowave.tree import _node_ref, cluster, terminal
 from dendrowave.ultrametric import cophenetic, is_ultrametric, matrix_to_csv, triangle_classify
 
 
@@ -36,7 +36,8 @@ def sample_matrices(count: int, seed: int):
 
 def assert_core_matches_oracle(M):
     for name in LINKAGES:
-        merges, levels = _agglomerate_core(M, name)
+        kids, levels = _agglomerate_core(M, name)
+        merges = [(_node_ref(a, len(M)), _node_ref(b, len(M))) for a, b in kids]
         want_merges, want_levels = oracles.agglomerate_core(M, name)
         assert merges == want_merges, name
         assert levels == want_levels, name
@@ -64,8 +65,8 @@ def test_tie_made_by_an_update_goes_to_the_lower_slot():
             [2.0, 1.0, 5.0, 0.0],
         ]
     )
-    merges, levels = _agglomerate_core(M, "median_wpgmc")
-    assert merges[1] == (terminal(1), cluster(1))
+    kids, levels = _agglomerate_core(M, "median_wpgmc")
+    assert tuple(_node_ref(i, 4) for i in kids[1]) == (terminal(1), cluster(1))
     assert levels[:2] == [1.0, 2.0]
     assert_core_matches_oracle(M)
 
