@@ -44,6 +44,7 @@ from .padic import (
 from .tree import (
     Dendrogram,
     ValidationError,
+    _has_signs,
     branch_signs,
     cluster,
     load_json,
@@ -194,8 +195,8 @@ def load_bundle(bundle_dir: str) -> tuple[WaveletDecomposition, list[str]]:
     C, _ = _parse(c_path, _read_signs)
     if C.shape[0] != tree.n_terminals:
         raise ValidationError(f"{c_path}: rows do not match the dendrogram")
-    signs = branch_signs(tree)
-    if not np.array_equal(C, signs):
+    if not _has_signs(tree, C):
+        signs = branch_signs(tree)
         i, j = np.argwhere(C != signs)[0].tolist()
         raise ValidationError(
             f"{c_path}: row {i + 2}, column {j + 2}: sign {C[i, j]} differs from "
@@ -216,8 +217,8 @@ def load_bundle(bundle_dir: str) -> tuple[WaveletDecomposition, list[str]]:
         )
     sizes = meta.get("child_sizes")
     child_sizes = None if sizes is None else _child_sizes(sizes, tree, meta_path)
-    w = WaveletDecomposition(  # the tree's cached signs, equal to C
-        tree, signs, D, smooth[0], meta.get("mode", "ultrametric"), child_sizes=child_sizes
+    w = WaveletDecomposition(
+        tree, C, D, smooth[0], meta.get("mode", "ultrametric"), child_sizes=child_sizes
     )
     return w, features
 

@@ -24,9 +24,9 @@ from .tree import (
     Dendrogram,
     NodeRef,
     ValidationError,
-    _find,
+    _has_signs,
     _labels,
-    _sign_matrix,
+    _row_blocks,
     branch_signs,
     canonical_orient,
 )
@@ -402,60 +402,50 @@ def decode(
     n, m = mat.shape
     if m != n - 1:
         raise ValidationError(f"matrix must be n x (n-1), got {n} x {m}")
+    signs = mat if mat.dtype == np.int8 else (mat == 1).astype(np.int8) - (mat == -1)
+    # the int8 digits equal the matrix exactly when its entries are -1, 0 and +1
+    tree = _candidate(signs, labels) if signs is mat or (signs == mat).all() else None
+    if tree is not None and _has_signs(tree, signs):
+        return tree
     if not ((mat == 0) | (mat == 1) | (mat == -1)).all():
         raise ValidationError("branch codes contain entries other than -1, 0, +1")
-
-    tree = _candidate(mat, labels)
-    if tree is not None and np.array_equal(_sign_matrix(tree), mat):
-        return tree
-    return _decode_columns(mat, labels)
+    return _decode_columns(signs, labels)
 
 
 def _candidate(mat: np.ndarray, labels: Sequence[str] | None) -> Dendrogram | None:
     """The tree whose rank-k children hold column k's first +1 and -1 rows.
 
-    The rows are read from one contiguous copy of the transposed matrix,
-    freed on return.  None when no such tree can be built, or when the
+    None when a column lacks a sign, no tree has these children or the
     labels are bad: the column check then raises, naming any failing
     column before the labels.
     """
-    cols = np.ascontiguousarray(mat.T)
-    plus, minus = cols.argmax(axis=1), cols.argmin(axis=1)
-    ranks = np.arange(len(cols))
-    if not ((cols[ranks, plus] == 1).all() and (cols[ranks, minus] == -1).all()):
+    n, m = mat.shape
+    first = np.full((2, m), n)  # each column's first +1 row and first -1 row, n until found
+    for a, b in _row_blocks(n, m):  # a block's max and min show the columns it signs
+        blk = mat[a:b]
+        for side, sign, ext in ((first[0], 1, blk.max(axis=0)), (first[1], -1, blk.min(axis=0))):
+            new = np.flatnonzero((ext == sign) & (side == n))
+            side[new] = a + (blk[:, new] == sign).argmax(axis=0)
+    if (first == n).any():
         return None
-    kids = _candidate_merges(plus.tolist(), minus.tolist(), mat.shape[0])
-    if kids is None:
-        return None
+    top = first.min(axis=0)  # each cluster's first row
+    by, ranks = np.argsort(top, kind="stable"), np.arange(m)
+    # the child over row r is the highest-ranked cluster below k whose first row is r, else
+    # terminal r: the last cluster before (r, k) in (first row, rank) order, if it fits
+    at = by[np.searchsorted(top[by] * m + by, first * m + ranks) - 1]
+    kids = np.where((top[at] == first) & (at < ranks), at + n, first).T
     try:
         return _build(kids, labels)
     except ValidationError:
         return None
 
 
-def _build(kids: list[tuple[int, int]], labels: Sequence[str] | None) -> Dendrogram:
+def _build(kids, labels: Sequence[str] | None) -> Dendrogram:
     """The tree with these child ids, after checking that there is one label per terminal."""
     n = len(kids) + 1
     if labels is not None and len(labels) != n:
         raise ValidationError(f"{len(labels)} labels given for {n} terminals")
     return Dendrogram._from_ids(_labels(labels, n), np.array(kids, dtype=np.int64))
-
-
-def _candidate_merges(plus: list[int], minus: list[int], n: int) -> list[tuple[int, int]] | None:
-    """Merge the largest nodes over rows ``plus[k - 1]`` and ``minus[k - 1]`` at rank k.
-
-    A union-find over node ids holds the largest node built over each row.
-    None when the two rows of some column already share a node.
-    """
-    top = list(range(2 * n - 1))  # a node's parent, or itself while it is unmerged
-    kids = []
-    for new_id, p, q in zip(range(n, 2 * n - 1), plus, minus):
-        a, b = _find(top, p), _find(top, q)
-        if a == b:
-            return None
-        top[a] = top[b] = new_id
-        kids.append((a, b))
-    return kids
 
 
 def _decode_columns(mat: np.ndarray, labels: Sequence[str] | None) -> Dendrogram:

@@ -172,6 +172,26 @@ def _build_layout(kids: np.ndarray, n: int) -> TreeLayout:
     return layout
 
 
+_BLOCK_CELLS = 1 << 18  # cells of a matrix read at once by `_row_blocks`
+
+
+def _row_blocks(n_rows: int, width: int) -> list[tuple[int, int]]:
+    """Bounds ``(a, b)`` of consecutive blocks of rows, about `_BLOCK_CELLS` cells each."""
+    step = max(1, _BLOCK_CELLS // max(width, 1))
+    return [(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
+
+
+def _float_levels(levels: Iterable) -> tuple[float, ...]:
+    """The levels as floats, naming the rank of one too large for a float."""
+    values = []
+    for k, v in enumerate(levels, start=1):
+        try:
+            values.append(float(v))
+        except OverflowError:
+            raise ValidationError(f"rank {k}: level {v!r} is too large for a float") from None
+    return tuple(values)
+
+
 def _labels(labels: Sequence[str] | None, n: int) -> tuple[str, ...]:
     return default_labels(n) if labels is None else tuple(str(s) for s in labels)
 
@@ -282,7 +302,10 @@ class Dendrogram(_IdTree):
         if levels is not None:
             if len(levels) != n - 1:
                 raise ValidationError(f"levels must have one entry per merge, got {len(levels)}")
-            values = np.array(levels, dtype=float)
+            try:
+                values = np.array(levels, dtype=float)
+            except OverflowError:
+                values = np.array(_float_levels(levels))
             bad = ~np.isfinite(values)
             bad[1:] |= ~(values[:-1] < values[1:])
             for k in np.flatnonzero(bad)[:1].tolist():
@@ -333,7 +356,18 @@ class Dendrogram(_IdTree):
 
     @cached_property
     def _signs(self) -> np.ndarray:
-        signs = _sign_matrix(self)
+        lay = self.layout
+        n, cols = self.n_terminals, np.arange(self.n_clusters)
+        # In leaf order column k is +1 on [lo, mid) and -1 on [mid, hi): mark
+        # the three boundaries and let a running sum down the columns fill both,
+        # adding one contiguous row at a time.
+        by_pos = np.zeros((n + 1, self.n_clusters), dtype=np.int8)
+        by_pos[lay.lo, cols] = 1
+        by_pos[lay.mid, cols] = -2
+        by_pos[lay.hi, cols] = 1
+        for p in range(1, n):
+            np.add(by_pos[p - 1], by_pos[p], out=by_pos[p])
+        signs = by_pos[lay.pos]
         signs.flags.writeable = False
         return signs
 
@@ -423,7 +457,7 @@ def build_from_merges(
     result is the single-terminal tree.  Labels default to ``x1..xn``.
     """
     merge_tuple = tuple((a, b) for a, b in merges)
-    level_tuple = None if levels is None else tuple(float(v) for v in levels)
+    level_tuple = None if levels is None else _float_levels(levels)
     return Dendrogram(_labels(labels, len(merge_tuple) + 1), merge_tuple, level_tuple)
 
 
@@ -465,20 +499,28 @@ def branch_signs(d: Dendrogram) -> np.ndarray:
     return d._signs
 
 
-def _sign_matrix(d: Dendrogram) -> np.ndarray:
-    """`branch_signs` built afresh, for callers that must not cache it on ``d``."""
-    lay = d.layout
-    n, cols = d.n_terminals, np.arange(d.n_clusters)
-    # In leaf order column k is +1 on [lo, mid) and -1 on [mid, hi): mark
-    # the three boundaries and let a running sum down the columns fill both,
-    # adding one contiguous row at a time.
-    by_pos = np.zeros((n + 1, d.n_clusters), dtype=np.int8)
-    by_pos[lay.lo, cols] = 1
-    by_pos[lay.mid, cols] = -2
-    by_pos[lay.hi, cols] = 1
-    for p in range(1, n):
-        np.add(by_pos[p - 1], by_pos[p], out=by_pos[p])
-    return by_pos[lay.pos]
+def _has_signs(d: Dendrogram, mat: np.ndarray) -> bool:
+    """Whether the int8 n x (n-1) matrix ``mat`` is ``branch_signs(d)``, read in row blocks.
+
+    In leaf order, from a zero row before the first leaf to one past the
+    last, column k of the signs steps by +1 at ``lo``, -2 at ``mid`` and +1
+    at ``hi`` only, and ``mat``'s row differences must be those steps.  They
+    wrap mod 256, but fix each column from the zero row, so the check is exact.
+    """
+    lay, n, m = d.layout, d.n_terminals, d.n_clusters
+    at = np.concatenate((lay.lo, lay.mid, lay.hi))
+    by = np.argsort(at)
+    at, col, value = at[by], np.tile(np.arange(m), 3)[by], np.repeat(np.int8([1, -2, 1]), m)[by]
+    prev = np.zeros((1, m), dtype=np.int8)
+    blocks = _row_blocks(n + 1, m)
+    for (a, b), (i, j) in zip(blocks, np.searchsorted(at, blocks).tolist()):
+        blk = np.take(mat, lay.order[a:b] - 1, axis=0)
+        if b > n:
+            blk = np.concatenate((blk, np.zeros_like(prev)))
+        step, prev = np.diff(blk, axis=0, prepend=prev), blk[-1:]
+        if np.count_nonzero(step) != j - i or (step[at[i:j] - a, col[i:j]] != value[i:j]).any():
+            return False
+    return True
 
 
 # -------------------------------------------------------------------- JSON I/O
@@ -601,7 +643,7 @@ def from_json(text: str) -> Dendrogram:
     if levels is not None:
         if not isinstance(levels, list) or not all(type(v) in (int, float) for v in levels):
             raise ValidationError("levels: expected a list of numbers")
-        levels = tuple(float(v) for v in levels)
+        levels = _float_levels(levels)
     return Dendrogram._from_ids(tuple(labels), kids, levels)
 
 

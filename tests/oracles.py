@@ -12,9 +12,11 @@ they ran before they were built on the subdominant ultrametric: cubic
 scans one anchor row at a time, and the layout rules cell by cell.  They
 are slow (quadratic memory on a caterpillar tree, cubic time on a matrix)
 and exist only so the differential tests can compare the fast paths
-against them.  `decode_columns`, `to_json_dumps`, `inverse_dict` and
-`write_branch_csv_cells` are the codec as it ran before it worked by node
-id: a check of every column while decoding, the document serialized by
+against them.  `decode_candidate` is `decode`'s accepting step as it ran
+before it read the matrix in row blocks: a transposed copy, a union-find
+and a comparison with rebuilt signs.  `decode_columns`, `to_json_dumps`,
+`inverse_dict` and `write_branch_csv_cells` are the codec as it ran before
+it worked by node id: a check of every column while decoding, the document serialized by
 `json.dumps`, a dict of smooth rows keyed by node, and one formatted
 string per C.csv cell.  `ascend_ranks` and `inverse_ranks` are the Haar
 transform as it ran before it worked in waves of equal-height clusters:
@@ -46,8 +48,10 @@ from dendrowave.tree import (
     Dendrogram,
     NodeRef,
     ValidationError,
+    _find,
     build_from_merges,
     cluster,
+    default_labels,
     terminal,
 )
 from dendrowave.ultrametric import DEFAULT_TOL, TriangleCensus, Verdict, _checked_matrix
@@ -473,6 +477,37 @@ def decode_columns(codes_or_matrix, labels=None) -> Dendrogram:
     if merges and size[-1] != n:
         raise ValidationError("the final column must merge everything into the root")
     return build_from_merges(merges, labels=labels)
+
+
+def decode_candidate(mat: np.ndarray, labels=None) -> Dendrogram | None:
+    """The tree `padic.decode` accepted before it read the matrix in row blocks, or None.
+
+    Each column's first +1 and -1 row come from a contiguous copy of the
+    transposed matrix, a union-find merges the largest nodes built over
+    them, and the tree is accepted when its rebuilt signs equal the matrix.
+    """
+    n = mat.shape[0]
+    cols = np.ascontiguousarray(mat.T)
+    plus, minus = cols.argmax(axis=1), cols.argmin(axis=1)
+    ranks = np.arange(len(cols))
+    if not ((cols[ranks, plus] == 1).all() and (cols[ranks, minus] == -1).all()):
+        return None
+    top = list(range(2 * n - 1))  # a node's parent, or itself while it is unmerged
+    kids = []
+    for new_id, p, q in zip(range(n, 2 * n - 1), plus.tolist(), minus.tolist()):
+        a, b = _find(top, p), _find(top, q)
+        if a == b:
+            return None
+        top[a] = top[b] = new_id
+        kids.append((a, b))
+    if labels is not None and len(labels) != n:
+        return None
+    names = default_labels(n) if labels is None else tuple(map(str, labels))
+    try:
+        tree = Dendrogram._from_ids(names, np.array(kids, dtype=np.int64).reshape(-1, 2))
+    except ValidationError:
+        return None
+    return tree if np.array_equal(branch_signs(tree), mat) else None
 
 
 def to_json_dumps(d: Dendrogram, indent: int | None = 2) -> str:

@@ -348,6 +348,12 @@ def _edit_cell(text: str, row: int, col: int, value: str) -> str:
     return "\n".join(lines)
 
 
+def _swap(lines: list, a: int, b: int) -> list:
+    """The lines with lines a and b exchanged, counting from 1."""
+    lines[a - 1], lines[b - 1] = lines[b - 1], lines[a - 1]
+    return lines
+
+
 MALFORMED_BUNDLES = {
     "smooth-header-only": (
         "smooth.csv", lambda b: b.split(b"\n")[0] + b"\n", "smooth.csv: expected one row"
@@ -373,6 +379,11 @@ MALFORMED_BUNDLES = {
         "C.csv",
         lambda b: _edit_cell(b.decode(), 2, 2, "-1").encode(),
         "C.csv: row 2, column 2: sign -1 differs from the dendrogram's 1",
+    ),
+    "C-rows-swapped": (
+        "C.csv",
+        lambda b: b"\n".join(_swap(b.split(b"\n"), 5, 6)),
+        "C.csv: row 5, column 4: sign -1 differs from the dendrogram's 1",
     ),
     "D-not-finite": (
         "D.csv",
@@ -438,6 +449,16 @@ def test_non_utf8_inputs_exit_two(tmp_path, capsys, demo_json):
         path.write_bytes(b"\xff\xfe")
         assert main(["check", str(path)]) == 2
         assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_check_names_a_level_too_large_for_a_float(tmp_path, capsys, demo8):
+    doc = json.loads(to_json(demo8))
+    doc["levels"] = [1, 10**400, 3, 4, 5, 6, 7]
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: rank 2: level {10**400} is too large for a float\n"
 
 
 @pytest.mark.parametrize("command", ["cluster", "transform"])

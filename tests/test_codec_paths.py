@@ -1,8 +1,8 @@
 """Differential tests: the codec paths that work by node id against the code
 they replaced (kept in oracles.py).
 
-`decode` builds one candidate tree and compares its branch signs with the
-matrix, `to_json` writes the schema directly, `inverse` descends into rows
+`decode` builds one candidate tree and checks the matrix against its
+branch signs in row blocks, `to_json` writes the schema directly, `inverse` descends into rows
 indexed by node id and C.csv is written from three sign strings.  Trees,
 messages, text and bytes must be identical; floats must be bit-identical.
 """
@@ -17,10 +17,10 @@ import oracles
 from conftest import random_trees
 from strategies import dendrograms
 
-from dendrowave import ultrametric
+from dendrowave import tree, ultrametric
 from dendrowave.cli import _write_branch_csv, main
 from dendrowave.haar import forward, forward_weighted, hard_threshold, inverse
-from dendrowave.padic import PAdicCode, decode, encode
+from dendrowave.padic import PAdicCode, _candidate, decode, encode
 from dendrowave.tree import (
     ValidationError,
     build_from_merges,
@@ -83,7 +83,18 @@ def mutations(C: np.ndarray, rng: np.random.Generator):
         laminar[[0, n - 1], k] = 1
         laminar[rows[0], k] = -1
         yield "non-laminar column", laminar
-    yield "float matrix", C.astype(float)
+    for value in (-128, 127, 2, -2):
+        odd = C.copy()
+        odd[i, k] = value
+        yield f"cell {value}", odd
+    for dtype in (np.int64, float, bool, object, complex):
+        yield f"{dtype.__name__} matrix", C.astype(dtype)
+        yield f"{dtype.__name__} matrix with a cell -2", odd.astype(dtype)
+    yield "uint8 view", C.view(np.uint8)
+    for name, (a, b) in (("adjacent", (min(i, n - 2), min(i, n - 2) + 1)), ("far", (0, n - 1))):
+        swapped = C.copy()
+        swapped[[a, b]] = swapped[[b, a]]
+        yield f"{name} rows swapped", swapped
     yield "shuffled rows", C[rng.permutation(n)]
 
 
@@ -110,6 +121,42 @@ def test_decode_matches_the_column_check_on_hypothesis_trees(d):
     assert same_outcome(codes)
     for _, bad in mutations(C, np.random.default_rng(d.n_terminals)):
         same_outcome(bad)
+
+
+def test_decode_across_many_row_blocks(monkeypatch):
+    monkeypatch.setattr(tree, "_BLOCK_CELLS", 5)
+    rng = np.random.default_rng(75)
+    for d in sample_trees():
+        codes, C = encode(d)
+        assert same_outcome(C, labels=d.labels)
+        for _, bad in mutations(C, rng):
+            same_outcome(bad)
+
+
+@pytest.mark.parametrize("shape", ["random", "caterpillar"])
+def test_decode_of_600_terminals_at_the_real_block_size(shape):
+    rng = np.random.default_rng(76)
+    d = random_dendrogram(600, rng) if shape == "random" else oracles.caterpillar(600, rng)
+    _, C = encode(d)
+    assert len(tree._row_blocks(600, 599)) > 1
+    assert same_outcome(C, labels=d.labels)
+    for _, bad in mutations(C, rng):
+        same_outcome(bad)
+
+
+@pytest.mark.parametrize("block_cells", [5, tree._BLOCK_CELLS])
+def test_candidate_matches_the_union_find_candidate(monkeypatch, block_cells):
+    monkeypatch.setattr(tree, "_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(77)
+    for d in sample_trees():
+        _, C = encode(d)
+        got = _candidate(C, d.labels)
+        assert got == oracles.decode_candidate(C, d.labels) and tree._has_signs(got, C)
+        for _, bad in mutations(C, rng):
+            if bad.dtype == np.int8:
+                got = _candidate(bad, None)
+                accepted = got is not None and tree._has_signs(got, bad)
+                assert (got if accepted else None) == oracles.decode_candidate(bad)
 
 
 def test_decode_of_one_terminal():

@@ -134,6 +134,19 @@ def test_levels_must_increase():
         build_from_merges(merges, levels=[1.0])
 
 
+def test_a_level_too_large_for_a_float_is_named_by_its_rank(demo8):
+    levels = [1, 2, 10**400, 4, 5, 6, 7]
+    doc = json.loads(to_json(demo8))
+    doc["levels"] = levels
+    for build in (
+        lambda: from_json(json.dumps(doc)),
+        lambda: Dendrogram(demo8.labels, demo8.merges, levels),
+        lambda: build_from_merges(demo8.merges, levels),
+    ):
+        with pytest.raises(ValidationError, match=r"^rank 3: level 10{400} is too large"):
+            build()
+
+
 def test_level_of(demo8):
     with pytest.raises(ValidationError, match="no levels"):
         demo8.level_of(1)
