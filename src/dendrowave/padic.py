@@ -12,7 +12,9 @@ Norms and distances are returned as exact `fractions.Fraction` values.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,6 +56,20 @@ def _array(digits: bytes) -> np.ndarray:
     return np.frombuffer(digits, dtype=np.int8)
 
 
+def _check_base(base) -> int:
+    """The base as a Python int: any integer >= 2, numpy integers included, but no bool.
+
+    A numpy integer would overflow in ``p**r``, so it is converted here.
+    """
+    try:
+        p = operator.index(base)
+    except TypeError:
+        p = None
+    if p is None or isinstance(base, bool) or p < 2:
+        raise ValidationError(f"base must be an integer >= 2, got {base!r}")
+    return p
+
+
 @dataclass(frozen=True, init=False, repr=False)
 class PAdicCode:
     """Coefficients in {-1, 0, +1} for powers p^1..p^(n-1) of the base.
@@ -61,16 +77,15 @@ class PAdicCode:
     The digits are stored once, as immutable int8 ``bytes`` with one byte
     per power (-1 is 0xFF), and ``coeffs`` reads them back as a tuple of
     ints.  Equality and hashing use the digits and the base.  ``coeffs``
-    may be given as any sequence of digits or as such bytes, which is how
-    `encode` slices one sign matrix into its rows.
+    may be given as any sequence of digits or as such bytes, and the base
+    as any integer >= 2; it is stored as a Python int.
     """
 
     digits: bytes
     base: int
 
     def __init__(self, coeffs: Iterable[int] | bytes, base: int = DEFAULT_BASE) -> None:
-        if isinstance(base, bool) or base < 2:
-            raise ValidationError(f"base must be >= 2, got {base}")
+        base = _check_base(base)
         digits = coeffs if isinstance(coeffs, bytes) else _pack(coeffs)
         if digits.translate(None, _DIGIT_BYTES):
             # only reached on bad bytes, to name the offending power
@@ -79,6 +94,13 @@ class PAdicCode:
                     raise ValidationError(f"coefficient of p^{j} must be -1, 0 or +1, got {c}")
         object.__setattr__(self, "digits", digits)
         object.__setattr__(self, "base", base)
+
+    @classmethod
+    def _of(cls, digits: bytes, base: int) -> PAdicCode:
+        """The code of digits and a base that the caller has already checked."""
+        code = object.__new__(cls)
+        code.__dict__.update(digits=digits, base=base)
+        return code
 
     def __repr__(self) -> str:
         return f"PAdicCode(coeffs={self.coeffs!r}, base={self.base!r})"
@@ -107,7 +129,7 @@ class PAdicCode:
 
     def decimal(self, base: int | None = None) -> int:
         """Exact integer value sum(c_j * p**j)."""
-        p = self.base if base is None else base
+        p = self.base if base is None else _check_base(base)
         return sum(c * p**j for j, c in self._terms())
 
     def to_string(self, symbol: str | None = None) -> str:
@@ -157,6 +179,7 @@ def code_from_decimal(value: int, n_terminals: int, base: int = DEFAULT_BASE) ->
     Unique for base >= 3 (the balanced digit set); base 2 is ambiguous and
     rejected here.
     """
+    base = _check_base(base)
     if base < 3:
         raise ValidationError("decimal round-trip needs base >= 3 (base 2 collides)")
     coeffs = []
@@ -183,10 +206,14 @@ def encode(d: Dendrogram, base: int = DEFAULT_BASE) -> tuple[list[PAdicCode], np
 
     Row i - 1 of the matrix holds the coefficients of terminal i's code.
     """
+    base = _check_base(base)
     signs = branch_signs(canonical_orient(d))
-    # each code's digits are one row's bytes, sliced from a single buffer
-    buf, width = signs.tobytes(), signs.shape[1]
-    codes = [PAdicCode(buf[i * width : (i + 1) * width], base) for i in range(len(signs))]
+    n, width = signs.shape
+    if width and (signs.min() < -1 or signs.max() > 1):
+        raise ValidationError("branch codes contain entries other than -1, 0, +1")
+    # each code's digits are one row's bytes, copied once out of the matrix
+    rows = memoryview(signs.reshape(-1))
+    codes = [PAdicCode._of(bytes(rows[i * width : (i + 1) * width]), base) for i in range(n)]
     return codes, signs
 
 
@@ -218,6 +245,7 @@ def cluster_code(d: Dendrogram, node: NodeRef, base: int = DEFAULT_BASE) -> PAdi
     clusters whose interval holds the node's, and the sign says on which
     side of their split it lies.  The root gets the null code.
     """
+    base = _check_base(base)
     oriented = canonical_orient(d)
     start, end = oriented.span(node)
     lay = oriented.layout
@@ -297,17 +325,24 @@ def pnorm(d: Dendrogram, node: NodeRef, base: int = DEFAULT_BASE) -> Fraction:
     The root (whose code is null) gets 0 by convention, so the norm is
     below 1 exactly for genuine (non-singleton) clusters.
     """
+    base = _check_base(base)
     d._check_node(node)
     if node.is_terminal:
         return Fraction(1)
     if node.index == d.n_clusters:
         return Fraction(0)
-    return Fraction(1, base**node.index)
+    return _inverse_power(base, node.index)
 
 
 def dilation_operator_norm(base: int = DEFAULT_BASE) -> Fraction:
     """Operator norm of multiplication by 1/p, namely |1/p| = p."""
-    return Fraction(base)
+    return Fraction(_check_base(base))
+
+
+@functools.lru_cache(maxsize=1024)
+def _inverse_power(base: int, r: int) -> Fraction:
+    """p^-r, kept for the distances and norms asked again: ``base**r`` has r base-p digits."""
+    return Fraction(1, base**r)
 
 
 def pdistance(
@@ -323,6 +358,7 @@ def pdistance(
     never meet) the distance takes the coarsest value p^-(n-1).  For two
     terminals this reproduces p^-rank(lca).
     """
+    base = _check_base(base)
     if isinstance(a, NodeRef) or isinstance(b, NodeRef):
         if d is None:
             raise ValidationError("node references need the dendrogram they live in")
@@ -333,14 +369,16 @@ def pdistance(
     _require_same_context(a, b)
     if a == b:
         return Fraction(0)
-    # -1 is 0xFF, so a bitwise and is nonzero exactly where both digits are
-    common = np.flatnonzero(_array(a.digits) & _array(b.digits))
-    r = int(common[0]) + 1 if common.size else a.n_terminals - 1
-    return Fraction(1, a.base**r)
+    # codes that differ have at least one digit, so the argmax is a level
+    common = np.logical_and(_array(a.digits), _array(b.digits))
+    first = int(common.argmax())
+    r = first + 1 if common[first] else a.n_terminals - 1
+    return _inverse_power(a.base, r)
 
 
 def power_repr(value: Fraction, base: int) -> str:
     """Render an exact p-power value symbolically: ``0``, ``1``, ``p^-2``, ``p^1``."""
+    base = _check_base(base)
     value = Fraction(value)
     if value == 0:
         return "0"

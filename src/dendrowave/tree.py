@@ -181,6 +181,33 @@ def _row_blocks(n_rows: int, width: int) -> list[tuple[int, int]]:
     return [(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
 
 
+# Mean leaf depth up to which `Dendrogram._signs` writes only the nonzeros.
+# The matrix holds n times the mean depth of them (the sum of cluster sizes),
+# so the scatter costs O(n * depth) and the running sum O(n^2) whatever the
+# depth.  Timed on a 2-CPU VM (best of 3 and of 5, two runs) on trees made of
+# random subtrees joined along a caterpillar spine, the scatter stayed faster
+# up to a mean depth of 115-130 at n = 1024 and 2048, and of 150 or more at
+# 4096, so the cutoff sits just below the crossover.  A random tree has mean
+# depth 14-17 at these sizes and a caterpillar about n / 2.
+_SCATTER_DEPTH = 100
+
+
+def _scattered_signs(lay: TreeLayout, n: int, m: int) -> np.ndarray:
+    """The n x m branch signs, zero but at each cluster's leaf positions ``[lo, hi)``."""
+    size = lay.size
+    # every cluster's leaf positions in turn, rank by rank: a cumulative sum of
+    # steps of 1 within a cluster and a jump from its predecessor's last one
+    pos = np.ones(int(size.sum()), dtype=np.int64)
+    pos[np.cumsum(size) - size] = lay.lo - np.concatenate(([1], lay.hi[:-1])) + 1
+    np.cumsum(pos, out=pos)
+    flat = ((lay.order - 1) * m)[pos]  # the row of the terminal at each position
+    flat += np.repeat(np.arange(m), size)
+    halves = np.column_stack((lay.mid - lay.lo, lay.hi - lay.mid)).ravel()
+    signs = np.zeros((n, m), dtype=np.int8)
+    signs.ravel()[flat] = np.repeat(np.tile(np.int8([1, -1]), m), halves)
+    return signs
+
+
 def _float_levels(levels: Iterable) -> tuple[float, ...]:
     """The levels as floats, naming the rank of one too large for a float."""
     values = []
@@ -357,17 +384,21 @@ class Dendrogram(_IdTree):
     @cached_property
     def _signs(self) -> np.ndarray:
         lay = self.layout
-        n, cols = self.n_terminals, np.arange(self.n_clusters)
-        # In leaf order column k is +1 on [lo, mid) and -1 on [mid, hi): mark
-        # the three boundaries and let a running sum down the columns fill both,
-        # adding one contiguous row at a time.
-        by_pos = np.zeros((n + 1, self.n_clusters), dtype=np.int8)
-        by_pos[lay.lo, cols] = 1
-        by_pos[lay.mid, cols] = -2
-        by_pos[lay.hi, cols] = 1
-        for p in range(1, n):
-            np.add(by_pos[p - 1], by_pos[p], out=by_pos[p])
-        signs = by_pos[lay.pos]
+        n, m = self.n_terminals, self.n_clusters
+        if lay.size.sum() <= _SCATTER_DEPTH * n:
+            signs = _scattered_signs(lay, n, m)
+        else:
+            # In leaf order column k is +1 on [lo, mid) and -1 on [mid, hi): mark
+            # the three boundaries and let a running sum down the columns fill both,
+            # adding one contiguous row at a time.
+            cols = np.arange(m)
+            by_pos = np.zeros((n + 1, m), dtype=np.int8)
+            by_pos[lay.lo, cols] = 1
+            by_pos[lay.mid, cols] = -2
+            by_pos[lay.hi, cols] = 1
+            for p in range(1, n):
+                np.add(by_pos[p - 1], by_pos[p], out=by_pos[p])
+            signs = by_pos[lay.pos]
         signs.flags.writeable = False
         return signs
 

@@ -246,6 +246,19 @@ def test_padic_dilate_all_base_two(capsys, demo_json):
     assert first == "x1: +2^1+2^2+2^5+2^7 -> +2^1+2^4+2^6"
 
 
+@pytest.mark.parametrize("base", ["0", "1", "-3", "2.5"])
+@pytest.mark.parametrize(
+    "command", [["norm", "q2"], ["dist", "x1", "q3"], ["encode"], ["dilate", "--all"], ["dilate", "q2"]]
+)
+def test_padic_rejects_a_base_below_two_or_not_an_integer(capsys, demo_json, base, command):
+    assert main(["padic", f"--base={base}", command[0], demo_json, *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid int value" in captured.err if base == "2.5" else (
+        captured.err == f"error: base must be an integer >= 2, got {base}\n"
+    )
+
+
 def test_padic_dilate_single_node(capsys, demo_json):
     assert main(["padic", "dilate", demo_json, "q2"]) == 0
     assert capsys.readouterr().out.strip() == "+3^5+3^7 -> +3^4+3^6"

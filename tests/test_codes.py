@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import random_trees
-from strategies import dendrograms
+from strategies import coeff_vectors, dendrograms
 
 from dendrowave.padic import (
     PAdicCode,
@@ -27,6 +27,7 @@ from dendrowave.tree import (
     Dendrogram,
     ValidationError,
     apply_swap,
+    branch_signs,
     canonical_orient,
     cluster,
     random_dendrogram,
@@ -69,9 +70,13 @@ def assert_codes_match_oracles(d, base=3, pairs=60, seed=0):
     codes, C = encode(d, base)
     old_codes, old_C = oracles.encode(d, base)
     assert np.array_equal(C, old_C)
+    assert C is branch_signs(canonical_orient(d)) and not C.flags.writeable
     assert len(codes) == len(old_codes) == d.n_terminals
-    for new, old in zip(codes, old_codes):
+    for row, new, old in zip(C, codes, old_codes):
+        assert new == PAdicCode(row.tolist(), base)
+        assert type(new.digits) is bytes and type(new.base) is int
         assert_code_matches(new, old)
+    assert encode(d, np.int64(base))[0] == codes
 
     # cluster codes give equal and null codes too, so `==` is tested both ways
     nodes = all_nodes(d)
@@ -106,6 +111,17 @@ def test_codes_match_the_tuple_oracle_on_random_and_caterpillar_trees():
 @given(dendrograms(min_n=1, max_n=14), st.integers(2, 7))
 def test_codes_match_the_tuple_oracle_on_generated_trees(d, base):
     assert_codes_match_oracles(d, base=base, pairs=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda m: st.tuples(coeff_vectors(m), coeff_vectors(m))),
+       st.integers(2, 7))
+def test_pdistance_matches_the_tuple_oracle_on_any_two_codes(pair, base):
+    """Equal codes, null codes and supports that never meet come up often at these lengths."""
+    a, b = pair
+    want = oracles.pdistance_tuples(oracles.TupleCode(a, base), oracles.TupleCode(b, base))
+    assert pdistance(PAdicCode(a, base), PAdicCode(b, base)) == want
+    assert pdistance(PAdicCode(a, np.int64(base)), PAdicCode(b, base)) == want
 
 
 def test_cluster_code_rejects_unknown_nodes():

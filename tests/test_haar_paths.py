@@ -6,6 +6,9 @@ same per-element arithmetic as the rank loop, so details, smooths, child
 sizes and reconstructions must be bit-identical, not merely close.
 """
 
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ import oracles
 from conftest import random_trees
 from strategies import dendrograms
 
+import dendrowave.tree
 from dendrowave.haar import (
     _checked_data,
     _plain_merge,
@@ -196,6 +200,84 @@ def test_decode_leaves_no_signs_on_the_tree_it_returns():
     back = decode(C.copy(), labels=d.labels)
     assert "_signs" not in vars(back)
     assert back.merges == d.canonical.merges
+
+
+def at_mean_depth(c: int):
+    """A tree whose cluster sizes sum to exactly c per terminal (c >= 2).
+
+    It is a caterpillar on k terminals, whose sizes sum to (k - 1)(k + 2) / 2,
+    with a cherry in place of some of its side leaves.  A cherry for the leaf
+    at depth i adds a terminal and i + 2 to the sum, so the cherries must make
+    up c * k minus the caterpillar's sum out of the values i + 2 - c = 1, 2,
+    ..., k + 1 - c, which a greedy pick from the largest does.
+    """
+    for k in itertools.count(c):
+        rest, top = c * k - (k - 1) * (k + 2) // 2, k + 1 - c
+        if 0 <= rest <= top * (top + 1) // 2:
+            break
+    cherries = set()
+    for v in range(top, 0, -1):
+        if v <= rest:
+            cherries.add(v + c - 2)
+            rest -= v
+    leaves = iter(range(1, k + len(cherries) + 1))
+    merges, below = [], terminal(next(leaves))
+    for depth in range(k - 1, 0, -1):  # the side leaf merged at each step, bottom up
+        side = terminal(next(leaves))
+        if depth in cherries:
+            merges.append((side, terminal(next(leaves))))
+            side = cluster(len(merges))
+        merges.append((below, side))
+        below = cluster(len(merges))
+    return build_from_merges(merges)
+
+
+def signs_built_with(d, depth: int):
+    """``d``'s branch signs, built afresh with `_SCATTER_DEPTH` set to ``depth``."""
+    vars(d).pop("_signs", None)
+    with mock.patch.object(dendrowave.tree, "_SCATTER_DEPTH", depth):
+        signs = branch_signs(d)
+    assert signs.dtype == np.int8 and signs.flags.c_contiguous and not signs.flags.writeable
+    return signs
+
+
+# 0 runs the sum down the rows on every tree with a cluster, 10**9 the scatter on every tree
+PATHS = [0, dendrowave.tree._SCATTER_DEPTH, 10**9]
+
+
+@pytest.mark.parametrize("depth", PATHS)
+def test_both_sign_builds_match_the_set_oracle(depth):
+    for d in sample_trees():
+        assert np.array_equal(signs_built_with(d, depth), oracles.branch_signs(d))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dendrograms(min_n=1, max_n=30), st.sampled_from(PATHS))
+def test_both_sign_builds_match_on_hypothesis_trees(d, depth):
+    assert np.array_equal(signs_built_with(d, depth), oracles.branch_signs(d))
+
+
+def test_the_same_tree_gives_the_same_signs_down_both_builds():
+    rng = np.random.default_rng(102)
+    for d in (random_dendrogram(300, rng), oracles.caterpillar(120, rng), balanced(6)):
+        summed, scattered = signs_built_with(d, 0), signs_built_with(d, 10**9)
+        assert np.array_equal(summed, scattered)
+        assert np.array_equal(summed, oracles.branch_signs(d))
+
+
+def test_a_tree_at_the_depth_cutoff_is_scattered_and_one_above_is_summed():
+    c = dendrowave.tree._SCATTER_DEPTH
+    d = at_mean_depth(c)
+    assert d.layout.size.sum() == c * d.n_terminals
+    real = dendrowave.tree._scattered_signs
+    for depth, scattered in ((c, True), (c - 1, False)):
+        with mock.patch.object(dendrowave.tree, "_scattered_signs", wraps=real) as spy:
+            signs = signs_built_with(d, depth)
+        assert spy.called == scattered
+        assert np.array_equal(signs, oracles.branch_signs(d))
+    for c in (2, 3, 17, 64):
+        d = at_mean_depth(c)
+        assert d.layout.size.sum() == c * d.n_terminals
 
 
 def keep_k_oracle(details, k):

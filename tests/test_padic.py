@@ -31,6 +31,7 @@ from dendrowave.tree import (
     ValidationError,
     canonical_orient,
     cluster,
+    random_dendrogram,
     terminal,
 )
 
@@ -404,3 +405,51 @@ def test_code_validation():
         PAdicCode((2, 0))
     with pytest.raises(ValidationError):
         PAdicCode((1, 0), base=1)
+
+
+BAD_BASES = [0, 1, -3, 2.5, True, np.True_, "3"]
+
+
+@pytest.mark.parametrize("base", BAD_BASES, ids=repr)
+def test_every_call_that_takes_a_base_rejects_a_bad_one(demo8, base):
+    codes, _ = encode(demo8)
+    calls = [
+        lambda: PAdicCode((1, 0, -1), base),
+        lambda: encode(demo8, base),
+        lambda: cluster_code(demo8, cluster(2), base),
+        lambda: pnorm(demo8, cluster(2), base),
+        lambda: pnorm(demo8, terminal(1), base),
+        lambda: pdistance(codes[0], codes[1], base=base),
+        lambda: pdistance(terminal(1), terminal(2), demo8, base),
+        lambda: code_from_decimal(3, 4, base),
+        lambda: codes[0].decimal(base),
+        lambda: power_repr(Fraction(0), base),
+        lambda: dilation_operator_norm(base),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match=r"^base must be an integer >= 2, got "):
+            call()
+
+
+def test_a_numpy_integer_base_gives_what_the_python_int_gives():
+    d = random_dendrogram(70, 29)
+    top = d.n_clusters
+    for base in (np.int64(3), np.int32(5), np.uint8(2)):
+        p = int(base)
+        codes, _ = encode(d, base)
+        want, _ = encode(d, p)
+        assert codes == want and all(type(c.base) is int for c in codes)
+        assert [c.decimal() for c in codes] == [c.decimal(base) for c in want]
+        assert PAdicCode((1, 0, -1), base).base == p
+        for k in (1, top // 2, top - 1, top):
+            assert pnorm(d, cluster(k), base) == pnorm(d, cluster(k), p)
+            assert cluster_code(d, cluster(k), base) == cluster_code(d, cluster(k), p)
+        for i, j in ((1, 2), (3, d.n_terminals), (d.n_terminals - 1, 5)):
+            got = pdistance(terminal(i), terminal(j), d, base)
+            assert got == pdistance(terminal(i), terminal(j), d, p) > 0
+            assert pdistance(codes[i - 1], codes[j - 1]) == got
+        assert pdistance(terminal(1), cluster(top), d, base) == Fraction(1, p**top)
+        assert power_repr(Fraction(1, p**7), base) == "p^-7"
+        assert dilation_operator_norm(base) == p
+    value = encode(d)[0][0].decimal()
+    assert code_from_decimal(value, d.n_terminals, np.int64(3)) == encode(d)[0][0]
