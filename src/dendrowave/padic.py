@@ -12,7 +12,6 @@ Norms and distances are returned as exact `fractions.Fraction` values.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 import re
@@ -209,9 +208,8 @@ def encode(d: Dendrogram, base: int = DEFAULT_BASE) -> tuple[list[PAdicCode], np
     base = _check_base(base)
     signs = branch_signs(canonical_orient(d))
     n, width = signs.shape
-    if width and (signs.min() < -1 or signs.max() > 1):
-        raise ValidationError("branch codes contain entries other than -1, 0, +1")
-    # each code's digits are one row's bytes, copied once out of the matrix
+    # the tree's own signs hold only -1, 0, +1, so each row's bytes are a code's
+    # digits as they stand, copied once out of the matrix
     rows = memoryview(signs.reshape(-1))
     codes = [PAdicCode._of(bytes(rows[i * width : (i + 1) * width]), base) for i in range(n)]
     return codes, signs
@@ -331,18 +329,12 @@ def pnorm(d: Dendrogram, node: NodeRef, base: int = DEFAULT_BASE) -> Fraction:
         return Fraction(1)
     if node.index == d.n_clusters:
         return Fraction(0)
-    return _inverse_power(base, node.index)
+    return Fraction(1, base**node.index)
 
 
 def dilation_operator_norm(base: int = DEFAULT_BASE) -> Fraction:
     """Operator norm of multiplication by 1/p, namely |1/p| = p."""
     return Fraction(_check_base(base))
-
-
-@functools.lru_cache(maxsize=1024)
-def _inverse_power(base: int, r: int) -> Fraction:
-    """p^-r, kept for the distances and norms asked again: ``base**r`` has r base-p digits."""
-    return Fraction(1, base**r)
 
 
 def pdistance(
@@ -373,7 +365,7 @@ def pdistance(
     common = np.logical_and(_array(a.digits), _array(b.digits))
     first = int(common.argmax())
     r = first + 1 if common[first] else a.n_terminals - 1
-    return _inverse_power(a.base, r)
+    return Fraction(1, a.base**r)
 
 
 def power_repr(value: Fraction, base: int) -> str:
