@@ -218,7 +218,7 @@ def load_bundle(bundle_dir: str) -> tuple[WaveletDecomposition, list[str]]:
     sizes = meta.get("child_sizes")
     child_sizes = None if sizes is None else _child_sizes(sizes, tree, meta_path)
     w = WaveletDecomposition(
-        tree, C, D, smooth[0], meta.get("mode", "ultrametric"), child_sizes=child_sizes
+        tree, D, smooth[0], meta.get("mode", "ultrametric"), child_sizes=child_sizes
     )
     return w, features
 

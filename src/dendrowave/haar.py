@@ -19,7 +19,7 @@ matrix identity above only holds for the unweighted filters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import groupby
 
 import numpy as np
@@ -38,12 +38,12 @@ class WaveletDecomposition:
 
     ``details[k - 1]`` is the detail row of the cluster with rank k, and
     ``branch_codes`` column k - 1 is nonzero exactly on the terminals of
-    that cluster.  ``child_sizes`` is populated by the weighted variant
-    only.
+    that cluster: it is ``branch_signs(tree)``, set from the tree.
+    ``child_sizes`` is populated by the weighted variant only.
     """
 
     tree: Dendrogram
-    branch_codes: np.ndarray
+    branch_codes: np.ndarray = field(init=False)
     details: np.ndarray
     smooth: np.ndarray
     mode: str
@@ -53,12 +53,11 @@ class WaveletDecomposition:
         if self.mode not in (MODE_ULTRAMETRIC, MODE_INDICATOR):
             raise ValidationError(f"unknown mode {self.mode!r}")
         n = self.tree.n_terminals
-        if self.branch_codes.shape != (n, n - 1):
-            raise ValidationError("branch codes must be n x (n-1)")
         if self.details.shape != (n - 1, self.smooth.shape[0]):
             raise ValidationError("details must be (n-1) x m")
         if self.child_sizes is not None and self.child_sizes.shape != (n - 1, 2):
             raise ValidationError("child sizes must be (n-1) x 2")
+        object.__setattr__(self, "branch_codes", branch_signs(self.tree))
 
     @property
     def n_terminals(self) -> int:
@@ -124,7 +123,7 @@ def forward(X, d: Dendrogram, orient: bool = True, mode: str = MODE_ULTRAMETRIC)
     """
     tree = canonical_orient(d) if orient else d
     details, final, _ = _ascend(_checked_data(X, tree), tree, _plain_merge)
-    return WaveletDecomposition(tree, branch_signs(tree), details, final, mode)
+    return WaveletDecomposition(tree, details, final, mode)
 
 
 def forward_indicator(d: Dendrogram, orient: bool = True) -> WaveletDecomposition:
@@ -147,9 +146,7 @@ def forward_weighted(X, d: Dendrogram, orient: bool = True) -> WaveletDecomposit
     """
     tree = canonical_orient(d) if orient else d
     details, final, sizes = _ascend(_checked_data(X, tree), tree, _weighted_merge)
-    return WaveletDecomposition(
-        tree, branch_signs(tree), details, final, MODE_ULTRAMETRIC, child_sizes=sizes
-    )
+    return WaveletDecomposition(tree, details, final, MODE_ULTRAMETRIC, child_sizes=sizes)
 
 
 def inverse(w: WaveletDecomposition) -> np.ndarray:
@@ -220,6 +217,4 @@ def hard_threshold(w: WaveletDecomposition, rule: str, value) -> WaveletDecompos
             raise ValidationError(f"threshold must be >= 0, got {t!r}")
         size = np.abs(D) if rule == "absolute" else np.linalg.norm(D, axis=1)
         D[size < t] = 0.0
-    return WaveletDecomposition(
-        w.tree, w.branch_codes, D, w.smooth.copy(), w.mode, child_sizes=w.child_sizes
-    )
+    return WaveletDecomposition(w.tree, D, w.smooth.copy(), w.mode, child_sizes=w.child_sizes)

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tree import Dendrogram, ValidationError, _labels
+from .tree import Dendrogram, ValidationError, _labels, _row_blocks
 
 # coefficient table: (size_a, size_b, size_other) -> (alpha_a, alpha_b, beta, gamma)
 _Coeffs = Callable[[int, int, int], tuple[float, float, float, float]]
@@ -53,11 +53,6 @@ LINKAGES: dict[str, _Coeffs] = {
 }
 
 
-# rows of X per block in `pairwise_euclidean`, sized so one block's
-# differences hold about this many floats
-_BLOCK_ELEMS = 1 << 20
-
-
 def pairwise_euclidean(X) -> np.ndarray:
     """Euclidean distance matrix between the rows of X."""
     X = np.asarray(X, dtype=float)
@@ -69,10 +64,9 @@ def pairwise_euclidean(X) -> np.ndarray:
         raise ValidationError("data contains non-finite entries")
     n, m = X.shape
     out = np.empty((n, n))
-    step = max(1, _BLOCK_ELEMS // max(1, n * m))
-    for s in range(0, n, step):
-        diffs = X[s : s + step, None, :] - X[None, :, :]
-        out[s : s + step] = np.sqrt((diffs**2).sum(axis=-1))
+    for a, b in _row_blocks(n, n * m):  # a block's differences hold n * m floats per row
+        diffs = X[a:b, None, :] - X[None, :, :]
+        out[a:b] = np.sqrt((diffs**2).sum(axis=-1))
     return out
 
 
@@ -182,8 +176,7 @@ def agglomerate(
             "levels dropped, ranks keep the merge order",
             stacklevel=2,
         )
-    levels = tuple(levels) if monotone else None
-    return Dendrogram._from_ids(_labels(labels, len(kids) + 1), np.array(kids), levels)
+    return Dendrogram(_labels(labels, len(kids) + 1), np.array(kids), levels if monotone else None)
 
 
 def merge_levels(diss, criterion: str) -> list[float]:

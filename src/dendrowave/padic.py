@@ -13,7 +13,6 @@ Norms and distances are returned as exact `fractions.Fraction` values.
 from __future__ import annotations
 
 import itertools
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +25,7 @@ from .tree import (
     NodeRef,
     ValidationError,
     _has_signs,
+    _int_at_least_2,
     _labels,
     _row_blocks,
     branch_signs,
@@ -55,20 +55,6 @@ def _array(digits: bytes) -> np.ndarray:
     return np.frombuffer(digits, dtype=np.int8)
 
 
-def _check_base(base) -> int:
-    """The base as a Python int: any integer >= 2, numpy integers included, but no bool.
-
-    A numpy integer would overflow in ``p**r``, so it is converted here.
-    """
-    try:
-        p = operator.index(base)
-    except TypeError:
-        p = None
-    if p is None or isinstance(base, bool) or p < 2:
-        raise ValidationError(f"base must be an integer >= 2, got {base!r}")
-    return p
-
-
 @dataclass(frozen=True, init=False, repr=False)
 class PAdicCode:
     """Coefficients in {-1, 0, +1} for powers p^1..p^(n-1) of the base.
@@ -84,7 +70,7 @@ class PAdicCode:
     base: int
 
     def __init__(self, coeffs: Iterable[int] | bytes, base: int = DEFAULT_BASE) -> None:
-        base = _check_base(base)
+        base = _int_at_least_2(base, "base")
         digits = coeffs if isinstance(coeffs, bytes) else _pack(coeffs)
         if digits.translate(None, _DIGIT_BYTES):
             # only reached on bad bytes, to name the offending power
@@ -128,7 +114,7 @@ class PAdicCode:
 
     def decimal(self, base: int | None = None) -> int:
         """Exact integer value sum(c_j * p**j)."""
-        p = self.base if base is None else _check_base(base)
+        p = self.base if base is None else _int_at_least_2(base, "base")
         return sum(c * p**j for j, c in self._terms())
 
     def to_string(self, symbol: str | None = None) -> str:
@@ -178,7 +164,7 @@ def code_from_decimal(value: int, n_terminals: int, base: int = DEFAULT_BASE) ->
     Unique for base >= 3 (the balanced digit set); base 2 is ambiguous and
     rejected here.
     """
-    base = _check_base(base)
+    base = _int_at_least_2(base, "base")
     if base < 3:
         raise ValidationError("decimal round-trip needs base >= 3 (base 2 collides)")
     coeffs = []
@@ -205,7 +191,7 @@ def encode(d: Dendrogram, base: int = DEFAULT_BASE) -> tuple[list[PAdicCode], np
 
     Row i - 1 of the matrix holds the coefficients of terminal i's code.
     """
-    base = _check_base(base)
+    base = _int_at_least_2(base, "base")
     signs = branch_signs(canonical_orient(d))
     n, width = signs.shape
     # the tree's own signs hold only -1, 0, +1, so each row's bytes are a code's
@@ -243,7 +229,7 @@ def cluster_code(d: Dendrogram, node: NodeRef, base: int = DEFAULT_BASE) -> PAdi
     clusters whose interval holds the node's, and the sign says on which
     side of their split it lies.  The root gets the null code.
     """
-    base = _check_base(base)
+    base = _int_at_least_2(base, "base")
     oriented = canonical_orient(d)
     start, end = oriented.span(node)
     lay = oriented.layout
@@ -311,8 +297,8 @@ def dilate_tree(d: Dendrogram) -> Dendrogram:
     ids = np.arange(2 * n - 1)
     new_id = ids - (ids > drop) - (ids > n)
     new_id[n] = new_id[keep]
-    levels = None if oriented.levels is None else tuple(map(float, oriented.levels[1:]))
-    return Dendrogram._from_ids(_labels(labels, n - 1), new_id[kids[1:]], levels)
+    levels = None if oriented.levels is None else oriented.levels[1:]
+    return Dendrogram(labels, new_id[kids[1:]], levels)
 
 
 # -------------------------------------------------------------- norm, distance
@@ -323,7 +309,7 @@ def pnorm(d: Dendrogram, node: NodeRef, base: int = DEFAULT_BASE) -> Fraction:
     The root (whose code is null) gets 0 by convention, so the norm is
     below 1 exactly for genuine (non-singleton) clusters.
     """
-    base = _check_base(base)
+    base = _int_at_least_2(base, "base")
     d._check_node(node)
     if node.is_terminal:
         return Fraction(1)
@@ -334,7 +320,7 @@ def pnorm(d: Dendrogram, node: NodeRef, base: int = DEFAULT_BASE) -> Fraction:
 
 def dilation_operator_norm(base: int = DEFAULT_BASE) -> Fraction:
     """Operator norm of multiplication by 1/p, namely |1/p| = p."""
-    return Fraction(_check_base(base))
+    return Fraction(_int_at_least_2(base, "base"))
 
 
 def pdistance(
@@ -350,7 +336,7 @@ def pdistance(
     never meet) the distance takes the coarsest value p^-(n-1).  For two
     terminals this reproduces p^-rank(lca).
     """
-    base = _check_base(base)
+    base = _int_at_least_2(base, "base")
     if isinstance(a, NodeRef) or isinstance(b, NodeRef):
         if d is None:
             raise ValidationError("node references need the dendrogram they live in")
@@ -370,7 +356,7 @@ def pdistance(
 
 def power_repr(value: Fraction, base: int) -> str:
     """Render an exact p-power value symbolically: ``0``, ``1``, ``p^-2``, ``p^1``."""
-    base = _check_base(base)
+    base = _int_at_least_2(base, "base")
     value = Fraction(value)
     if value == 0:
         return "0"
@@ -475,7 +461,7 @@ def _build(kids, labels: Sequence[str] | None) -> Dendrogram:
     n = len(kids) + 1
     if labels is not None and len(labels) != n:
         raise ValidationError(f"{len(labels)} labels given for {n} terminals")
-    return Dendrogram._from_ids(_labels(labels, n), np.array(kids, dtype=np.int64))
+    return Dendrogram(_labels(labels, n), np.array(kids, dtype=np.int64))
 
 
 def _decode_columns(mat: np.ndarray, labels: Sequence[str] | None) -> Dendrogram:

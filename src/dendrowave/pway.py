@@ -14,7 +14,6 @@ and the cubic B-spline filter.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -29,10 +28,12 @@ from .tree import (
     _as_rng,
     _document,
     _IdTree,
+    _int_at_least_2,
     _labels,
     _random_ids,
     _table_from_json,
     cluster,
+    to_json as _to_json,
 )
 
 
@@ -47,10 +48,10 @@ class PWayTree(_IdTree):
     labels: tuple[str, ...]
     kids: np.ndarray
     _fields = ("arity", "labels", "kids")
+    _format = "pway_tree"
 
     def __init__(self, arity: int, labels, merges) -> None:
-        if arity < 2:
-            raise ValidationError(f"arity must be >= 2, got {arity}")
+        arity = _int_at_least_2(arity, "arity")
         n, t = len(labels), len(merges)
         if n != (need := t * (arity - 1) + 1):
             raise ValidationError(f"{t} {arity}-way merges cover {need} terminals, got {n} labels")
@@ -80,6 +81,7 @@ def build_pway(
     merges: Iterable[Sequence[NodeRef]],
     labels: Sequence[str] | None = None,
 ) -> PWayTree:
+    arity = _int_at_least_2(arity, "arity")
     merge_tuple = tuple(tuple(kids) for kids in merges)
     return PWayTree(arity, _labels(labels, len(merge_tuple) * (arity - 1) + 1), merge_tuple)
 
@@ -96,7 +98,7 @@ def unfold(t: PWayTree) -> Dendrogram:
     first = np.arange(n - 1, n - 1 + len(kids) * (p - 1))  # the previous binary rank's id
     first[:: p - 1] = top[:, 0]
     binary = np.stack((first, top[:, 1:].reshape(-1)), axis=1)
-    return Dendrogram._from_ids(_labels(t.labels, n), binary)
+    return Dendrogram(t.labels, binary)
 
 
 def random_pway_tree(
@@ -108,8 +110,9 @@ def random_pway_tree(
     """Draw a random p-way merge order with ``n_internal`` internal nodes."""
     if n_internal < 1:
         raise ValidationError("need at least one internal node")
+    arity = _int_at_least_2(arity, "arity")
     kids = _random_ids(n_internal, arity, _as_rng(rng))
-    return PWayTree._from_ids(arity, _labels(labels, n_internal * (arity - 1) + 1), kids)
+    return PWayTree(arity, _labels(labels, n_internal * (arity - 1) + 1), kids)
 
 
 # --------------------------------------------------------------------- filters
@@ -152,28 +155,16 @@ def scaling_filters() -> dict[str, ScalingFilter]:
 
 # -------------------------------------------------------------------- JSON I/O
 
-_FORMAT = "pway_tree"
-
-
 def to_json(t: PWayTree, indent: int | None = 2) -> str:
-    doc = {
-        "format": _FORMAT,
-        "arity": t.arity,
-        "n_terminals": t.n_terminals,
-        "terminals": list(t.labels),
-        "merges": [
-            {"rank": k, "children": [{c.kind: c.index} for c in kids]}
-            for k, kids in enumerate(t.merges, start=1)
-        ],
-    }
-    return json.dumps(doc, indent=indent, sort_keys=True)
+    """Serialize to the p-way JSON schema, written as `tree.to_json` writes a dendrogram."""
+    return _to_json(t, indent)
 
 
 def from_json(text: str) -> PWayTree:
-    doc, labels = _document(text, _FORMAT)
+    doc, labels = _document(text, PWayTree._format)
     arity = doc.get("arity")
     if not isinstance(arity, int) or arity < 2:
         raise ValidationError(f"arity: expected an integer >= 2, got {arity!r}")
     raw = doc["merges"]
     kids = _table_from_json(raw, len(raw), arity, len(labels))
-    return PWayTree._from_ids(arity, tuple(labels), kids)
+    return PWayTree(arity, labels, kids)

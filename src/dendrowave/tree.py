@@ -17,6 +17,7 @@ rank; the NodeRef pairs of `Dendrogram.merges` are read from it.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -208,15 +209,33 @@ def _scattered_signs(lay: TreeLayout, n: int, m: int) -> np.ndarray:
     return signs
 
 
-def _float_levels(levels: Iterable) -> tuple[float, ...]:
-    """The levels as floats, naming the rank of one too large for a float."""
-    values = []
-    for k, v in enumerate(levels, start=1):
-        try:
-            values.append(float(v))
-        except OverflowError:
-            raise ValidationError(f"rank {k}: level {v!r} is too large for a float") from None
-    return tuple(values)
+def _float_levels(levels: Sequence) -> tuple[float, ...]:
+    """The levels as floats, naming the rank of one that is no number or too large for a float."""
+    try:
+        return tuple(map(float, levels))
+    except (OverflowError, TypeError, ValueError):
+        for k, v in enumerate(levels, start=1):  # name the first one
+            try:
+                float(v)
+            except OverflowError:
+                raise ValidationError(f"rank {k}: level {v!r} is too large for a float") from None
+            except (TypeError, ValueError):
+                raise ValidationError(f"rank {k}: level {v!r} is not a number") from None
+        raise
+
+
+def _int_at_least_2(value, name: str) -> int:
+    """``value`` as a Python int: any integer >= 2, numpy integers included, but no bool.
+
+    A numpy integer would overflow in arithmetic such as ``p**r``, so it is converted here.
+    """
+    try:
+        p = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        p = None
+    if p is None or p < 2:
+        raise ValidationError(f"{name} must be an integer >= 2, got {value!r}")
+    return p
 
 
 def _labels(labels: Sequence[str] | None, n: int) -> tuple[str, ...]:
@@ -232,11 +251,7 @@ class _IdTree:
     """
 
     _fields: tuple[str, ...]  # the constructor's arguments, in order
-
-    @classmethod
-    def _from_ids(cls, *fields):
-        """The tree of these fields, ``kids`` an array of node ids, validated as any other."""
-        return cls(*fields)
+    _format: str  # the JSON document's "format"
 
     @property
     def n_terminals(self) -> int:
@@ -257,14 +272,17 @@ class _IdTree:
         return hash(self._key())
 
     def __reduce__(self):
-        return type(self)._from_ids, tuple(getattr(self, f) for f in self._fields)
+        return type(self), tuple(getattr(self, f) for f in self._fields)
 
     def __repr__(self) -> str:
         shown = ("merges" if f == "kids" else f for f in self._fields)
         return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in shown)})"
 
     def _store(self, labels, kids, p: int, **fields) -> None:
-        """Check ``kids``, an array of node ids or NodeRef merges, and store the fields."""
+        """Check ``kids``, an array of node ids or NodeRef merges, and store the fields.
+
+        ``labels`` are stored as a tuple and ``kids`` as a read-only copy.
+        """
         n = len(labels)
         if not isinstance(kids, np.ndarray):
             counts = [len(row) for row in kids]
@@ -277,7 +295,7 @@ class _IdTree:
         _check_ids(kids, n, p)
         kids = kids.astype(np.int64).reshape(-1, p)
         kids.flags.writeable = False
-        self.__dict__.update(labels=labels, kids=kids, **fields)
+        self.__dict__.update(labels=tuple(labels), kids=kids, **fields)
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,13 +327,15 @@ class Dendrogram(_IdTree):
         once as a child, and a child cluster's rank is strictly below its
         parent's.  Read on first use from ``kids``, the stored node ids.
     levels:
-        Optional real merge heights, strictly increasing in rank.
+        Optional real merge heights, strictly increasing in rank, stored
+        as a tuple of floats.
     """
 
     labels: tuple[str, ...]
     kids: np.ndarray
     levels: tuple[float, ...] | None = None
     _fields = ("labels", "kids", "levels")
+    _format = "dendrogram"
 
     def __init__(self, labels, merges, levels=None) -> None:
         n = len(labels)
@@ -325,14 +345,12 @@ class Dendrogram(_IdTree):
             raise ValidationError("terminal labels must be distinct")
         if len(merges) != n - 1:
             raise ValidationError(f"{n} terminals require {n - 1} merges, got {len(merges)}")
-        self._store(labels, merges, 2, levels=levels)
+        self._store(labels, merges, 2)
         if levels is not None:
             if len(levels) != n - 1:
                 raise ValidationError(f"levels must have one entry per merge, got {len(levels)}")
-            try:
-                values = np.array(levels, dtype=float)
-            except OverflowError:
-                values = np.array(_float_levels(levels))
+            levels = _float_levels(levels)
+            values = np.array(levels)
             bad = ~np.isfinite(values)
             bad[1:] |= ~(values[:-1] < values[1:])
             for k in np.flatnonzero(bad)[:1].tolist():
@@ -340,6 +358,7 @@ class Dendrogram(_IdTree):
                     raise ValidationError(f"rank {k + 1}: level {levels[k]!r} is not finite")
                 pair = f"({levels[k - 1]!r} then {levels[k]!r})"
                 raise ValidationError(f"rank {k + 1}: levels must be strictly increasing {pair}")
+        self.__dict__["levels"] = levels
 
     # ------------------------------------------------------------------ sizes
 
@@ -488,8 +507,7 @@ def build_from_merges(
     result is the single-terminal tree.  Labels default to ``x1..xn``.
     """
     merge_tuple = tuple((a, b) for a, b in merges)
-    level_tuple = None if levels is None else _float_levels(levels)
-    return Dendrogram(_labels(labels, len(merge_tuple) + 1), merge_tuple, level_tuple)
+    return Dendrogram(_labels(labels, len(merge_tuple) + 1), merge_tuple, levels)
 
 
 # ---------------------------------------------------------------- reorientation
@@ -503,7 +521,7 @@ def apply_swap(d: Dendrogram, mask: Sequence[bool | int]) -> Dendrogram:
     if len(swap) != d.n_clusters:
         raise ValidationError(f"mask needs {d.n_clusters} bits, got {len(swap)}")
     kids = np.where(swap[:, None], d.kids[:, ::-1], d.kids)
-    return Dendrogram._from_ids(d.labels, kids, d.levels)
+    return Dendrogram(d.labels, kids, d.levels)
 
 
 def canonical_orient(d: Dendrogram) -> Dendrogram:
@@ -556,9 +574,6 @@ def _has_signs(d: Dendrogram, mat: np.ndarray) -> bool:
 
 # -------------------------------------------------------------------- JSON I/O
 
-_FORMAT = "dendrogram"
-
-
 def _is_int(value: object) -> bool:
     """JSON integers only: bool is an int subclass but never an index."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -575,18 +590,20 @@ def _json_items(values: Sequence) -> list[str]:
     return json.dumps(list(values), separators=("\0", ": "))[1:-1].split("\0")
 
 
-def to_json(d: Dendrogram, indent: int | None = 2) -> str:
+def to_json(d: _IdTree, indent: int | None = 2) -> str:
     """Serialize to the JSON interchange schema (ranks explicit per merge).
 
     The text is what ``json.dumps(doc, indent=indent, sort_keys=True)``
     writes for the schema's document, written directly: with an indent,
-    `json.dumps` runs its pure-Python encoder over every node.
+    `json.dumps` runs its pure-Python encoder over every node.  A p-way
+    tree gets its own format, with its ``arity`` and no levels.
     """
     if indent is None:
         sep, breaks = ", ", [""] * 6
     else:
         # json.dumps: a newline plus the indent once per nesting level
-        sep, breaks = ",", ["\n" + " " * indent * level for level in range(6)]
+        step = indent if isinstance(indent, str) else " " * indent
+        sep, breaks = ",", ["\n" + step * level for level in range(6)]
 
     def block(items: list[str], level: int, brackets: str) -> str:
         if not items:
@@ -594,19 +611,21 @@ def to_json(d: Dendrogram, indent: int | None = 2) -> str:
         inner = breaks[level + 1]
         return brackets[0] + inner + (sep + inner).join(items) + breaks[level] + brackets[1]
 
+    n, (t, p), ids = d.n_terminals, d.kids.shape, d.kids.reshape(-1)
     # the merges list is at level 1, so each merge is at 2 and its children at 4
     node = block(['"%s": %d'], 4, "{}")
-    merge = block(['"children": ' + block([node, node], 3, "[]"), '"rank": %d'], 2, "{}")
-    n, ids = d.n_terminals, d.kids.reshape(-1)
+    merge = block(['"children": ' + block([node] * p, 3, "[]"), '"rank": %d'], 2, "{}")
     kinds = np.where(ids < n, "terminal", "cluster").tolist()
     idx = np.where(ids < n, ids + 1, ids - (n - 1)).tolist()
-    merges = [merge % row for row in zip(kinds[::2], idx[::2], kinds[1::2], idx[1::2], range(1, n))]
-    fields = [f'"format": "{_FORMAT}"']
-    if d.levels is not None:
+    cols = [seq[j::p] for j in range(p) for seq in (kinds, idx)]
+    merges = [merge % row for row in zip(*cols, range(1, t + 1))]
+    fields = [] if isinstance(d, Dendrogram) else [f'"arity": {p}']
+    fields.append(f'"format": "{d._format}"')
+    if getattr(d, "levels", None) is not None:
         fields.append('"levels": ' + block(_json_items(d.levels), 1, "[]"))
     fields += [
         '"merges": ' + block(merges, 1, "[]"),
-        f'"n_terminals": {d.n_terminals}',
+        f'"n_terminals": {n}',
         '"terminals": ' + block(_json_items(d.labels), 1, "[]"),
     ]
     return block(fields, 0, "{}")
@@ -628,7 +647,8 @@ def _document(text: str, fmt: str) -> tuple[dict, list[str]]:
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise ValidationError("terminals: expected a list of strings")
     n, count = len(labels), doc.get("n_terminals")
-    if ("n_terminals" in doc or fmt == _FORMAT) and (isinstance(count, bool) or count != n):
+    required = "n_terminals" in doc or fmt == Dendrogram._format
+    if required and (isinstance(count, bool) or count != n):
         raise ValidationError(f"n_terminals says {count!r} but {n} labels given")
     if not isinstance(doc.get("merges"), list):
         raise ValidationError("merges: expected a list")
@@ -668,14 +688,13 @@ def _table_from_json(raw: list, count: int, arity: int, n: int):
 
 def from_json(text: str) -> Dendrogram:
     """Parse the JSON schema produced by `to_json`, with located errors."""
-    doc, labels = _document(text, _FORMAT)
+    doc, labels = _document(text, Dendrogram._format)
     kids = _table_from_json(doc["merges"], len(labels) - 1, 2, len(labels))
     levels = doc.get("levels")
     if levels is not None:
         if not isinstance(levels, list) or not all(type(v) in (int, float) for v in levels):
             raise ValidationError("levels: expected a list of numbers")
-        levels = _float_levels(levels)
-    return Dendrogram._from_ids(tuple(labels), kids, levels)
+    return Dendrogram(labels, kids, levels)
 
 
 def save_json(d: Dendrogram, path) -> None:
@@ -729,5 +748,5 @@ def random_dendrogram(
         raise ValidationError("need at least one terminal")
     gen = _as_rng(rng)
     kids = _random_ids(n - 1, 2, gen)
-    levels = tuple(np.cumsum(gen.uniform(0.1, 1.0, size=n - 1)).tolist()) if with_levels else None
-    return Dendrogram._from_ids(_labels(labels, n), kids, levels)
+    levels = np.cumsum(gen.uniform(0.1, 1.0, size=n - 1)) if with_levels else None
+    return Dendrogram(_labels(labels, n), kids, levels)

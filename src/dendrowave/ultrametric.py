@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tree import Dendrogram, ValidationError, _find, default_labels
+from .tree import Dendrogram, ValidationError, _find, _row_blocks, default_labels
 
 DEFAULT_TOL = 1e-9
 
@@ -108,10 +108,6 @@ def _scale(tol: float) -> float:
 
 # ------------------------------------------------------- subdominant ultrametric
 
-# rows per block of the n x n passes, sized so one block holds about this many cells
-_BLOCK_ELEMS = 1 << 20
-
-
 @dataclass(frozen=True)
 class Subdominant:
     """The single-linkage tree of a distance matrix and its merge levels.
@@ -150,9 +146,7 @@ class Subdominant:
         # rounding is monotone, so scaling the gaps scales their maxima exactly
         gap_caps = self.levels[lay.gaps - 1] * scale
         above = np.zeros(n, dtype=bool)  # by leaf position
-        step = max(1, _BLOCK_ELEMS // n)
-        for p0 in range(0, n - 1, step):
-            p1 = min(p0 + step, n - 1)
+        for p0, p1 in _row_blocks(n - 1, n):
             # caps[i, j] is U * scale at positions (p0 + i, p0 + 1 + j) for
             # j >= i; gaps left of row i's start are blanked (levels are >= 0)
             caps = np.tile(gap_caps[p0:], (p1 - p0, 1))
@@ -210,7 +204,7 @@ def _subdominant(A: np.ndarray) -> Subdominant:
         kids[new_id - n] = node[a], node[b]
         root[b] = a
         node[a] = new_id
-    return Subdominant(Dendrogram._from_ids(default_labels(n), kids), weights[by_weight])
+    return Subdominant(Dendrogram(default_labels(n), kids), weights[by_weight])
 
 
 class _Distances:
@@ -414,9 +408,7 @@ def canonical_form(M, order, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, Verd
     if sorted(order) != list(range(n)):
         raise ValidationError(f"order must be a permutation of 0..{n - 1}")
     A = A[np.ix_(order, order)]
-    step = max(1, _BLOCK_ELEMS // max(1, n))
-    # the last two rows have no cell to test
-    blocks = [(k0, min(k0 + step, n - 2)) for k0 in range(0, n - 2, step)]
+    blocks = _row_blocks(n - 2, n)  # the last two rows have no cell to test
     for k0, k1 in blocks:
         # rows k0 .. k1 - 1 at columns j > k, which start at k0 + 1
         ks = np.arange(k0, k1)[:, None]

@@ -18,7 +18,8 @@ and a comparison with rebuilt signs.  `decode_columns`, `to_json_dumps`,
 `inverse_dict` and `write_branch_csv_cells` are the codec as it ran before
 it worked by node id: a check of every column while decoding, the document serialized by
 `json.dumps`, a dict of smooth rows keyed by node, and one formatted
-string per C.csv cell.  `ascend_ranks` and `inverse_ranks` are the Haar
+string per C.csv cell; `pway_to_json_dumps` is the p-way document as it
+was serialized before both formats shared one writer.  `ascend_ranks` and `inverse_ranks` are the Haar
 transform as it ran before it worked in waves of equal-height clusters:
 one numpy step per rank.  `check_merges`, `pway_term_set`,
 `random_dendrogram` and `random_pway_merges` are p-way trees as they ran
@@ -504,7 +505,7 @@ def decode_candidate(mat: np.ndarray, labels=None) -> Dendrogram | None:
         return None
     names = default_labels(n) if labels is None else tuple(map(str, labels))
     try:
-        tree = Dendrogram._from_ids(names, np.array(kids, dtype=np.int64).reshape(-1, 2))
+        tree = Dendrogram(names, np.array(kids, dtype=np.int64).reshape(-1, 2))
     except ValidationError:
         return None
     return tree if np.array_equal(branch_signs(tree), mat) else None
@@ -523,6 +524,21 @@ def to_json_dumps(d: Dendrogram, indent: int | None = 2) -> str:
     }
     if d.levels is not None:
         doc["levels"] = list(d.levels)
+    return json.dumps(doc, indent=indent, sort_keys=True)
+
+
+def pway_to_json_dumps(t, indent: int | None = 2) -> str:
+    """The p-way tree document serialized by `json.dumps`."""
+    doc = {
+        "format": "pway_tree",
+        "arity": t.arity,
+        "n_terminals": t.n_terminals,
+        "terminals": list(t.labels),
+        "merges": [
+            {"rank": k, "children": [{c.kind: c.index} for c in kids]}
+            for k, kids in enumerate(t.merges, start=1)
+        ],
+    }
     return json.dumps(doc, indent=indent, sort_keys=True)
 
 

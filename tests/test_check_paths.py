@@ -10,7 +10,7 @@ import pytest
 import oracles
 from conftest import random_trees
 
-from dendrowave import ultrametric
+from dendrowave import tree, ultrametric
 from dendrowave.cli import main
 from dendrowave.hcluster import agglomerate, pairwise_euclidean
 from dendrowave.tree import ValidationError, random_dendrogram
@@ -72,7 +72,7 @@ def census(c):
 @pytest.fixture(params=[None, 37], ids=["one-block", "many-blocks"])
 def blocks(request, monkeypatch):
     if request.param is not None:
-        monkeypatch.setattr(ultrametric, "_BLOCK_ELEMS", request.param)
+        monkeypatch.setattr(tree, "_BLOCK_CELLS", request.param)
 
 
 def test_is_ultrametric_matches_row_scan(blocks):

@@ -311,9 +311,8 @@ def test_forward_shape_errors():
 def test_decomposition_validation(demo8):
     C = branch_signs(demo8)
     with pytest.raises(ValidationError):
-        WaveletDecomposition(demo8, C, np.zeros((6, 2)), np.zeros(2), MODE_ULTRAMETRIC)
-    with pytest.raises(ValidationError):
-        WaveletDecomposition(demo8, C[:, :5], np.zeros((7, 2)), np.zeros(2), MODE_ULTRAMETRIC)
-    w = WaveletDecomposition(demo8, C, np.zeros((7, 2)), np.zeros(2), MODE_ULTRAMETRIC)
+        WaveletDecomposition(demo8, np.zeros((6, 2)), np.zeros(2), MODE_ULTRAMETRIC)
+    w = WaveletDecomposition(demo8, np.zeros((7, 2)), np.zeros(2), MODE_ULTRAMETRIC)
     assert w.order == (1, 2, 3, 4, 5, 6, 7)
     assert w.n_features == 2 and w.n_terminals == 8
+    assert w.branch_codes is C and "branch_codes" in vars(w)

@@ -11,7 +11,7 @@ import oracles
 from conftest import random_trees
 from strategies import dissimilarities
 
-from dendrowave import hcluster
+from dendrowave import hcluster, tree
 from dendrowave.hcluster import LINKAGES, _agglomerate_core, merge_levels, pairwise_euclidean
 from dendrowave.tree import _node_ref, cluster, terminal
 from dendrowave.ultrametric import cophenetic, is_ultrametric, matrix_to_csv, triangle_classify
@@ -109,9 +109,9 @@ def test_merge_levels_match_scipy():
 def test_pairwise_euclidean_blocks_match_one_shot(monkeypatch):
     rng = np.random.default_rng(304)
     X = rng.normal(size=(600, 8))
-    assert hcluster._BLOCK_ELEMS // X.size < 600 // 2  # three or more row blocks
+    assert len(tree._row_blocks(600, X.size)) >= 3  # rows of n * m differences each
     assert np.array_equal(pairwise_euclidean(X), oracles.pairwise_euclidean(X))
-    monkeypatch.setattr(hcluster, "_BLOCK_ELEMS", 50)
+    monkeypatch.setattr(tree, "_BLOCK_CELLS", 50)
     for n, m in ((1, 3), (9, 1), (23, 5), (17, 200)):
         X = rng.normal(size=(n, m)) * 10.0
         assert np.array_equal(pairwise_euclidean(X), oracles.pairwise_euclidean(X))

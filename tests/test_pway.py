@@ -198,3 +198,29 @@ def test_pway_json_checks_n_terminals_when_present():
             from_json(json.dumps({**doc, "n_terminals": bad}))
     del doc["n_terminals"]
     assert from_json(json.dumps(doc)).n_terminals == 7
+
+
+ARITY_ERROR = r"^arity must be an integer >= 2, got "
+
+
+@pytest.mark.parametrize("arity", [2.5, "3", None, True, np.True_, 1, 0, -3])
+def test_arity_must_be_an_integer_of_at_least_two(arity):
+    with pytest.raises(ValidationError, match=ARITY_ERROR):
+        build_pway(arity, [(terminal(1), terminal(2))])
+    with pytest.raises(ValidationError, match=ARITY_ERROR):
+        random_pway_tree(3, arity)
+    with pytest.raises(ValidationError, match=ARITY_ERROR):
+        PWayTree(arity, ("a", "b", "c"), ((terminal(1), terminal(2), terminal(3)),))
+    if not isinstance(arity, np.generic):  # from_json keeps its located message
+        doc = {"format": "pway_tree", "arity": arity, "terminals": ["a"], "merges": []}
+        with pytest.raises(ValidationError, match=r"^arity: expected an integer >= 2, got "):
+            from_json(json.dumps(doc))
+
+
+def test_numpy_integer_arity_is_stored_as_an_int():
+    merges = ((terminal(1), terminal(2), terminal(3)),)
+    t = PWayTree(np.int64(3), ("a", "b", "c"), merges)
+    assert type(t.arity) is int and t == build_pway(3, merges, ("a", "b", "c"))
+    assert json.loads(to_json(t))["arity"] == 3 and from_json(to_json(t)) == t
+    for made in (build_pway(np.int32(3), merges), random_pway_tree(4, np.uint8(3), 86)):
+        assert type(made.arity) is int and made.n_terminals == 2 * made.n_internal + 1

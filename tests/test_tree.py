@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import weakref
 
 import numpy as np
@@ -132,6 +133,18 @@ def test_levels_must_increase():
         build_from_merges(merges, levels=[1.0, float("nan")])
     with pytest.raises(ValidationError, match="one entry per merge"):
         build_from_merges(merges, levels=[1.0])
+
+
+@pytest.mark.parametrize("bad", [None, "x", [1.0]])
+def test_a_level_that_is_no_number_is_named_by_its_rank(bad):
+    merges = [(terminal(1), terminal(2)), (cluster(1), terminal(3))]
+    want = rf"^rank 2: level {re.escape(repr(bad))} is not a number$"
+    for build in (
+        lambda: Dendrogram(("a", "b", "c"), merges, [1.0, bad]),
+        lambda: build_from_merges(merges, [1.0, bad]),
+    ):
+        with pytest.raises(ValidationError, match=want):
+            build()
 
 
 def test_a_level_too_large_for_a_float_is_named_by_its_rank(demo8):

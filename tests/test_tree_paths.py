@@ -207,7 +207,7 @@ def test_every_constructor_gives_equal_trees():
     for d in sample_trees():
         made = Dendrogram(d.labels, d.merges, d.levels)
         parsed = from_json(to_json(d))
-        ids = Dendrogram._from_ids(d.labels, np.array(d.kids), d.levels)
+        ids = Dendrogram(d.labels, np.array(d.kids), d.levels)
         for other in (made, parsed, ids, pickle.loads(pickle.dumps(d))):
             assert_same_tree(other, d)
             assert repr(other) == (
@@ -244,6 +244,59 @@ def test_pickled_trees_are_equal_read_only_and_revalidated():
     back = pickle.loads(pickle.dumps(t))
     assert back == t and hash(back) == hash(t) and back.merges == t.merges
     assert repr(back) == f"PWayTree(arity=3, labels={t.labels!r}, merges={t.merges!r})"
+
+
+def test_constructors_store_labels_and_levels_as_tuples():
+    d = random_dendrogram(9, 182, with_levels=True)
+    t = random_pway_tree(4, 3, 183)
+    labels, levels = list(d.labels), list(d.levels)
+    made = [
+        Dendrogram(labels, list(d.merges), levels),
+        Dendrogram(labels, d.merges, np.array(levels)),
+        Dendrogram(labels, np.array(d.kids), np.array(levels)),
+        PWayTree(3, list(t.labels), list(t.merges)),
+        PWayTree(3, list(t.labels), np.array(t.kids)),
+    ]
+    wants = [build_from_merges(d.merges, levels, d.labels)] * 3
+    wants += [build_pway(3, t.merges, t.labels)] * 2
+    labels.append("extra")
+    for got, want in zip(made, wants):
+        assert got == want and hash(got) == hash(want)
+        assert pickle.dumps(got) == pickle.dumps(want) and pickle.loads(pickle.dumps(got)) == want
+        assert type(got.labels) is tuple and got.n_terminals == want.n_terminals
+        if isinstance(got, Dendrogram):
+            assert type(got.levels) is tuple and all(type(v) is float for v in got.levels)
+    assert made[1] == made[2] and hash(made[1]) == hash(made[2])
+
+
+def binary_json_trees():
+    rng = np.random.default_rng(184)
+    yield random_dendrogram(1, rng)
+    yield random_dendrogram(1, rng, with_levels=True, labels=['only "one"'])
+    for n in (2, 3, 11, 90):
+        yield random_dendrogram(n, rng, with_levels=n % 2 == 1)
+        yield oracles.caterpillar(n, rng, with_levels=n % 2 == 0)
+    yield random_dendrogram(5, rng, with_levels=True, labels=["é", "\t", "a\\b", "\u2603", "\x00"])
+
+
+def pway_json_trees():
+    rng = np.random.default_rng(185)
+    for arity in (2, 3, 4, 5):
+        yield PWayTree(arity, ("only",), ())
+        for internal in (1, 2, 9, 60):
+            yield random_pway_tree(internal, arity, rng)
+        t = random_pway_tree(5, arity, rng)
+        yield PWayTree(np.int64(arity), t.labels, t.kids)  # the arity is written as an int
+    yield random_pway_tree(3, 4, rng, labels=[f"{c}\n" for c in "éabcdefghi"])
+
+
+@pytest.mark.parametrize("indent", [2, None, 0, "\t"])
+def test_both_formats_write_what_json_dumps_writes(indent):
+    for d in binary_json_trees():
+        assert to_json(d, indent) == oracles.to_json_dumps(d, indent)
+    for t in pway_json_trees():
+        assert pway.to_json(t, indent) == oracles.pway_to_json_dumps(t, indent)
+        assert pway.from_json(pway.to_json(t, indent)) == t
 
 
 # ------------------------------------------------------- producers on the table
