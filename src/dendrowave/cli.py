@@ -11,7 +11,6 @@ matrix that is not ultrametric), 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
@@ -44,7 +43,6 @@ from .padic import (
 from .tree import (
     Dendrogram,
     ValidationError,
-    _has_signs,
     branch_signs,
     cluster,
     load_json,
@@ -58,10 +56,10 @@ from .ultrametric import (
     cophenetic,
     is_ultrametric,
     matrix_from_csv,
-    matrix_to_csv,
     read_table,
     subdominant,
     triangle_classify,
+    write_table,
 )
 
 
@@ -87,30 +85,9 @@ def _parse(path, parse, *args):
         raise ValidationError(f"{path}: {exc}") from exc
 
 
-def _write_csv(path: Path, rows: list[list[str]]) -> None:
+def _write_csv(path: Path, header: list[str], values, labels=None) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(rows)
-
-
-_SIGN_TEXT = np.array(["-1", "0", "1"], dtype=object)
-
-
-def _write_branch_csv(path: Path, w: WaveletDecomposition) -> None:
-    header = ["terminal"] + [f"cluster_{k}" for k in w.order]
-    cells = _SIGN_TEXT[np.asarray(w.branch_codes, dtype=np.int8) + 1].tolist()
-    _write_csv(path, [header] + [[label] + row for label, row in zip(w.tree.labels, cells)])
-
-
-def _write_detail_csv(path: Path, w: WaveletDecomposition, features: list[str]) -> None:
-    rows = [["cluster"] + features]
-    for k in w.order:
-        rows.append([f"cluster_{k}"] + [_fmt(v) for v in w.details[k - 1]])
-    _write_csv(path, rows)
-
-
-def _write_smooth_csv(path: Path, w: WaveletDecomposition, features: list[str]) -> None:
-    _write_csv(path, [features, [_fmt(v) for v in w.smooth]])
+        write_table(fh, header, values, labels)
 
 
 def _read_signs(text: str) -> tuple[np.ndarray, list[str]]:
@@ -144,9 +121,10 @@ def save_bundle(w: WaveletDecomposition, features: list[str], outdir: Path) -> l
         "tree": outdir / "dendrogram.json",
         "meta": outdir / "meta.json",
     }
-    _write_branch_csv(paths["C"], w)
-    _write_detail_csv(paths["D"], w, features)
-    _write_smooth_csv(paths["smooth"], w, features)
+    clusters = [f"cluster_{k}" for k in w.order]  # C's columns and D's rows
+    _write_csv(paths["C"], ["terminal"] + clusters, w.branch_codes, w.tree.labels)
+    _write_csv(paths["D"], ["cluster"] + features, w.details, clusters)
+    _write_csv(paths["smooth"], features, w.smooth[None])
     save_json(w.tree, paths["tree"])
     meta = {
         "format": "decomposition",
@@ -195,8 +173,8 @@ def load_bundle(bundle_dir: str) -> tuple[WaveletDecomposition, list[str]]:
     C, _ = _parse(c_path, _read_signs)
     if C.shape[0] != tree.n_terminals:
         raise ValidationError(f"{c_path}: rows do not match the dendrogram")
-    if not _has_signs(tree, C):
-        signs = branch_signs(tree)
+    signs = branch_signs(tree)  # cached: the decomposition below holds the same matrix
+    if not np.array_equal(C, signs):
         i, j = np.argwhere(C != signs)[0].tolist()
         raise ValidationError(
             f"{c_path}: row {i + 2}, column {j + 2}: sign {C[i, j]} differs from "
@@ -239,8 +217,7 @@ def cmd_cluster(args) -> int:
     save_json(tree, tree_path)
     use = "levels" if tree.levels is not None else "ranks"
     M = cophenetic(tree, use=use)
-    with open(coph_path, "w", encoding="utf-8") as fh:
-        fh.write(matrix_to_csv(M, tree.labels))
+    _write_csv(coph_path, list(tree.labels), M)
     print(f"clustered {X.shape[0]} observations with {args.linkage} linkage")
     print(f"wrote {tree_path}")
     print(f"wrote {coph_path} (cophenetic {use})")
@@ -312,8 +289,7 @@ def cmd_filter(args) -> int:
     for path in save_bundle(filtered, features, bundle_dir):
         print(f"wrote {path}")
     rec_path = outdir / "reconstruction.csv"
-    rows = [features] + [[_fmt(v) for v in row] for row in rec]
-    _write_csv(rec_path, rows)
+    _write_csv(rec_path, features, rec)
     print(f"wrote {rec_path}")
     zeroed = int(np.sum(np.any(filtered.details != w.details, axis=1)))
     print(f"rule {args.rule}, value {args.value}: {zeroed} detail rows changed")

@@ -25,7 +25,7 @@ from .tree import (
     NodeRef,
     ValidationError,
     _has_signs,
-    _int_at_least_2,
+    _int_at_least,
     _labels,
     _row_blocks,
     branch_signs,
@@ -70,7 +70,7 @@ class PAdicCode:
     base: int
 
     def __init__(self, coeffs: Iterable[int] | bytes, base: int = DEFAULT_BASE) -> None:
-        base = _int_at_least_2(base, "base")
+        base = _int_at_least(base, "base")
         digits = coeffs if isinstance(coeffs, bytes) else _pack(coeffs)
         if digits.translate(None, _DIGIT_BYTES):
             # only reached on bad bytes, to name the offending power
@@ -114,7 +114,7 @@ class PAdicCode:
 
     def decimal(self, base: int | None = None) -> int:
         """Exact integer value sum(c_j * p**j)."""
-        p = self.base if base is None else _int_at_least_2(base, "base")
+        p = self.base if base is None else _int_at_least(base, "base")
         return sum(c * p**j for j, c in self._terms())
 
     def to_string(self, symbol: str | None = None) -> str:
@@ -164,7 +164,7 @@ def code_from_decimal(value: int, n_terminals: int, base: int = DEFAULT_BASE) ->
     Unique for base >= 3 (the balanced digit set); base 2 is ambiguous and
     rejected here.
     """
-    base = _int_at_least_2(base, "base")
+    base = _int_at_least(base, "base")
     if base < 3:
         raise ValidationError("decimal round-trip needs base >= 3 (base 2 collides)")
     coeffs = []
@@ -191,7 +191,7 @@ def encode(d: Dendrogram, base: int = DEFAULT_BASE) -> tuple[list[PAdicCode], np
 
     Row i - 1 of the matrix holds the coefficients of terminal i's code.
     """
-    base = _int_at_least_2(base, "base")
+    base = _int_at_least(base, "base")
     signs = branch_signs(canonical_orient(d))
     n, width = signs.shape
     # the tree's own signs hold only -1, 0, +1, so each row's bytes are a code's
@@ -229,7 +229,7 @@ def cluster_code(d: Dendrogram, node: NodeRef, base: int = DEFAULT_BASE) -> PAdi
     clusters whose interval holds the node's, and the sign says on which
     side of their split it lies.  The root gets the null code.
     """
-    base = _int_at_least_2(base, "base")
+    base = _int_at_least(base, "base")
     oriented = canonical_orient(d)
     start, end = oriented.span(node)
     lay = oriented.layout
@@ -309,7 +309,7 @@ def pnorm(d: Dendrogram, node: NodeRef, base: int = DEFAULT_BASE) -> Fraction:
     The root (whose code is null) gets 0 by convention, so the norm is
     below 1 exactly for genuine (non-singleton) clusters.
     """
-    base = _int_at_least_2(base, "base")
+    base = _int_at_least(base, "base")
     d._check_node(node)
     if node.is_terminal:
         return Fraction(1)
@@ -320,7 +320,7 @@ def pnorm(d: Dendrogram, node: NodeRef, base: int = DEFAULT_BASE) -> Fraction:
 
 def dilation_operator_norm(base: int = DEFAULT_BASE) -> Fraction:
     """Operator norm of multiplication by 1/p, namely |1/p| = p."""
-    return Fraction(_int_at_least_2(base, "base"))
+    return Fraction(_int_at_least(base, "base"))
 
 
 def pdistance(
@@ -336,7 +336,7 @@ def pdistance(
     never meet) the distance takes the coarsest value p^-(n-1).  For two
     terminals this reproduces p^-rank(lca).
     """
-    base = _int_at_least_2(base, "base")
+    base = _int_at_least(base, "base")
     if isinstance(a, NodeRef) or isinstance(b, NodeRef):
         if d is None:
             raise ValidationError("node references need the dendrogram they live in")
@@ -356,7 +356,7 @@ def pdistance(
 
 def power_repr(value: Fraction, base: int) -> str:
     """Render an exact p-power value symbolically: ``0``, ``1``, ``p^-2``, ``p^1``."""
-    base = _int_at_least_2(base, "base")
+    base = _int_at_least(base, "base")
     value = Fraction(value)
     if value == 0:
         return "0"

@@ -28,7 +28,7 @@ from .tree import (
     _as_rng,
     _document,
     _IdTree,
-    _int_at_least_2,
+    _int_at_least,
     _labels,
     _random_ids,
     _table_from_json,
@@ -51,7 +51,7 @@ class PWayTree(_IdTree):
     _format = "pway_tree"
 
     def __init__(self, arity: int, labels, merges) -> None:
-        arity = _int_at_least_2(arity, "arity")
+        arity = _int_at_least(arity, "arity")
         n, t = len(labels), len(merges)
         if n != (need := t * (arity - 1) + 1):
             raise ValidationError(f"{t} {arity}-way merges cover {need} terminals, got {n} labels")
@@ -81,7 +81,7 @@ def build_pway(
     merges: Iterable[Sequence[NodeRef]],
     labels: Sequence[str] | None = None,
 ) -> PWayTree:
-    arity = _int_at_least_2(arity, "arity")
+    arity = _int_at_least(arity, "arity")
     merge_tuple = tuple(tuple(kids) for kids in merges)
     return PWayTree(arity, _labels(labels, len(merge_tuple) * (arity - 1) + 1), merge_tuple)
 
@@ -108,9 +108,8 @@ def random_pway_tree(
     labels: Sequence[str] | None = None,
 ) -> PWayTree:
     """Draw a random p-way merge order with ``n_internal`` internal nodes."""
-    if n_internal < 1:
-        raise ValidationError("need at least one internal node")
-    arity = _int_at_least_2(arity, "arity")
+    n_internal = _int_at_least(n_internal, "n_internal", 1)
+    arity = _int_at_least(arity, "arity")
     kids = _random_ids(n_internal, arity, _as_rng(rng))
     return PWayTree(arity, _labels(labels, n_internal * (arity - 1) + 1), kids)
 

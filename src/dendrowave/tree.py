@@ -224,8 +224,8 @@ def _float_levels(levels: Sequence) -> tuple[float, ...]:
         raise
 
 
-def _int_at_least_2(value, name: str) -> int:
-    """``value`` as a Python int: any integer >= 2, numpy integers included, but no bool.
+def _int_at_least(value, name: str, low: int = 2) -> int:
+    """``value`` as a Python int: any integer >= ``low``, numpy integers included, but no bool.
 
     A numpy integer would overflow in arithmetic such as ``p**r``, so it is converted here.
     """
@@ -233,8 +233,8 @@ def _int_at_least_2(value, name: str) -> int:
         p = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         p = None
-    if p is None or p < 2:
-        raise ValidationError(f"{name} must be an integer >= 2, got {value!r}")
+    if p is None or p < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
     return p
 
 
@@ -506,7 +506,7 @@ def build_from_merges(
     ``merges[k - 1]`` becomes the child pair of rank k.  With no merges the
     result is the single-terminal tree.  Labels default to ``x1..xn``.
     """
-    merge_tuple = tuple((a, b) for a, b in merges)
+    merge_tuple = tuple(tuple(kids) for kids in merges)
     return Dendrogram(_labels(labels, len(merge_tuple) + 1), merge_tuple, levels)
 
 
@@ -744,8 +744,7 @@ def random_dendrogram(
     labels: Sequence[str] | None = None,
 ) -> Dendrogram:
     """Draw a uniform random merge order on n terminals."""
-    if n < 1:
-        raise ValidationError("need at least one terminal")
+    n = _int_at_least(n, "n", 1)
     gen = _as_rng(rng)
     kids = _random_ids(n - 1, 2, gen)
     levels = np.cumsum(gen.uniform(0.1, 1.0, size=n - 1)) if with_levels else None

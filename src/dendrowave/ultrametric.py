@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import types
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -529,11 +530,7 @@ def distance_from_proximity(p):
 # --------------------------------------------------------------------- CSV I/O
 
 def matrix_to_csv(M, labels) -> str:
-    """Render a square matrix as CSV with a header row of terminal labels.
-
-    Integers print exactly and floats with 12 significant digits.  Each
-    distinct value is formatted once; a cophenetic matrix has at most n.
-    """
+    """Render a square matrix as CSV with a header row of terminal labels (`write_table`)."""
     M = np.asarray(M)
     labels = list(labels)
     if M.shape[0] != len(labels):
@@ -541,19 +538,36 @@ def matrix_to_csv(M, labels) -> str:
             f"{len(labels)} labels for a {M.shape[0]}-row matrix"
         )
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(labels)
-    if np.issubdtype(M.dtype, np.integer):
-        keys = M
-        values = np.unique(keys)
-        text = [str(v) for v in values.tolist()]
-    else:
-        # distinct bit patterns, so 0.0 and -0.0 keep their own text
-        keys = M.astype(float).view(np.int64)
-        values = np.unique(keys)
-        text = [format(v, ".12g") for v in values.view(float).tolist()]
-    cells = np.array(text, dtype=object)[np.searchsorted(values, keys)]
-    buf.writelines(",".join(row) + "\n" for row in cells.tolist())
+    write_table(buf, labels, M)
     return buf.getvalue()
+
+
+def write_table(fh, header, values, labels=None) -> None:
+    """Write a CSV table to ``fh``: the header row, then one row per row of ``values``.
+
+    Integers print exactly and floats with 12 significant digits.  Each
+    distinct value is formatted once (floats keyed by bit pattern, so 0.0
+    and -0.0 keep their own text) and the rows are written one
+    `_row_blocks` block at a time.  With ``labels`` each row starts with
+    its label, quoted by `csv.writer` like the header.
+    """
+    values = np.asarray(values)
+    csv.writer(fh, lineterminator="\n").writerow(header)
+    integral = np.issubdtype(values.dtype, np.integer)
+    keys = values if integral else values.astype(float, copy=False).view(np.int64)
+    distinct = np.unique(keys)
+    spec, numbers = ("d", distinct) if integral else (".12g", distinct.view(float))
+    text = np.array([format(v, spec) for v in numbers.tolist()], dtype=object)
+    leads = [""] * len(values)
+    if labels is not None:
+        # each row's start as csv.writer writes it: the label, then a comma if values follow
+        leads = []
+        csv.writer(types.SimpleNamespace(write=leads.append), lineterminator="").writerows(
+            [label, ""] if values.shape[1] else [label] for label in labels
+        )
+    for a, b in _row_blocks(*values.shape):
+        rows = text[np.searchsorted(distinct, keys[a:b])].tolist()
+        fh.writelines(f"{lead}{','.join(row)}\n" for lead, row in zip(leads[a:b], rows))
 
 
 def read_table(

@@ -14,11 +14,13 @@ are slow (quadratic memory on a caterpillar tree, cubic time on a matrix)
 and exist only so the differential tests can compare the fast paths
 against them.  `decode_candidate` is `decode`'s accepting step as it ran
 before it read the matrix in row blocks: a transposed copy, a union-find
-and a comparison with rebuilt signs.  `decode_columns`, `to_json_dumps`,
-`inverse_dict` and `write_branch_csv_cells` are the codec as it ran before
+and a comparison with rebuilt signs.  `decode_columns`, `to_json_dumps` and
+`inverse_dict` are the codec as it ran before
 it worked by node id: a check of every column while decoding, the document serialized by
-`json.dumps`, a dict of smooth rows keyed by node, and one formatted
-string per C.csv cell; `pway_to_json_dumps` is the p-way document as it
+`json.dumps`, and a dict of smooth rows keyed by node.  The ``*_csv_cells``
+writers are the CLI's tables as they were written before one writer formatted
+each distinct value once: one string per cell, every row through
+`csv.writer`.  `pway_to_json_dumps` is the p-way document as it
 was serialized before both formats shared one writer.  `ascend_ranks` and `inverse_ranks` are the Haar
 transform as it ran before it worked in waves of equal-height clusters:
 one numpy step per rank.  `check_merges`, `pway_term_set`,
@@ -614,13 +616,39 @@ def inverse_ranks(w: WaveletDecomposition) -> np.ndarray:
     return X
 
 
+def write_csv_cells(path, rows: list[list[str]]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def _fmt(x: float) -> str:
+    return format(float(x), ".12g")
+
+
 def write_branch_csv_cells(path, w: WaveletDecomposition) -> None:
     """C.csv through the csv module, formatting every sign cell."""
     rows = [["terminal"] + [f"cluster_{k}" for k in w.order]]
     for i, label in enumerate(w.tree.labels):
         rows.append([label] + [str(int(v)) for v in w.branch_codes[i]])
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+    write_csv_cells(path, rows)
+
+
+def write_detail_csv_cells(path, w: WaveletDecomposition, features: list[str]) -> None:
+    """D.csv through the csv module, formatting every detail cell."""
+    rows = [["cluster"] + features]
+    for k in w.order:
+        rows.append([f"cluster_{k}"] + [_fmt(v) for v in w.details[k - 1]])
+    write_csv_cells(path, rows)
+
+
+def write_smooth_csv_cells(path, w: WaveletDecomposition, features: list[str]) -> None:
+    """smooth.csv through the csv module: the feature names, then the smooth row."""
+    write_csv_cells(path, [features, [_fmt(v) for v in w.smooth]])
+
+
+def write_reconstruction_csv_cells(path, rec, features: list[str]) -> None:
+    """reconstruction.csv through the csv module, formatting every cell."""
+    write_csv_cells(path, [features] + [[_fmt(v) for v in row] for row in rec])
 
 
 def caterpillar(n: int, rng: np.random.Generator, with_levels: bool = False) -> Dendrogram:

@@ -3,8 +3,9 @@ they replaced (kept in oracles.py).
 
 `decode` builds one candidate tree and checks the matrix against its
 branch signs in row blocks, `to_json` writes the schema directly, `inverse` descends into rows
-indexed by node id and C.csv is written from three sign strings.  Trees,
-messages, text and bytes must be identical; floats must be bit-identical.
+indexed by node id and every CSV table is written by `write_table`, which
+formats each distinct value once.  Trees, messages, text and bytes must be
+identical; floats must be bit-identical.
 """
 
 from unittest import mock
@@ -18,18 +19,21 @@ from conftest import random_trees
 from strategies import dendrograms
 
 from dendrowave import tree, ultrametric
-from dendrowave.cli import _write_branch_csv, main
-from dendrowave.haar import forward, forward_weighted, hard_threshold, inverse
+from dendrowave.cli import load_bundle, main, save_bundle
+from dendrowave.haar import forward, forward_indicator, forward_weighted, hard_threshold, inverse
 from dendrowave.padic import PAdicCode, _candidate, decode, encode
 from dendrowave.tree import (
     ValidationError,
     build_from_merges,
+    load_json,
     random_dendrogram,
+    terminal,
     to_json,
 )
 from dendrowave.ultrametric import cophenetic, matrix_to_csv
 
 ODD_LABELS = ['say "hi"', "a,b", "back\\slash", "café", "雪", "tab\there", "x"]
+FEATURES = ["plain", "a,b", 'q"uote', " spaced "]
 
 
 def sample_trees(with_levels=False):
@@ -209,9 +213,76 @@ def test_branch_csv_bytes_match_the_cell_writer(tmp_path):
     )
     for d in [*sample_trees(), labelled]:
         w = forward(np.ones((d.n_terminals, 1)), d)
-        _write_branch_csv(tmp_path / "fast.csv", w)
+        save_bundle(w, ["f"], tmp_path / "fast")
         oracles.write_branch_csv_cells(tmp_path / "cells.csv", w)
-        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+        assert (tmp_path / "fast" / "C.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+def assert_same_bytes(got, want):
+    assert got.read_bytes() == want.read_bytes(), got.name
+
+
+@pytest.mark.parametrize("block_cells", [37, tree._BLOCK_CELLS])
+def test_bundle_tables_match_the_cell_writers(tmp_path, monkeypatch, block_cells):
+    monkeypatch.setattr(tree, "_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(78)
+    labelled = build_from_merges(
+        random_dendrogram(len(ODD_LABELS), 5).merges, labels=ODD_LABELS
+    )
+    empty_labels = [
+        build_from_merges([], labels=[""]),
+        build_from_merges([(terminal(2), terminal(1))], labels=["", 'q"']),
+    ]
+    negative_zeros = 0
+    for d in [*sample_trees(), labelled, *empty_labels]:
+        X = rng.normal(size=(d.n_terminals, len(FEATURES))) * 10.0 ** rng.integers(-6, 7)
+        X[:, 0] = -0.0  # a column of -0.0 keeps a smooth of -0.0
+        for w, features in (
+            (forward(X, d), FEATURES),
+            (hard_threshold(forward(X.round(), d), "keep-k", d.n_clusters // 2), FEATURES),
+            (forward_indicator(d), list(d.labels)),
+        ):
+            save_bundle(w, features, tmp_path / "fast")
+            oracles.write_branch_csv_cells(tmp_path / "C.csv", w)
+            oracles.write_detail_csv_cells(tmp_path / "D.csv", w, features)
+            oracles.write_smooth_csv_cells(tmp_path / "smooth.csv", w, features)
+            for name in ("C.csv", "D.csv", "smooth.csv"):
+                assert_same_bytes(tmp_path / "fast" / name, tmp_path / name)
+            negative_zeros += (tmp_path / "smooth.csv").read_text(encoding="utf-8").count("\n-0,")
+    assert negative_zeros >= 2 * len(empty_labels)
+
+
+@pytest.mark.filterwarnings("ignore:single produced merge levels:UserWarning")
+@pytest.mark.parametrize("block_cells", [37, tree._BLOCK_CELLS])
+def test_cli_tables_match_the_cell_writers(tmp_path, monkeypatch, block_cells):
+    monkeypatch.setattr(tree, "_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(79)
+    data, out = tmp_path / "data.csv", tmp_path / "out"
+    uses = set()
+    for n, linkage in ((2, "average"), (9, "single"), (16, "single"), (30, "ward")):
+        if linkage == "single":  # integer data: tied merge levels leave the ranks
+            rows = [[str(v) for v in row] for row in rng.integers(-2, 3, size=(n, 4)).tolist()]
+        else:
+            X = rng.normal(size=(n, 4))
+            X[0, 0] = -0.0
+            rows = [[repr(v) for v in row] for row in X.tolist()]
+        oracles.write_csv_cells(data, [FEATURES] + rows)
+        assert main(["cluster", str(data), "--linkage", linkage, "--out", str(out)]) == 0
+        d = load_json(out / "dendrogram.json")
+        use = "levels" if d.levels is not None else "ranks"
+        uses.add(use)
+        want = oracles.matrix_to_csv_cells(cophenetic(d, use=use), d.labels)
+        assert (out / "cophenetic.csv").read_bytes() == want.encode("utf-8")
+
+        bundle = out / "bundle"
+        assert main(["transform", str(data), str(out / "dendrogram.json"), "--out", str(bundle)]) == 0
+        args = ["filter", str(bundle), "--rule", "keep-k", "--value", "1", "--out", str(out)]
+        assert main(args) == 0
+        w, features = load_bundle(bundle)
+        rec = inverse(hard_threshold(w, "keep-k", 1))
+        oracles.write_reconstruction_csv_cells(tmp_path / "rec.csv", rec, features)
+        assert_same_bytes(out / "reconstruction.csv", tmp_path / "rec.csv")
+    assert uses == {"levels", "ranks"}
 
 
 def test_check_validates_once_and_builds_one_spanning_tree(tmp_path, capsys):

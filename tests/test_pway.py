@@ -217,6 +217,12 @@ def test_arity_must_be_an_integer_of_at_least_two(arity):
             from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize("n_internal", [2.5, "3", None, True, np.True_, 0, -3])
+def test_random_pway_size_must_be_a_positive_integer(n_internal):
+    with pytest.raises(ValidationError, match=r"^n_internal must be an integer >= 1, got "):
+        random_pway_tree(n_internal, 3)
+
+
 def test_numpy_integer_arity_is_stored_as_an_int():
     merges = ((terminal(1), terminal(2), terminal(3)),)
     t = PWayTree(np.int64(3), ("a", "b", "c"), merges)
@@ -224,3 +230,4 @@ def test_numpy_integer_arity_is_stored_as_an_int():
     assert json.loads(to_json(t))["arity"] == 3 and from_json(to_json(t)) == t
     for made in (build_pway(np.int32(3), merges), random_pway_tree(4, np.uint8(3), 86)):
         assert type(made.arity) is int and made.n_terminals == 2 * made.n_internal + 1
+    assert random_pway_tree(np.int64(4), 3, 87) == random_pway_tree(4, 3, 87)

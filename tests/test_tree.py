@@ -119,6 +119,13 @@ def test_build_rejects_forward_cluster_reference():
         )
 
 
+def test_build_rejects_a_merge_of_other_than_two_children():
+    with pytest.raises(ValidationError, match=r"^rank 1: expected 2 children, got 3$"):
+        build_from_merges([(terminal(1), terminal(2), terminal(3))])
+    with pytest.raises(ValidationError, match=r"^rank 2: expected 2 children, got 1$"):
+        build_from_merges([[terminal(1), terminal(2)], [cluster(1)]])
+
+
 def test_build_rejects_duplicate_labels():
     with pytest.raises(ValidationError, match="distinct"):
         build_from_merges([(terminal(1), terminal(2))], labels=("a", "a"))
@@ -349,6 +356,17 @@ def test_random_dendrogram_reproducible():
     b = random_dendrogram(9, np.random.default_rng(7), with_levels=True)
     assert a == b
     assert a.levels is not None and len(a.levels) == 8
+
+
+@pytest.mark.parametrize("n", [2.5, "3", None, True, np.True_, 0, -3])
+def test_random_dendrogram_size_must_be_a_positive_integer(n):
+    with pytest.raises(ValidationError, match=r"^n must be an integer >= 1, got "):
+        random_dendrogram(n)
+
+
+def test_random_dendrogram_takes_a_numpy_integer_size():
+    d = random_dendrogram(np.int64(5), 9)
+    assert d.n_terminals == 5 and d == random_dendrogram(5, 9)
 
 
 def test_random_dendrogram_is_valid():
