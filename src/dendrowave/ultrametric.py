@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import types
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -542,6 +541,11 @@ def matrix_to_csv(M, labels) -> str:
     return buf.getvalue()
 
 
+class _RowText:
+    """A `csv.writer` file whose ``write`` returns the text, so ``writerow`` returns the row."""
+    write = staticmethod(lambda text: text)
+
+
 def write_table(fh, header, values, labels=None) -> None:
     """Write a CSV table to ``fh``: the header row, then one row per row of ``values``.
 
@@ -558,13 +562,11 @@ def write_table(fh, header, values, labels=None) -> None:
     distinct = np.unique(keys)
     spec, numbers = ("d", distinct) if integral else (".12g", distinct.view(float))
     text = np.array([format(v, spec) for v in numbers.tolist()], dtype=object)
-    leads = [""] * len(values)
-    if labels is not None:
-        # each row's start as csv.writer writes it: the label, then a comma if values follow
-        leads = []
-        csv.writer(types.SimpleNamespace(write=leads.append), lineterminator="").writerows(
-            [label, ""] if values.shape[1] else [label] for label in labels
-        )
+    # the label as csv.writer starts its row (quoted for a comma, a quote or "\n"), then a comma
+    row_text = csv.writer(_RowText(), lineterminator="\n").writerow
+    leads = [""] * len(values) if labels is None else [
+        row_text([label, ""] if values.shape[1] else [label])[:-1] for label in labels
+    ]
     for a, b in _row_blocks(*values.shape):
         rows = text[np.searchsorted(distinct, keys[a:b])].tolist()
         fh.writelines(f"{lead}{','.join(row)}\n" for lead, row in zip(leads[a:b], rows))

@@ -32,7 +32,7 @@ from dendrowave.tree import (
 )
 from dendrowave.ultrametric import cophenetic, matrix_to_csv
 
-ODD_LABELS = ['say "hi"', "a,b", "back\\slash", "café", "雪", "tab\there", "x"]
+ODD_LABELS = ['say "hi"', "a,b", "back\\slash", "café", "雪", "tab\there", "x", "new\nline"]
 FEATURES = ["plain", "a,b", 'q"uote', " spaced "]
 
 
@@ -190,7 +190,8 @@ def test_to_json_writes_what_json_dumps_writes():
         random_dendrogram(len(ODD_LABELS), 3).merges, labels=ODD_LABELS
     )
     trees = [*sample_trees(), *sample_trees(with_levels=True), labelled]
-    trees.append(build_from_merges(labelled.merges, levels=range(1, 7), labels=ODD_LABELS))
+    levels = range(1, len(ODD_LABELS))
+    trees.append(build_from_merges(labelled.merges, levels=levels, labels=ODD_LABELS))
     for d in trees:
         for indent in (None, 0, 2, 4):
             assert to_json(d, indent) == oracles.to_json_dumps(d, indent)
