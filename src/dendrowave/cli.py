@@ -11,6 +11,7 @@ matrix that is not ultrametric), 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -211,6 +212,7 @@ def cmd_cluster(args) -> int:
     if args.squared:
         diss = diss**2
     tree = agglomerate(diss, args.linkage)
+    del diss  # freed before the cophenetic matrix, so one n x n matrix is live at a time
     outdir = _outdir(args)
     tree_path = outdir / "dendrogram.json"
     coph_path = outdir / "cophenetic.csv"
@@ -435,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="feed squared Euclidean distances (classical ward/centroid/median)",
     )
     p_cluster.add_argument("--out", help="output directory")
-    p_cluster.set_defaults(func=cmd_cluster)
 
     p_transform = sub.add_parser("transform", help="run the wavelet transform")
     p_transform.add_argument("data", help="observation CSV, or - in indicator mode")
@@ -447,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--check", action="store_true", help="verify the round trip below 1e-9"
     )
     p_transform.add_argument("--out", help="output directory")
-    p_transform.set_defaults(func=cmd_transform)
 
     p_filter = sub.add_parser("filter", help="hard-threshold a decomposition bundle")
     p_filter.add_argument("bundle", help="directory written by transform")
@@ -457,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sweep", action="store_true", help="print the full keep-k error table"
     )
     p_filter.add_argument("--out", help="output directory")
-    p_filter.set_defaults(func=cmd_filter)
 
     p_padic = sub.add_parser("padic", help="codes, sums, distances, norms, dilation")
     p_padic.add_argument("--base", type=int, default=3, help="the prime-like base p")
@@ -484,28 +483,32 @@ def build_parser() -> argparse.ArgumentParser:
     pp_decode.add_argument("matrix", help="branch-code CSV written by transform")
     pp_decode.add_argument("--out", help="output directory")
 
-    p_padic.set_defaults(func=cmd_padic)
-
     p_check = sub.add_parser("check", help="validate a matrix or dendrogram")
     p_check.add_argument("input", nargs="?", help="matrix CSV or dendrogram JSON")
     p_check.add_argument(
         "--demo",
         help=f"print a built-in walkthrough instead ({', '.join(demo_names())})",
     )
-    p_check.set_defaults(func=cmd_check)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """`build_parser`'s parser, built on the first call in a process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else 0 if code is None else 2
+    # looked up when the command runs, so a wrapped or patched cmd_* takes effect
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -73,16 +73,19 @@ def cophenetic(d: Dendrogram, use: str = "ranks") -> np.ndarray:
     n = d.n_terminals
     if use == "levels" and d.levels is None and n > 1:
         raise ValidationError("this dendrogram carries no levels")
-    gaps = d.layout.gaps
-    # by leaf position, the LCA rank of p < q is the largest gap rank between them
-    by_pos = np.zeros((n, n), dtype=np.int64)
-    for p in range(n - 1):
-        np.maximum.accumulate(gaps[p:], out=by_pos[p, p + 1 :])
-    by_pos += by_pos.T
-    ranks = by_pos[np.ix_(d.layout.pos, d.layout.pos)]
-    if use == "ranks":
-        return ranks
-    return np.array((0.0,) + (d.levels or ()))[ranks]
+    lay = d.layout
+    gaps = lay.gaps
+    # by leaf position, the LCA rank of p and q is the largest gap rank between
+    # them: a running maximum of the gaps rightwards from p and leftwards from p
+    table = np.arange(n) if use == "ranks" else np.array((0.0,) + (d.levels or ()))
+    out = np.empty((n, n), dtype=table.dtype)
+    row = np.empty(n, dtype=np.int64)
+    for p, t in enumerate(lay.order.tolist()):
+        np.maximum.accumulate(gaps[p:], out=row[p + 1 :])
+        np.maximum.accumulate(gaps[:p][::-1], out=row[:p][::-1])
+        row[p] = 0
+        np.take(table, row[lay.pos], out=out[t - 1])
+    return out
 
 
 def _checked_matrix(M) -> np.ndarray:
@@ -581,7 +584,109 @@ def read_table(
     With ``labelled`` the first column holds row labels, returned apart;
     the header then names the value columns.  Both come back stripped.
     Errors number rows from the header, row 1, skipping blank lines.
+
+    A table of plain numbers is parsed a `_row_blocks` block of lines at a
+    time by `np.loadtxt` (`_read_plain`); any other table, and every table
+    that breaks a rule, is read cell by cell with `csv.reader`, which gives
+    the same values and names the first bad cell.
     """
+    plain = _read_plain(text, labelled)
+    return plain if plain is not None else _read_cells(text, labelled)
+
+
+# the bytes of a line of value cells; over these `np.loadtxt` and `float`
+# accept the same cells and give the same bits
+_PLAIN_BYTES = b"0123456789+-.eE,"
+
+
+def _read_plain(text: str, labelled: bool):
+    """`read_table` of a plain table, or None to leave the table to `_read_cells`.
+
+    A table is plain when its header is its first line (read by
+    `csv.reader`), its body is not empty, its lines end in ``\\n`` or
+    ``\\r\\n``, no label holds a quote, ``\\r`` or NUL, every value cell is
+    ASCII from `_PLAIN_BYTES`, every non-empty line has the header's width,
+    no cell is longer than csv's field size limit and every value is
+    finite.  The lines are copied and parsed one `_row_blocks` block at a
+    time, so the text is never copied whole.
+    """
+    end = text.find("\n")
+    if end < 0:
+        return None
+    try:  # strict: a quote left open, so the header runs on past this line, is an error
+        header = next(csv.reader([text[:end].removesuffix("\r")], strict=True))
+    except csv.Error:
+        return None
+    skip = int(labelled)
+    width = len(header) - skip
+    if width < 1:
+        return None
+    # body line i is text[starts[i] : starts[i + 1] - 1], without its "\n"
+    starts = [end + 1]
+    while starts[-1] < len(text):
+        starts.append(text.find("\n", starts[-1]) + 1 or len(text) + 1)
+    limit = csv.field_size_limit()
+    values = np.empty((len(starts) - 1, width))
+    labels: list[str] = []
+    rows = 0
+    for a, b in _row_blocks(len(starts) - 1, width + skip):
+        lines = [text[p : q - 1] for p, q in zip(starts[a:b], starts[a + 1 : b + 1])]
+        block = _plain_block(lines, labelled, width, limit)
+        if block is None:
+            return None
+        block_values, block_labels = block
+        values[rows : rows + len(block_values)] = block_values
+        rows += len(block_values)
+        labels += block_labels
+    if not rows:
+        return None
+    if rows < len(values):  # blank lines
+        values = values[:rows]
+    return [s.strip() for s in header[skip:]], labels if labelled else None, values
+
+
+def _plain_block(lines: list[str], labelled: bool, width: int, limit: int):
+    """The values and labels of one block of lines, or None if it is not plain."""
+    # a "\r" left after the one before "\n" fails the byte check below
+    lines = [line for line in (line.removesuffix("\r") for line in lines) if line]
+    labels = []
+    if not lines:
+        return np.empty((0, width)), labels
+    if labelled:
+        parts = [line.partition(",") for line in lines]
+        labels = [label for label, _, _ in parts]
+        # csv.reader reads a label as it stands unless it holds one of these
+        joined = "".join(labels)
+        if '"' in joined or "\r" in joined or "\0" in joined or max(map(len, labels)) > limit:
+            return None
+        labels = [label.strip() for label in labels]
+        lines = [cells for _, _, cells in parts]
+        if not all(lines):  # a row of one label is too narrow
+            return None
+    # isascii first: a lone surrogate cannot be encoded
+    if not all(line.isascii() and not line.encode().translate(None, _PLAIN_BYTES)
+               for line in lines):
+        return None
+    if max(map(len, lines)) > limit:
+        # csv.reader refuses a cell longer than its field size limit
+        raw = "\n".join(lines).encode()
+        byte = np.frombuffer(raw, np.uint8)
+        bounds = np.flatnonzero((byte == ord(",")) | (byte == ord("\n")))
+        if np.diff(bounds, prepend=-1, append=len(raw)).max() > limit + 1:
+            return None
+    try:
+        block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if block.shape != (len(lines), width) or not np.isfinite(block).all():
+        return None
+    return block, labels
+
+
+def _read_cells(
+    text: str, labelled: bool
+) -> tuple[list[str], list[str] | None, np.ndarray]:
+    """`read_table` through `csv.reader`, one Python string per cell."""
     try:
         rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
     except csv.Error as exc:

@@ -20,7 +20,9 @@ it worked by node id: a check of every column while decoding, the document seria
 `json.dumps`, and a dict of smooth rows keyed by node.  The ``*_csv_cells``
 writers are the CLI's tables as they were written before one writer formatted
 each distinct value once: one string per cell, every row through
-`csv.writer`.  `pway_to_json_dumps` is the p-way document as it
+`csv.writer`.  `read_table_cells` is the CSV reader as it ran before plain
+tables were parsed in row blocks by `np.loadtxt`: one Python string per
+cell from `csv.reader`, then one `np.array` call.  `pway_to_json_dumps` is the p-way document as it
 was serialized before both formats shared one writer.  `ascend_ranks` and `inverse_ranks` are the Haar
 transform as it ran before it worked in waves of equal-height clusters:
 one numpy step per rank.  `check_merges`, `pway_term_set`,
@@ -862,3 +864,40 @@ def matrix_to_csv_cells(M, labels) -> str:
             [str(int(v)) if integral else format(float(v), ".12g") for v in row]
         )
     return buf.getvalue()
+
+
+def read_table_cells(
+    text: str, labelled: bool = False
+) -> tuple[list[str], list[str] | None, np.ndarray]:
+    """The CSV table read through `csv.reader`, one Python string per cell."""
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    except csv.Error as exc:
+        raise ValidationError(f"not a CSV table: {exc}") from exc
+    if not rows:
+        raise ValidationError("empty file")
+    header, body = rows[0], rows[1:]
+    for i, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise ValidationError(f"row {i}: expected {len(header)} values, got {len(row)}")
+    skip = int(labelled)
+    cells = [row[skip:] for row in body]
+    try:
+        values = np.array(cells, dtype=float).reshape(len(body), len(header) - skip)
+    except ValueError:
+        values = None
+    if values is None or not np.isfinite(values).all():
+        for i, row in enumerate(cells, start=2):
+            for j, cell in enumerate(row, start=skip + 1):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValidationError(
+                        f"row {i}, column {j}: could not parse {cell.strip()!r}"
+                    ) from None
+                if not np.isfinite(value):
+                    raise ValidationError(
+                        f"row {i}, column {j}: expected a finite number, got {cell.strip()!r}"
+                    )
+    labels = [row[0].strip() for row in body] if labelled else None
+    return [s.strip() for s in header[skip:]], labels, values

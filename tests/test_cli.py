@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dendrowave import cli
 from dendrowave.cli import load_bundle, main, save_bundle
 from dendrowave.haar import forward, forward_weighted, inverse
 from dendrowave.tree import load_json, save_json, to_json
@@ -547,3 +548,37 @@ def test_padic_encode_locates_a_bad_node_index(tmp_path, capsys, demo_json, node
     assert main(["padic", "encode", str(bad)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_main_calls_in_a_row_match_each_call_alone(tmp_path, capsys, demo_json):
+    """One parser serves every call in a process: what a call prints and returns
+    does not depend on the calls before it."""
+    data = write_data(tmp_path, np.random.default_rng(4).normal(size=(5, 2)))
+    calls = [
+        ["cluster", data, "--linkage", "average", "--out", str(tmp_path / "c")],
+        ["padic", "--base", "5", "encode", demo_json],
+        ["filter", str(tmp_path / "c"), "--value", "1"],  # not a bundle: exit 2
+        ["padic", "encode"],  # a usage error: exit 2
+        ["check", "--demo", "fig2"],
+        ["cluster", data, "--out", str(tmp_path / "c")],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    alone = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        alone.append(run(argv))
+    assert [code for code, _, _ in alone] == [0, 0, 2, 2, 0, 0]
+    cli._parser.cache_clear()
+    assert [run(argv) for argv in calls] == alone
+
+
+def test_a_patched_command_runs_after_the_parser_is_built(monkeypatch, capsys):
+    assert main(["check", "--demo", "fig2"]) == 0
+    monkeypatch.setattr(cli, "cmd_check", lambda args: 7)
+    assert main(["check", "--demo", "fig2"]) == 7
+    capsys.readouterr()

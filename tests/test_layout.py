@@ -1,5 +1,7 @@
 """Differential tests: the layout-backed tree paths against the oracles they replaced."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,19 @@ def test_layout_matches_oracles_on_random_and_caterpillar_trees():
 @given(dendrograms(min_n=1, max_n=14, levels=True))
 def test_layout_matches_oracles_on_generated_trees(d):
     assert_matches_oracles(d)
+
+
+@pytest.mark.parametrize("use", ["ranks", "levels"])
+def test_cophenetic_holds_only_its_result(use):
+    d = random_dendrogram(1000, np.random.default_rng(78), with_levels=True)
+    d.layout  # built before the measurement
+    tracemalloc.start()
+    try:
+        M = cophenetic(d, use=use)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * M.nbytes
 
 
 def test_layout_arrays_describe_the_stored_order():
