@@ -29,6 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .tree import Dendrogram, ValidationError, _labels, _row_blocks
+from .ultrametric import _checked_matrix
 
 # coefficient table: (size_a, size_b, size_other) -> (alpha_a, alpha_b, beta, gamma)
 _Coeffs = Callable[[int, int, int], tuple[float, float, float, float]]
@@ -71,25 +72,13 @@ def pairwise_euclidean(X) -> np.ndarray:
 
 
 def validate_dissimilarity(M) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValidationError(f"dissimilarity matrix must be square, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise ValidationError("dissimilarity matrix contains non-finite entries")
-    if not np.allclose(M, M.T, rtol=1e-9, atol=1e-12):
-        raise ValidationError("dissimilarity matrix is not symmetric")
-    if np.abs(np.diag(M)).max(initial=0.0) > 0:
-        raise ValidationError("dissimilarity matrix needs a zero diagonal")
-    if M.min(initial=0.0) < 0:
-        raise ValidationError("dissimilarities must be nonnegative")
-    return M
+    """M as floats once `_checked_matrix` passes it, symmetric within `np.allclose`."""
+    return np.asarray(_checked_matrix(M, "dissimilarity", 1e-9, 1e-12), dtype=float)
 
 
 def _clustering_input(diss, criterion: str) -> np.ndarray:
     if criterion not in LINKAGES:
-        raise ValidationError(
-            f"unknown linkage {criterion!r}; choose from {sorted(LINKAGES)}"
-        )
+        raise ValidationError(f"unknown linkage {criterion!r}; choose from {sorted(LINKAGES)}")
     M = validate_dissimilarity(diss)
     if M.shape[0] < 2:
         raise ValidationError("need n >= 2 observations to cluster")

@@ -489,6 +489,4 @@ def _decode_columns(mat: np.ndarray, labels: Sequence[str] | None) -> Dendrogram
         cover[sides[0]] = cover[sides[1]] = new_id
         size[new_id] = sides[0].size + sides[1].size
         kids.append((children[0], children[1]))
-    if kids and size[-1] != n:
-        raise ValidationError("the final column must merge everything into the root")
     return _build(kids, labels)

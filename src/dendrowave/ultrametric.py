@@ -88,18 +88,33 @@ def cophenetic(d: Dendrogram, use: str = "ranks") -> np.ndarray:
     return out
 
 
-def _checked_matrix(M) -> np.ndarray:
-    M = np.asarray(M)
+def _checked_matrix(M, name: str = "distance", rtol: float = 0.0, atol: float = 0.0) -> np.ndarray:
+    """M as a square, finite, symmetric, zero-diagonal, nonnegative real array.
+
+    Text and objects are read as floats.  The first rule broken anywhere is
+    raised.  Each `_row_blocks` block of rows is compared with its block of
+    columns, so no n x n temporary is built: exactly, or by `np.allclose`
+    when ``rtol`` or ``atol`` is set.
+    """
+    try:
+        M = np.asarray(M)
+        M = M.astype(float) if M.dtype.kind in "OSU" else M
+        if M.dtype.kind not in "biuf":
+            raise TypeError
+    except (TypeError, ValueError, OverflowError):  # ragged, complex or not numbers
+        raise ValidationError(f"{name} matrix must be an array of real numbers") from None
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValidationError(f"distance matrix must be square, got shape {M.shape}")
-    if not np.isfinite(M.astype(float)).all():
-        raise ValidationError("distance matrix contains non-finite entries")
-    if not np.array_equal(M, M.T):
-        raise ValidationError("distance matrix is not symmetric")
-    if np.abs(np.diag(M)).max(initial=0) > 0:
-        raise ValidationError("distance matrix needs a zero diagonal")
-    if M.min(initial=0) < 0:
-        raise ValidationError("distances must be nonnegative")
+        raise ValidationError(f"{name} matrix must be square, got shape {M.shape}")
+    plural = name[:-1] + "ies" if name.endswith("y") else name + "s"
+    problems = (f"{name} matrix contains non-finite entries", f"{name} matrix is not symmetric",
+                f"{name} matrix needs a zero diagonal", f"{plural} must be nonnegative")
+    ok = np.ones(len(problems), dtype=bool)  # each rule, over the blocks read so far
+    for a, b in _row_blocks(len(M), len(M)):
+        rows, cols = M[a:b], M[:, a:b].T
+        same = np.allclose(rows, cols, rtol, atol) if rtol or atol else np.array_equal(rows, cols)
+        ok &= (np.isfinite(rows).all(), same, not rows.diagonal(a).any(), not (rows < 0).any())
+    if not ok.all():
+        raise ValidationError(problems[int(np.argmin(ok))])
     return M
 
 
@@ -213,15 +228,15 @@ def _subdominant(A: np.ndarray) -> Subdominant:
 class _Distances:
     """A validated distance matrix as floats, and its subdominant ultrametric.
 
-    `subdominant`, `is_ultrametric`, `triangle_classify` and
-    `canonical_form` take one in place of a matrix, so several checks of
-    one matrix share one validation and one minimum spanning tree.  The
-    tree is built on first use, so a check that decides from row 0 never
-    builds it.
+    `subdominant`, `is_ultrametric`, `triangle_classify` and `canonical_form`
+    take one in place of a matrix, so several checks of one matrix share one
+    validation (skipped if ``checked``; float64 is kept, not copied) and one
+    minimum spanning tree.  The tree is built on first use, so a check that
+    decides from row 0 never builds it.
     """
 
-    def __init__(self, M) -> None:
-        self.A = _checked_matrix(M).astype(float)
+    def __init__(self, M, checked: bool = False) -> None:
+        self.A = (M if checked else _checked_matrix(M)).astype(float, copy=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -461,7 +476,10 @@ def _first(mask: np.ndarray, row0: int, col0: int) -> tuple[int, int]:
 
 def ball(M, center: int, r) -> frozenset[int]:
     """Closed ball {y : d(center, y) <= r} in a validated ultrametric."""
-    A = _checked_matrix(M)
+    return _ball(_checked_matrix(M), center, r)
+
+
+def _ball(A: np.ndarray, center: int, r) -> frozenset[int]:
     n = A.shape[0]
     if not 0 <= center < n:
         raise ValidationError(f"center {center} outside 0..{n - 1}")
@@ -479,14 +497,15 @@ def check_ball_axioms(M, radii=None) -> Verdict:
     every value appearing in the matrix.
     """
     A = _checked_matrix(M)
-    verdict = is_ultrametric(A, tol=0 if np.issubdtype(A.dtype, np.integer) else DEFAULT_TOL)
+    tol = 0 if np.issubdtype(A.dtype, np.integer) else DEFAULT_TOL
+    verdict = is_ultrametric(_Distances(A, checked=True), tol)
     if not verdict:
         raise ValidationError(f"matrix is not ultrametric: {verdict.detail}")
     n = A.shape[0]
     if radii is None:
-        radii = sorted(set(np.asarray(A).ravel().tolist()))
+        radii = sorted(set(A.ravel().tolist()))
     for r in radii:
-        balls = [ball(A, c, r) for c in range(n)]
+        balls = [_ball(A, c, r) for c in range(n)]
         for c in range(n):
             for member in balls[c]:
                 if balls[member] != balls[c]:
@@ -518,15 +537,13 @@ def check_ball_axioms(M, radii=None) -> Verdict:
 
 def proximity_from_distance(d):
     """Map distances to proximities via -log; zero distance becomes +inf."""
-    d = np.asarray(d, dtype=float)
     with np.errstate(divide="ignore"):
-        return -np.log(d)
+        return -np.log(np.asarray(d, dtype=float))
 
 
 def distance_from_proximity(p):
     """Inverse of `proximity_from_distance`: exp(-p)."""
-    p = np.asarray(p, dtype=float)
-    return np.exp(-p)
+    return np.exp(-np.asarray(p, dtype=float))
 
 
 # --------------------------------------------------------------------- CSV I/O
@@ -536,9 +553,7 @@ def matrix_to_csv(M, labels) -> str:
     M = np.asarray(M)
     labels = list(labels)
     if M.shape[0] != len(labels):
-        raise ValidationError(
-            f"{len(labels)} labels for a {M.shape[0]}-row matrix"
-        )
+        raise ValidationError(f"{len(labels)} labels for a {M.shape[0]}-row matrix")
     buf = io.StringIO()
     write_table(buf, labels, M)
     return buf.getvalue()
@@ -575,9 +590,7 @@ def write_table(fh, header, values, labels=None) -> None:
         fh.writelines(f"{lead}{','.join(row)}\n" for lead, row in zip(leads[a:b], rows))
 
 
-def read_table(
-    text: str, labelled: bool = False
-) -> tuple[list[str], list[str] | None, np.ndarray]:
+def read_table(text: str, labelled: bool = False) -> tuple[list[str], list[str] | None, np.ndarray]:
     """Parse a CSV table: a header row, then rows of finite numbers.
 
     Blank lines are skipped and every row must be as wide as the header.

@@ -33,6 +33,11 @@ cluster's set rebuilt per call, and a random loop for each arity.
 tree builders as they ran before a tree was stored as its table of child
 node ids: a byte per node id marked while walking the NodeRefs, a layout
 read from NodeRef pairs, and merges remapped one NodeRef at a time.
+`checked_matrix_whole` and `validate_dissimilarity_whole` are the two
+square-matrix validators as they ran before they became one row-block
+function: each rule checked over the whole matrix, with n x n temporaries.
+`check_ball_axioms_per_ball` is the ball check as it ran before it
+validated its matrix once: every `ball` call validated the matrix again.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from dendrowave import ultrametric
 from dendrowave.hcluster import LINKAGES
 from dendrowave.haar import WaveletDecomposition
 from dendrowave.padic import PAdicCode, _array, padd
@@ -901,3 +907,74 @@ def read_table_cells(
                     )
     labels = [row[0].strip() for row in body] if labelled else None
     return [s.strip() for s in header[skip:]], labels, values
+
+
+def checked_matrix_whole(M) -> np.ndarray:
+    """The distance-matrix checks, each over the whole matrix."""
+    M = np.asarray(M)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValidationError(f"distance matrix must be square, got shape {M.shape}")
+    if not np.isfinite(M.astype(float)).all():
+        raise ValidationError("distance matrix contains non-finite entries")
+    if not np.array_equal(M, M.T):
+        raise ValidationError("distance matrix is not symmetric")
+    if np.abs(np.diag(M)).max(initial=0) > 0:
+        raise ValidationError("distance matrix needs a zero diagonal")
+    if M.min(initial=0) < 0:
+        raise ValidationError("distances must be nonnegative")
+    return M
+
+
+def validate_dissimilarity_whole(M) -> np.ndarray:
+    """The dissimilarity checks on a float copy, each over the whole matrix."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValidationError(f"dissimilarity matrix must be square, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValidationError("dissimilarity matrix contains non-finite entries")
+    if not np.allclose(M, M.T, rtol=1e-9, atol=1e-12):
+        raise ValidationError("dissimilarity matrix is not symmetric")
+    if np.abs(np.diag(M)).max(initial=0.0) > 0:
+        raise ValidationError("dissimilarity matrix needs a zero diagonal")
+    if M.min(initial=0.0) < 0:
+        raise ValidationError("dissimilarities must be nonnegative")
+    return M
+
+
+def check_ball_axioms_per_ball(M, radii=None) -> Verdict:
+    """The ball axioms with every `ball` call validating the matrix again."""
+    A = _checked_matrix(M)
+    tol = 0 if np.issubdtype(A.dtype, np.integer) else DEFAULT_TOL
+    verdict = ultrametric.is_ultrametric(A, tol=tol)
+    if not verdict:
+        raise ValidationError(f"matrix is not ultrametric: {verdict.detail}")
+    n = A.shape[0]
+    if radii is None:
+        radii = sorted(set(np.asarray(A).ravel().tolist()))
+    for r in radii:
+        balls = [ultrametric.ball(A, c, r) for c in range(n)]
+        for c in range(n):
+            for member in balls[c]:
+                if balls[member] != balls[c]:
+                    return Verdict(
+                        False,
+                        witness=(c, member, -1),
+                        detail=f"radius {r}: member {member} generates a different ball than {c}",
+                    )
+        distinct = {b for b in balls}
+        for b1, b2 in itertools.combinations(distinct, 2):
+            if b1 & b2:
+                return Verdict(
+                    False,
+                    detail=f"radius {r}: balls {sorted(b1)} and {sorted(b2)} overlap",
+                )
+            gaps = {A[x, y] for x in b1 for y in b2}
+            if len(gaps) != 1:
+                return Verdict(
+                    False,
+                    detail=(
+                        f"radius {r}: distance between balls {sorted(b1)} and "
+                        f"{sorted(b2)} is not constant ({sorted(gaps)})"
+                    ),
+                )
+    return Verdict(True)
