@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .demo import demo_names, load_demo, walkthrough_text
+from .demo import demo_names, walkthrough_text
 from .haar import (
     THRESHOLD_RULES,
     WaveletDecomposition,
@@ -47,13 +47,14 @@ from .tree import (
     branch_signs,
     cluster,
     load_json,
+    open_text,
     read_text,
     save_json,
     terminal,
 )
 from .ultrametric import (
     _Distances,
-    canonical_form,
+    _layout_verdict,
     cophenetic,
     is_ultrametric,
     matrix_from_csv,
@@ -78,12 +79,12 @@ def _outdir(args) -> Path:
 # ----------------------------------------------------------------------- CSV
 
 def _parse(path, parse, *args):
-    """``parse(text, *args)`` on the file's UTF-8 text; its errors name the file."""
-    text = read_text(path)
-    try:
-        return parse(text, *args)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
+    """``parse`` on the UTF-8 file's handle, or its str if it cannot seek; errors name the file."""
+    with open_text(path) as fh:
+        try:
+            return parse(fh if fh.seekable() else fh.read(), *args)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _write_csv(path: Path, header: list[str], values, labels=None) -> None:
@@ -91,7 +92,7 @@ def _write_csv(path: Path, header: list[str], values, labels=None) -> None:
         write_table(fh, header, values, labels)
 
 
-def _read_signs(text: str) -> tuple[np.ndarray, list[str]]:
+def _read_signs(text) -> tuple[np.ndarray, list[str]]:
     """Branch-code CSV as written by transform: a label column, then n - 1 sign columns."""
     header, labels, C = read_table(text, labelled=True)
     n = len(labels)
@@ -210,7 +211,7 @@ def cmd_cluster(args) -> int:
         raise ValidationError(f"{args.data}: need n >= 2 observation rows")
     diss = pairwise_euclidean(X)
     if args.squared:
-        diss = diss**2
+        np.square(diss, out=diss)
     tree = agglomerate(diss, args.linkage)
     del diss  # freed before the cophenetic matrix, so one n x n matrix is live at a time
     outdir = _outdir(args)
@@ -367,7 +368,6 @@ def cmd_check(args) -> int:
             raise ValidationError(
                 f"unknown demo {args.demo!r}; available: {', '.join(demo_names())}"
             )
-        load_demo(args.demo)
         print(walkthrough_text(), end="")
         return 0
     if not args.input:
@@ -383,7 +383,6 @@ def cmd_check(args) -> int:
     if not path.endswith(".csv"):
         raise ValidationError(f"cannot tell matrix CSV from dendrogram JSON: {path}")
     labels, M = _parse(path, matrix_from_csv)
-    failures = 0
     try:
         D = _Distances(M)  # validated once, its spanning tree built at most once
         verdict = is_ultrametric(D)
@@ -393,7 +392,6 @@ def cmd_check(args) -> int:
     if verdict:
         print("ultrametric: PASS")
     else:
-        failures += 1
         x, y, z = verdict.witness
         print("ultrametric: FAIL")
         print(
@@ -408,11 +406,10 @@ def cmd_check(args) -> int:
         f"violating={census.violating}"
     )
     if verdict:
-        _, canon = canonical_form(D, subdominant(D).order)
+        canon = _layout_verdict(D, subdominant(D).order)  # no permuted copy of the matrix
         print(f"canonical layout under single-linkage order: {'PASS' if canon else 'FAIL'}")
-        if not canon:
-            failures += 1
-    return 1 if failures else 0
+        return 0 if canon else 1
+    return 1
 
 
 # --------------------------------------------------------------------- parser
@@ -508,10 +505,7 @@ def main(argv=None) -> int:
     command = globals()[f"cmd_{args.command}"]
     try:
         return command(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

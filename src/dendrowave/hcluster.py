@@ -98,7 +98,7 @@ def _agglomerate_core(M: np.ndarray, criterion: str) -> tuple[list[tuple[int, in
     """
     coeffs = LINKAGES[criterion]
     n = M.shape[0]
-    D = np.where(np.triu(np.ones((n, n), dtype=bool), 1), M, np.inf)
+    D = np.where(np.tri(n, dtype=bool), np.inf, M)  # inf on and below the diagonal
     rowmin = D.min(axis=1)
     rowarg = D.argmin(axis=1)
     sizes = np.ones(n, dtype=np.int64)

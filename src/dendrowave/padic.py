@@ -362,21 +362,13 @@ def power_repr(value: Fraction, base: int) -> str:
         return "0"
     if value == 1:
         return "1"
-    if value.numerator == 1:
+    if value.numerator == 1 or value.denominator == 1:  # 1 / p^e or p^e
+        step, rest = (-1, value.denominator) if value.numerator == 1 else (1, value.numerator)
         e = 0
-        den = value.denominator
-        while den % base == 0:
-            den //= base
-            e += 1
-        if den == 1:
-            return f"p^-{e}"
-    if value.denominator == 1:
-        e = 0
-        num = value.numerator
-        while num % base == 0:
-            num //= base
-            e += 1
-        if num == 1:
+        while rest % base == 0:
+            rest //= base
+            e += step
+        if rest == 1:
             return f"p^{e}"
     return str(value)
 

@@ -16,6 +16,7 @@ rank; the NodeRef pairs of `Dendrogram.merges` are read from it.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import operator
 from dataclasses import dataclass
@@ -574,11 +575,6 @@ def _has_signs(d: Dendrogram, mat: np.ndarray) -> bool:
 
 # -------------------------------------------------------------------- JSON I/O
 
-def _is_int(value: object) -> bool:
-    """JSON integers only: bool is an int subclass but never an index."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _json_items(values: Sequence) -> list[str]:
     """Each value as `json.dumps` writes it, all from one encoder call.
 
@@ -663,7 +659,7 @@ def _table_from_json(raw: list, count: int, arity: int, n: int):
         if not isinstance(entry, dict):
             raise ValidationError(f"{where}: expected an object")
         rank, kids = entry.get("rank"), entry.get("children")
-        if not _is_int(rank) or not 1 <= rank <= count:
+        if type(rank) is not int or not 1 <= rank <= count:  # a bool is no rank
             raise ValidationError(f"{where}: rank {rank!r} is not an integer rank in 1..{count}")
         if rows[rank - 1] is not None:
             raise ValidationError(f"{where}: duplicate rank {rank}")
@@ -674,7 +670,7 @@ def _table_from_json(raw: list, count: int, arity: int, n: int):
             if not isinstance(node, dict) or len(node) != 1:
                 raise ValidationError(f"{where}: expected one-key node object, got {node!r}")
             ((kind, index),) = node.items()
-            if kind not in ("terminal", "cluster") or not _is_int(index):
+            if kind not in ("terminal", "cluster") or type(index) is not int:
                 raise ValidationError(f"{where}: bad node {node!r}")
             if index < 1:
                 raise ValidationError(f"{where}: {kind} index must be >= 1, got {index}")
@@ -703,15 +699,28 @@ def save_json(d: Dendrogram, path) -> None:
         fh.write("\n")
 
 
-def read_text(path) -> str:
-    """The whole file as UTF-8 text, with read and decode failures located."""
+@contextlib.contextmanager
+def open_text(path):
+    """The file as UTF-8 text, ``newline=""``; read and decode failures located from its start."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return fh.read()
+        with open(path, encoding="utf-8", newline="") as fh:
+            try:
+                yield fh
+            except UnicodeDecodeError:
+                if fh.seekable():  # a chunk's decode error counts from the chunk
+                    fh.seek(0)
+                    fh.read()
+                raise
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: byte {exc.start}: not UTF-8 text") from exc
+
+
+def read_text(path) -> str:
+    """The whole file as UTF-8 text, with read and decode failures located."""
+    with open_text(path) as fh:
+        return fh.read()
 
 
 def load_json(path) -> Dendrogram:

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .tree import Dendrogram, ValidationError, _find, _row_blocks, default_labels
+from .tree import _BLOCK_CELLS, Dendrogram, ValidationError, _find, _row_blocks, default_labels
 
 DEFAULT_TOL = 1e-9
 
@@ -299,8 +299,10 @@ def _scan_rows(D: _Distances, scale: float):
 
 
 def _row_violation(A: np.ndarray, x: int, scale: float) -> int | None:
-    """The first z with A[x, z] > min_y max(A[x, y], A[y, z]) * scale, if any."""
-    caps = np.maximum(A[x][:, None], A).min(axis=0)
+    """The first z with A[x, z] > min_y max(A[x, y], A[y, z]) * scale, if any (y in row blocks)."""
+    caps = np.full(A.shape[0], np.inf)
+    for a, b in _row_blocks(*A.shape):
+        np.minimum(caps, np.maximum(A[x, a:b, None], A[a:b]).min(axis=0), out=caps)
     bad = np.flatnonzero(A[x] > caps * scale)
     return int(bad[0]) if bad.size else None
 
@@ -415,41 +417,47 @@ def canonical_form(M, order, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, Verd
     next row obeys A[k+1, j] <= A[k, j] inside the run and
     A[k+1, j] = A[k, j] beyond it.  The left-to-right terminal order of
     any dendrogram generating M passes this test.  Equality is relative,
-    within ``tol``.  The rows are tested for a decrease, then for the run
-    rules, each time a block of rows at a time; the witness is the first
-    failing cell in that order.
+    within ``tol``; the verdict is `_layout_verdict`'s.
+    """
+    D, order = _as_distances(M), list(order)
+    verdict = _layout_verdict(D, order, tol)
+    return D.A[np.ix_(order, order)], verdict
+
+
+def _layout_verdict(M, order, tol: float = DEFAULT_TOL) -> Verdict:
+    """`canonical_form`'s verdict, read through ``order`` a `_row_blocks` block at a time.
+
+    The witness is the first decreasing cell, else the first cell that
+    breaks a run rule, so a run-rule failure waits for every row's decrease test.
     """
     A = _as_distances(M).A
     _scale(tol)
     n = A.shape[0]
-    order = list(order)
     if sorted(order) != list(range(n)):
         raise ValidationError(f"order must be a permutation of 0..{n - 1}")
-    A = A[np.ix_(order, order)]
-    blocks = _row_blocks(n - 2, n)  # the last two rows have no cell to test
-    for k0, k1 in blocks:
+    order = np.asarray(order, dtype=np.int64)
+    verdict = Verdict(True)  # the first run-rule failure, once found
+    for k0, k1 in _row_blocks(n - 2, n):  # the last two rows have no cell to test
+        # P[i, c] is the permuted A[k0 + i, k0 + c]: rows k0 .. k1, columns from k0
+        P = A[np.ix_(order[k0 : k1 + 1], order[k0:])]
+        ks = np.arange(k1 - k0)[:, None]  # rows as k - k0, and the columns below as j - k0
         # rows k0 .. k1 - 1 at columns j > k, which start at k0 + 1
-        ks = np.arange(k0, k1)[:, None]
-        js = np.arange(k0 + 1, n - 1)
-        u, v = A[k0:k1, k0 + 1 : -1], A[k0:k1, k0 + 2 :]
-        drop = (u > v) & (js > ks)
+        u, v = P[:-1, 1:-1], P[:-1, 2:]
+        drop = (u > v) & (np.arange(1, n - k0 - 1) > ks)
         if drop.any():
             drop &= ~_close(u, v, tol)
             if drop.any():
                 k, j = _first(drop, k0, k0 + 1)
-                return A, Verdict(
-                    False,
-                    witness=(k, j, j + 1),
-                    detail=f"row {k} decreases from column {j} to {j + 1}",
-                )
-    for k0, k1 in blocks:
+                detail = f"row {k} decreases from column {j} to {j + 1}"
+                return Verdict(False, witness=(k, j, j + 1), detail=detail)
+        if not verdict:
+            continue
         # rows k0 .. k1 - 1 and the rows below them at columns j >= k + 2
-        ks = np.arange(k0, k1)[:, None]
-        js = np.arange(k0 + 2, n)
-        row, below = A[k0:k1, k0 + 2 :], A[k0 + 1 : k1 + 1, k0 + 2 :]
+        js = np.arange(2, n - k0)
+        row, below = P[:-1, 2:], P[1:, 2:]
         # row k's equal run ends before its first column j >= k + 2 not close to A[k, k + 1]
-        leaves = (js > ks + 1) & ~_close(row, A[ks, ks + 1], tol)
-        run_end = np.where(leaves.any(axis=1), leaves.argmax(axis=1) + k0 + 1, n - 1)
+        leaves = (js > ks + 1) & ~_close(row, P[ks, ks + 1], tol)
+        run_end = np.where(leaves.any(axis=1), leaves.argmax(axis=1) + 1, n - 1 - k0)
         inside = js <= run_end[:, None]
         # a failing cell is not close to the one above it, so it differs from
         # it and, inside the run, is the larger of the two
@@ -458,12 +466,12 @@ def canonical_form(M, order, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, Verd
             fail &= ~_close(below, row, tol)
             if fail.any():
                 k, j = _first(fail, k0, k0 + 2)
-                if j <= run_end[k - k0]:
+                if j - k0 <= run_end[k - k0]:
                     detail = f"row {k + 1} exceeds row {k} at column {j} inside the equal run"
                 else:
                     detail = f"rows {k} and {k + 1} differ at column {j} beyond the equal run"
-                return A, Verdict(False, witness=(k, k + 1, j), detail=detail)
-    return A, Verdict(True)
+                verdict = Verdict(False, witness=(k, k + 1, j), detail=detail)
+    return verdict
 
 
 def _first(mask: np.ndarray, row0: int, col0: int) -> tuple[int, int]:
@@ -514,13 +522,7 @@ def check_ball_axioms(M, radii=None) -> Verdict:
                         witness=(c, member, -1),
                         detail=f"radius {r}: member {member} generates a different ball than {c}",
                     )
-        distinct = {b for b in balls}
-        for b1, b2 in itertools.combinations(distinct, 2):
-            if b1 & b2:
-                return Verdict(
-                    False,
-                    detail=f"radius {r}: balls {sorted(b1)} and {sorted(b2)} overlap",
-                )
+        for b1, b2 in itertools.combinations(set(balls), 2):
             gaps = {A[x, y] for x in b1 for y in b2}
             if len(gaps) != 1:
                 return Verdict(
@@ -590,19 +592,24 @@ def write_table(fh, header, values, labels=None) -> None:
         fh.writelines(f"{lead}{','.join(row)}\n" for lead, row in zip(leads[a:b], rows))
 
 
-def read_table(text: str, labelled: bool = False) -> tuple[list[str], list[str] | None, np.ndarray]:
+def read_table(text, labelled: bool = False) -> tuple[list[str], list[str] | None, np.ndarray]:
     """Parse a CSV table: a header row, then rows of finite numbers.
 
+    ``text`` is a str or a seekable text file opened with ``newline=""``.
     Blank lines are skipped and every row must be as wide as the header.
     With ``labelled`` the first column holds row labels, returned apart;
     the header then names the value columns.  Both come back stripped.
     Errors number rows from the header, row 1, skipping blank lines.
 
     A table of plain numbers is parsed a `_row_blocks` block of lines at a
-    time by `np.loadtxt` (`_read_plain`); any other table, and every table
-    that breaks a rule, is read cell by cell with `csv.reader`, which gives
-    the same values and names the first bad cell.
+    time by `np.loadtxt` (`_read_plain`), so a file's text is never held
+    whole; any other table, and every table that breaks a rule, is read
+    again from its start cell by cell with `csv.reader`, which gives the
+    same values and names the first bad cell.
     """
+    if isinstance(text, str):  # read as a file is; a StringIO would hold 4 bytes a character
+        raw = io.BytesIO(text.encode("utf-8", "surrogatepass"))
+        text = io.TextIOWrapper(raw, "utf-8", "surrogatepass", newline="")
     plain = _read_plain(text, labelled)
     return plain if plain is not None else _read_cells(text, labelled)
 
@@ -612,56 +619,52 @@ def read_table(text: str, labelled: bool = False) -> tuple[list[str], list[str] 
 _PLAIN_BYTES = b"0123456789+-.eE,"
 
 
-def _read_plain(text: str, labelled: bool):
+def _read_plain(fh, labelled: bool):
     """`read_table` of a plain table, or None to leave the table to `_read_cells`.
 
-    A table is plain when its header is its first line (read by
-    `csv.reader`), its body is not empty, its lines end in ``\\n`` or
-    ``\\r\\n``, no label holds a quote, ``\\r`` or NUL, every value cell is
-    ASCII from `_PLAIN_BYTES`, every non-empty line has the header's width,
-    no cell is longer than csv's field size limit and every value is
-    finite.  The lines are copied and parsed one `_row_blocks` block at a
-    time, so the text is never copied whole.
+    A table is plain when its header is its first line (by `csv.reader`)
+    and ends in ``\\n``, its body is not empty and has no more lines than
+    counted first, no label holds a quote or NUL, every value cell is ASCII
+    from `_PLAIN_BYTES`, every non-empty line has the header's width, no
+    cell is longer than csv's field size limit and every value is finite.
+    Lines end where `csv.reader` ends rows, at ``\\n``, ``\\r\\n`` or a lone
+    ``\\r``, and are parsed a `_row_blocks` block at a time.
     """
-    end = text.find("\n")
-    if end < 0:
+    raw = getattr(fh, "buffer", None)  # a file's bytes, counted a block at a time, not decoded
+    if raw is None:
+        count = sum(1 for _ in fh)
+    else:  # its "\n" plus one, so the header's line leaves a row to spare
+        count = 1 + sum(chunk.count(b"\n") for chunk in iter(lambda: raw.read(_BLOCK_CELLS), b""))
+    fh.seek(0)
+    line = fh.readline()
+    if not line.endswith("\n"):
         return None
     try:  # strict: a quote left open, so the header runs on past this line, is an error
-        header = next(csv.reader([text[:end].removesuffix("\r")], strict=True))
+        header = next(csv.reader([line.rstrip("\r\n")], strict=True))
     except csv.Error:
         return None
     skip = int(labelled)
     width = len(header) - skip
     if width < 1:
         return None
-    # body line i is text[starts[i] : starts[i + 1] - 1], without its "\n"
-    starts = [end + 1]
-    while starts[-1] < len(text):
-        starts.append(text.find("\n", starts[-1]) + 1 or len(text) + 1)
-    limit = csv.field_size_limit()
-    values = np.empty((len(starts) - 1, width))
-    labels: list[str] = []
-    rows = 0
-    for a, b in _row_blocks(len(starts) - 1, width + skip):
-        lines = [text[p : q - 1] for p, q in zip(starts[a:b], starts[a + 1 : b + 1])]
-        block = _plain_block(lines, labelled, width, limit)
+    values = np.empty((count, width))
+    labels, rows = [], 0
+    for a, b in _row_blocks(count, width + skip):
+        block = _plain_block(list(itertools.islice(fh, b - a)), labelled, width)
         if block is None:
             return None
-        block_values, block_labels = block
-        values[rows : rows + len(block_values)] = block_values
-        rows += len(block_values)
-        labels += block_labels
-    if not rows:
+        values[rows : rows + len(block[0])] = block[0]
+        rows += len(block[0])
+        labels += block[1]
+    if not rows or fh.readline():  # no body, or more lines than counted
         return None
-    if rows < len(values):  # blank lines
-        values = values[:rows]
-    return [s.strip() for s in header[skip:]], labels if labelled else None, values
+    return [s.strip() for s in header[skip:]], labels if labelled else None, values[:rows]
 
 
-def _plain_block(lines: list[str], labelled: bool, width: int, limit: int):
+def _plain_block(lines: list[str], labelled: bool, width: int):
     """The values and labels of one block of lines, or None if it is not plain."""
-    # a "\r" left after the one before "\n" fails the byte check below
-    lines = [line for line in (line.removesuffix("\r") for line in lines) if line]
+    limit = csv.field_size_limit()
+    lines = [line for line in (line.rstrip("\r\n") for line in lines) if line]
     labels = []
     if not lines:
         return np.empty((0, width)), labels
@@ -670,7 +673,7 @@ def _plain_block(lines: list[str], labelled: bool, width: int, limit: int):
         labels = [label for label, _, _ in parts]
         # csv.reader reads a label as it stands unless it holds one of these
         joined = "".join(labels)
-        if '"' in joined or "\r" in joined or "\0" in joined or max(map(len, labels)) > limit:
+        if '"' in joined or "\0" in joined or max(map(len, labels)) > limit:
             return None
         labels = [label.strip() for label in labels]
         lines = [cells for _, _, cells in parts]
@@ -696,12 +699,11 @@ def _plain_block(lines: list[str], labelled: bool, width: int, limit: int):
     return block, labels
 
 
-def _read_cells(
-    text: str, labelled: bool
-) -> tuple[list[str], list[str] | None, np.ndarray]:
-    """`read_table` through `csv.reader`, one Python string per cell."""
+def _read_cells(fh, labelled: bool) -> tuple[list[str], list[str] | None, np.ndarray]:
+    """`read_table` through `csv.reader` from the start of ``fh``, one Python string per cell."""
+    fh.seek(0)
     try:
-        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+        rows = [row for row in csv.reader(fh) if row]
     except csv.Error as exc:
         raise ValidationError(f"not a CSV table: {exc}") from exc
     if not rows:

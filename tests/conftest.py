@@ -1,3 +1,6 @@
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,3 +19,15 @@ def random_trees(count: int, max_n: int, seed: int, with_levels: bool = False):
     for _ in range(count):
         n = int(rng.integers(2, max_n + 1))
         yield random_dendrogram(n, rng, with_levels=with_levels)
+
+
+def feed(path: Path, raw: bytes) -> threading.Thread:
+    """Write ``raw`` into the named pipe at ``path`` once a reader opens it."""
+
+    def write():
+        with open(path, "wb") as fh:
+            fh.write(raw)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return writer

@@ -2,15 +2,17 @@
 ultrametric, against the row, anchor and loop scans they replaced (kept in
 oracles.py), with exact equality of verdicts, witnesses and censuses."""
 
+import os
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import random_trees
+from conftest import feed, random_trees
 
-from dendrowave import tree, ultrametric
+from dendrowave import cli, tree, ultrametric
 from dendrowave.cli import main
 from dendrowave.hcluster import agglomerate, pairwise_euclidean
 from dendrowave.tree import ValidationError, random_dendrogram
@@ -224,3 +226,74 @@ def test_check_passes_a_one_point_matrix(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == (
         "canonical layout under single-linkage order: PASS"
     )
+
+
+def test_check_builds_no_permuted_copy(tmp_path, capsys, monkeypatch):
+    def permuted(*args, **kwargs):
+        raise AssertionError("check permuted the whole matrix")
+
+    monkeypatch.setattr(ultrametric, "canonical_form", permuted)
+    monkeypatch.setattr(cli, "canonical_form", permuted, raising=False)
+    path = tmp_path / "m.csv"
+    codes = set()
+    for M in check_matrices(30, seed=611):
+        n = M.shape[0]
+        if n < 2:
+            continue
+        path.write_text(matrix_to_csv(M, [f"p{i}" for i in range(n)]), encoding="utf-8")
+        code, text = oracle_check(*matrix_from_csv(path.read_text(encoding="utf-8")))
+        assert main(["check", str(path)]) == code
+        assert capsys.readouterr().out == text
+        codes.add(code)
+    assert codes == {0, 1}
+
+
+def test_is_ultrametric_builds_no_square_temporary():
+    d = random_dendrogram(1000, np.random.default_rng(612), with_levels=True)
+    M = cophenetic(d, use="levels")
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        assert is_ultrametric(M).ok
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < M.nbytes, f"{peak} bytes at the peak, the matrix has {M.nbytes}"
+
+
+# within 1e-9 of an ultrametric, since the verdict compares a triangle's longest
+# side with the next longest times 1 + tol, yet not laid out within 1e-9 in its
+# single-linkage order, since the layout compares neighbouring cells within tol
+# times the larger of the two
+NEAR_TIES = """a,b,c,d
+0,0,0.999999999139,1.00000000018
+0,0,0.999999999923,0.999999999272
+0.999999999139,0.999999999923,0,1.00000000046
+1.00000000018,0.999999999272,1.00000000046,0
+"""
+
+
+@pytest.mark.parametrize("pipe", [False, True], ids=["file", "pipe"])
+def test_an_ultrametric_can_fail_its_layout(tmp_path, capsys, pipe):
+    if pipe and not hasattr(os, "mkfifo"):
+        pytest.skip("no named pipes")
+    path = tmp_path / "near.csv"
+    if pipe:
+        os.mkfifo(path)
+        writer = feed(path, NEAR_TIES.encode("utf-8"))
+    else:
+        path.write_text(NEAR_TIES, encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    if pipe:
+        writer.join(10)
+    out = capsys.readouterr().out
+    assert out == (
+        "ultrametric: PASS\n"
+        "triangles: equilateral=0 isosceles-small-base=4 violating=0\n"
+        "canonical layout under single-linkage order: FAIL\n"
+    )
+    assert oracle_check(*matrix_from_csv(NEAR_TIES)) == (1, out)

@@ -1,26 +1,34 @@
 """Differential tests: `read_table`, whose plain tables are parsed in row blocks
 by `np.loadtxt`, against the cell-by-cell csv reader it replaced (kept in
-oracles.py).  Values must match bit for bit, header and labels exactly, and
-every `ValidationError` message word for word."""
+oracles.py), on a str and on a file.  Values must match bit for bit, header
+and labels exactly, and every `ValidationError` message word for word."""
 
+import contextlib
 import csv
 import io
 import itertools
+import os
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from conftest import feed
 
 from dendrowave import tree
-from dendrowave.tree import ValidationError
-from dendrowave.ultrametric import _PLAIN_BYTES, _read_plain, read_table, write_table
+from dendrowave.cli import _parse, main
+from dendrowave.tree import ValidationError, read_text
+from dendrowave.ultrametric import _PLAIN_BYTES, _read_plain, matrix_from_csv, read_table, write_table
 
 # np.loadtxt warns on an empty input, which the block path must never give it
 pytestmark = pytest.mark.filterwarnings("error")
+
+SOURCES = ("str", "file")
 
 NUMBERS = st.floats(allow_nan=False, allow_infinity=False).flatmap(
     lambda v: st.sampled_from([repr(v), format(v, ".12g")])
@@ -38,13 +46,54 @@ NAMES = st.one_of(
 PLAIN_NAMES = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters='",\r\n\0'), max_size=4)
 
 
-def outcome(reader, text: str, labelled: bool):
-    """What a reader makes of a table: its parts with the values' bits, or its error."""
+def encodable(text: str) -> bool:
     try:
-        header, labels, values = reader(text, labelled)
+        text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate
+        return False
+    return True
+
+
+@contextlib.contextmanager
+def handle(text: str, source: str):
+    """``text`` in a `io.StringIO`, or in a file opened as `read_table` wants it."""
+    if source == "str":
+        yield io.StringIO(text, newline="")
+        return
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "table.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield fh
+
+
+def outcome(reader, text: str, labelled: bool, source: str = "str"):
+    """What a reader makes of a table: its parts with the values' bits, or its error.
+
+    The "file" source gives the reader a file holding ``text``.
+    """
+    try:
+        if source == "str":
+            header, labels, values = reader(text, labelled)
+        else:
+            with handle(text, source) as fh:
+                header, labels, values = reader(fh, labelled)
     except ValidationError as exc:
         return "error", str(exc)
     return header, labels, values.shape, values.view(np.int64).tolist()
+
+
+def same_as_cells(text: str, labelled: bool, source: str) -> bool:
+    return outcome(read_table, text, labelled, source) == outcome(oracles.read_table_cells, text, labelled)
+
+
+def is_plain(text: str, labelled: bool, source: str) -> bool:
+    with handle(text, source) as fh:
+        return _read_plain(fh, labelled) is not None
+
+
+# (cells a block, source): every listed table is read each way
+WAYS = list(itertools.product((37, tree._BLOCK_CELLS), SOURCES))
 
 
 def quoted(name: str) -> str:
@@ -100,20 +149,22 @@ def tables(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(tables(), st.sampled_from([1, 7, 37, tree._BLOCK_CELLS]))
-def test_read_table_matches_the_cell_reader(table, block_cells):
+@given(tables(), st.sampled_from([1, 7, 37, tree._BLOCK_CELLS]), st.sampled_from(SOURCES))
+def test_read_table_matches_the_cell_reader(table, block_cells, source):
     text, labelled = table
+    assume(source == "str" or encodable(text))
     with mock.patch.object(tree, "_BLOCK_CELLS", block_cells):
-        assert outcome(read_table, text, labelled) == outcome(oracles.read_table_cells, text, labelled)
+        assert same_as_cells(text, labelled, source)
 
 
 @settings(max_examples=100, deadline=None)
-@given(tables(), st.integers(1, 8))
-def test_cells_over_the_csv_field_limit_are_refused_alike(table, limit):
+@given(tables(), st.integers(1, 8), st.sampled_from(SOURCES))
+def test_cells_over_the_csv_field_limit_are_refused_alike(table, limit, source):
     text, labelled = table
+    assume(source == "str" or encodable(text))
     old = csv.field_size_limit(limit)
     try:
-        assert outcome(read_table, text, labelled) == outcome(oracles.read_table_cells, text, labelled)
+        assert same_as_cells(text, labelled, source)
     finally:
         csv.field_size_limit(old)
 
@@ -133,8 +184,9 @@ def test_cells_over_the_csv_field_limit_are_refused_alike(table, limit):
 def test_cells_over_the_csv_field_limit(text, labelled, plain):
     old = csv.field_size_limit(4)
     try:
-        assert (_read_plain(text, labelled) is not None) == plain
-        assert outcome(read_table, text, labelled) == outcome(oracles.read_table_cells, text, labelled)
+        for source in SOURCES:
+            assert is_plain(text, labelled, source) == plain, source
+            assert same_as_cells(text, labelled, source), source
     finally:
         csv.field_size_limit(old)
 
@@ -168,18 +220,20 @@ WRITTEN = "a,b\n1,2.5\n-0,1e-300\n"
         ("label,a,b\n r1 ,1,2\nr2,3,4\n", True),
         ("label,a\nαβ,1\n,2\n", True),
         ("a\n1\n2\n", False),
+        ("a,b\n1,2\r3,4\n", False),  # lines split at a lone "\r" too
     ],
 )
 def test_plain_tables_take_the_block_path(text, labelled):
-    assert _read_plain(text, labelled) is not None
-    assert outcome(read_table, text, labelled) == outcome(oracles.read_table_cells, text, labelled)
+    for block_cells, source in WAYS:
+        with mock.patch.object(tree, "_BLOCK_CELLS", block_cells):
+            assert is_plain(text, labelled, source), (block_cells, source)
+            assert same_as_cells(text, labelled, source), (block_cells, source)
 
 
 @pytest.mark.parametrize(
     "text, labelled",
     [
-        ("a,b\r1,2\r", False),  # a lone "\r" ends a row too
-        ("a,b\n1,2\r3,4\n", False),
+        ("a,b\r1,2\r", False),  # the header line ends in a lone "\r"
         ('label,a\n"r,1",2\n', True),  # a quoted label
         ("a,b\n1,\xa02\n", False),
         ("a,b\n1,1_0\n", False),
@@ -201,8 +255,44 @@ def test_plain_tables_take_the_block_path(text, labelled):
     ],
 )
 def test_other_tables_fall_back_to_the_cell_reader(text, labelled):
-    assert _read_plain(text, labelled) is None
-    assert outcome(read_table, text, labelled) == outcome(oracles.read_table_cells, text, labelled)
+    for block_cells, source in WAYS:
+        if source == "file" and not encodable(text):
+            continue  # a lone surrogate cannot be written to a file
+        with mock.patch.object(tree, "_BLOCK_CELLS", block_cells):
+            assert not is_plain(text, labelled, source), (block_cells, source)
+            assert same_as_cells(text, labelled, source), (block_cells, source)
+
+
+@pytest.mark.parametrize(
+    "text, labelled",
+    [
+        ("a,b\r\n1,2\r\n3,4\r\n", False),
+        ("a,b\r\n1,2\r3,4\r5,6\r7,8\n", False),  # more lines than "\n"
+        ("a,b\n1,2\r\n\r3,4\r", False),  # a blank line that is a lone "\r"
+        ("l,a\nr1,1\rr2,2\r\n\r\nr3,3", True),
+        ("l,a\nr1,1\rr2\r\n", True),  # a short row after a lone "\r"
+    ],
+)
+def test_lines_end_where_csv_reader_ends_rows(text, labelled):
+    for block_cells, source in WAYS:
+        with mock.patch.object(tree, "_BLOCK_CELLS", block_cells):
+            assert same_as_cells(text, labelled, source), (block_cells, source)
+
+
+@pytest.mark.parametrize(
+    "line, want",
+    [("1,x,2", "row 51, column 2: could not parse 'x'"), ("1,2", "row 51: expected 3 values, got 2")],
+    ids=["cell", "width"],
+)
+def test_a_fault_in_a_late_block(line, want):
+    # 60 rows of three values: at 37 cells a block, row 51 is in the fifth block
+    lines = ["a,b,c"] + [f"{i},{i + 0.5},-{i}e-3" for i in range(60)]
+    lines[50] = line
+    text = "\n".join(lines) + "\n"
+    for block_cells, source in WAYS:
+        with mock.patch.object(tree, "_BLOCK_CELLS", block_cells):
+            assert outcome(read_table, text, False, source) == ("error", want), (block_cells, source)
+            assert same_as_cells(text, False, source), (block_cells, source)
 
 
 def test_written_tables_read_back_through_the_block_path():
@@ -212,6 +302,50 @@ def test_written_tables_read_back_through_the_block_path():
     write_table(buf, ["row"] + [f"c{j}" for j in range(7)], values, [f"r {i}" for i in range(300)])
     text = buf.getvalue()
     with mock.patch.object(tree, "_BLOCK_CELLS", 64):
-        plain = _read_plain(text, True)
+        plain = _read_plain(io.StringIO(text, newline=""), True)
     assert plain is not None
     assert outcome(lambda *_: plain, text, True) == outcome(oracles.read_table_cells, text, True)
+
+
+def big_table(rows: int = 3000) -> str:
+    """A plain labelled table of more than 8 KB, past a text file's first decode chunk."""
+    return "l,a,b\n" + "".join(f"r{i},{i},{i / 7!r}\n" for i in range(rows))
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["block-path", "cell-path"])
+def test_bad_utf8_is_located_from_the_start_of_the_file(tmp_path, capsys, quoted):
+    text = big_table()
+    if quoted:  # the block path gives up at once, and the cell reader meets the byte
+        text = text.replace("r0,", '"r,0",', 1)
+    raw = text.encode("utf-8")
+    path = tmp_path / "bad.csv"
+    for at in (3, 9000, 40000, len(raw) - 1):
+        assert at < len(raw)
+        path.write_bytes(raw[:at] + b"\xff" + raw[at:])
+        want = f"{path}: byte {at}: not UTF-8 text"
+        with pytest.raises(ValidationError) as exc:
+            read_text(path)
+        assert str(exc.value) == want
+        with pytest.raises(ValidationError) as exc:
+            _parse(path, read_table, True)
+        assert str(exc.value) == want
+        assert main(["check", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_a_pipe_is_read_whole(tmp_path):
+    path = tmp_path / "pipe.csv"
+    os.mkfifo(path)
+    M = np.arange(16.0).reshape(4, 4)
+    text = "a,b,c,d\n" + "".join(",".join(map(repr, row)) + "\n" for row in M.tolist())
+    writer = feed(path, text.encode("utf-8"))
+    labels, read = _parse(path, matrix_from_csv)
+    writer.join(10)
+    assert labels == ["a", "b", "c", "d"] and np.array_equal(read, M)
+    raw = big_table().encode("utf-8")
+    writer = feed(path, raw[:9000] + b"\xff" + raw[9000:])
+    with pytest.raises(ValidationError) as exc:
+        _parse(path, read_table, True)
+    writer.join(10)
+    assert str(exc.value) == f"{path}: byte 9000: not UTF-8 text"
