@@ -150,19 +150,23 @@ def _check_ids(ids: np.ndarray, n: int, arity: int, complete: bool = True) -> No
         raise ValidationError(f"cluster q{j} is never merged further (dangling)")
 
 
-def _build_layout(kids: np.ndarray, n: int) -> TreeLayout:
+def _build_layout(kids: np.ndarray, n: int, like: TreeLayout | None = None) -> TreeLayout:
+    """The `TreeLayout` of ``kids``, its sizes and lows shared with ``like``'s if given."""
     pairs = kids.tolist()
-    size, low = [1] * n, list(range(1, n + 1))  # by node id, each cluster appended as it merges
-    for a, b in pairs:
-        size.append(size[a] + size[b])
-        low.append(low[a] if low[a] < low[b] else low[b])
+    if like is None:
+        size, low = [1] * n, list(range(1, n + 1))  # by node id, each cluster appended as it merges
+        for a, b in pairs:
+            size.append(size[a] + size[b])
+            low.append(low[a] if low[a] < low[b] else low[b])
+        size_arr, low_arr = (np.array(v[n:], dtype=np.int64) for v in (size, low))
+    else:
+        size_arr, low_arr, size = like.size, like.low, [1] * n + like.size.tolist()
     # descend from the root: the first child starts where its parent does
     start = [0] * (2 * n - 1)
     for node, (a, b) in zip(range(2 * n - 2, n - 1, -1), reversed(pairs)):
         start[a] = start[node]
         start[b] = start[node] + size[a]
     start_arr = np.array(start, dtype=np.int64)
-    size_arr, low_arr = (np.array(v[n:], dtype=np.int64) for v in (size, low))
     pos, lo, mid = start_arr[:n], start_arr[n:], start_arr[kids[:, 1]]
     order = np.empty(n, dtype=np.int64)
     order[pos] = np.arange(1, n + 1)
@@ -444,7 +448,8 @@ class Dendrogram(_IdTree):
         if not swap.any():
             return None
         oriented = apply_swap(self, swap)
-        oriented.__dict__["_oriented"] = None
+        layout = _build_layout(oriented.kids, self.n_terminals, lay)
+        oriented.__dict__.update(_oriented=None, layout=layout)
         return oriented
 
     def _check_node(self, node: NodeRef) -> None:

@@ -14,7 +14,7 @@ Building U and comparing it with M takes O(n^2) time.  An ultrametric
 therefore passes `is_ultrametric` in O(n^2), gets its triangle census
 from the tree, and is laid out in the tree's leaf order; only a matrix
 that is not one pays for an O(n^2) witness scan per row that exceeds U,
-and for the O(n^3) census.
+and for a census from its sorted rows, O(n^3) only when ties abound.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -119,8 +120,8 @@ def _checked_matrix(M, name: str = "distance", rtol: float = 0.0, atol: float = 
 
 
 def _scale(tol: float) -> float:
-    if not tol >= 0:
-        raise ValidationError(f"tol must be a nonnegative number, got {tol!r}")
+    if not isinstance(tol, numbers.Real) or not 0 <= tol < np.inf:
+        raise ValidationError(f"tol must be a finite nonnegative number, got {tol!r}")
     return 1.0 + tol
 
 
@@ -312,22 +313,19 @@ def triangle_classify(M, tol: float = DEFAULT_TOL) -> TriangleCensus:
 
     A matrix equal to its subdominant ultrametric is counted from the
     single-linkage tree in O(n log n) once U is built; any other matrix
-    is counted one anchor at a time in O(n^3).
+    from its sorted rows (`_window_census`), or, if ties make too many
+    window pairs, one anchor at a time in O(n^3).
     """
     D = _as_distances(M)
     A = D.A
     scale = _scale(tol)
     n = A.shape[0]
     total = n * (n - 1) * (n - 2) // 6
-    if n < 3:
-        return TriangleCensus(0, 0, 0)
     # a violation in row 0 already shows that A is no ultrametric, so A != U
-    if _row_violation(A, 0, 1.0) is None:
-        sub = D.sub
-        if not sub._rows_above(A, 1.0).any():  # A == U, since U <= A
-            eq = _tree_equilateral(sub, scale)
-            return TriangleCensus(eq, total - eq, 0)
-    eq, bad = _anchor_census(A, scale)
+    if n >= 3 and _row_violation(A, 0, 1.0) is None and not D.sub._rows_above(A, 1.0).any():
+        eq = _tree_equilateral(D.sub, scale)  # A == U, since U <= A
+        return TriangleCensus(eq, total - eq, 0)
+    eq, bad = _window_census(A, scale) or _anchor_census(A, scale)
     return TriangleCensus(eq, total - eq - bad, bad)
 
 
@@ -360,6 +358,57 @@ def _tree_equilateral(sub: Subdominant, scale: float) -> int:
         best = np.where(nxt <= top, nxt, best)
     pairs = (lay.mid - lay.lo) * (lay.hi - lay.mid)
     return int((pairs * (lay.size[best] - lay.size)).sum())
+
+
+# Window pairs per triple above which `_window_census` leaves a matrix to
+# `_anchor_census`.  Timed on a 2-CPU VM on Euclidean data at tol 0.05 to 1
+# and on integer, Hamming and tie-heavy matrices, the two broke even at 0.27
+# to 0.30 pairs per triple at n = 300 and 600.  At n = 1000, where the anchor
+# loop's buffers outgrow the cache, the windows took 0.56x its time at 0.29.
+_WINDOW_PAIRS = 0.3
+
+
+def _window_census(A: np.ndarray, scale: float) -> tuple[int, int] | None:
+    """Equilateral and violating triples of A from its sorted rows, or None past `_WINDOW_PAIRS`.
+
+    A triple violates unless its two longest sides agree within ``scale``.
+    They meet at the apex opposite its shortest side, ties going to the
+    smaller (value, opposite vertex), and only that apex counts the triple.
+    So an apex's candidates are the windows of its sorted row, the pairs
+    A[i, j] <= A[i, k] <= A[i, j] * scale: counted first, one `searchsorted`
+    per row that has any, and then enumerated.
+    """
+    n = len(A)
+    total = n * (n - 1) * (n - 2) // 6
+    rows, pairs = [], 0  # the rows holding a window pair, and the pairs
+    for a, b in _row_blocks(n, n):
+        v = A[a:b].copy()
+        v[np.arange(b - a), np.arange(a, b)] = np.nan  # sorted last, and close to nothing
+        v.sort(axis=1)
+        for r in np.flatnonzero((v[:, 1:] <= v[:, :-1] * scale).any(axis=1)).tolist():
+            pairs += int(np.searchsorted(v[r], v[r, :-1] * scale, "right").sum()) - n * (n - 1) // 2
+            rows.append(a + r)
+    if pairs > _WINDOW_PAIRS * total:
+        return None
+    fine = eq = 0
+    for a, b in _row_blocks(len(rows), n):
+        apex = np.array(rows[a:b])
+        block = A[apex]
+        block[np.arange(b - a), apex] = np.nan
+        near = np.argsort(block, axis=1)
+        v, near = np.take_along_axis(block, near, axis=1).ravel(), near.ravel()
+        caps, at = v * scale, np.arange(v.size - 1)
+        for d in itertools.count(1):  # pairs d apart in sorted order extend pairs d - 1 apart
+            at = at[v[at + d] <= caps[at]]
+            if not at.size:
+                break
+            nxt = at + d
+            i, j, k, lo, hi = apex[at // n], near[at], near[nxt], v[at], v[nxt]
+            side = A[j, k]  # i counts the pair if side is the smallest, and lo <= hi
+            ok = (side < lo) | (side == lo) & (i < k) & ((side < hi) | (i < j))
+            fine += int(np.count_nonzero(ok))
+            eq += int(np.count_nonzero(ok & (hi <= side * scale)))
+    return eq, total - fine
 
 
 def _anchor_census(A: np.ndarray, scale: float) -> tuple[int, int]:
@@ -607,11 +656,30 @@ def read_table(text, labelled: bool = False) -> tuple[list[str], list[str] | Non
     again from its start cell by cell with `csv.reader`, which gives the
     same values and names the first bad cell.
     """
-    if isinstance(text, str):  # read as a file is; a StringIO would hold 4 bytes a character
-        raw = io.BytesIO(text.encode("utf-8", "surrogatepass"))
-        text = io.TextIOWrapper(raw, "utf-8", "surrogatepass", newline="")
     plain = _read_plain(text, labelled)
     return plain if plain is not None else _read_cells(text, labelled)
+
+
+def _lines(text):
+    """The lines of ``text``, a str or a seekable text file, from its start.
+
+    A str is sliced one line at a time, each ending at its next ``\\n``,
+    ``\\r\\n`` or lone ``\\r``, as a file's opened with ``newline=""`` do; a
+    StringIO would copy it at 4 bytes a character.
+    """
+    if not isinstance(text, str):
+        text.seek(0)
+        yield from iter(text.readline, "")  # not the file itself, which closing this would close
+        return
+    size, start, nl, cr = len(text), 0, -1, -1
+    while start < size:
+        if nl < start:
+            nl = text.find("\n", start) % (size + 1)  # size, if there is none
+        if cr < start:
+            cr = text.find("\r", start) % (size + 1)
+        end = min(nl, cr) + 1 + (nl == cr + 1)  # past the text if neither is found
+        yield text[start:end]
+        start = end
 
 
 # the bytes of a line of value cells; over these `np.loadtxt` and `float`
@@ -632,11 +700,11 @@ def _read_plain(fh, labelled: bool):
     """
     raw = getattr(fh, "buffer", None)  # a file's bytes, counted a block at a time, not decoded
     if raw is None:
-        count = sum(1 for _ in fh)
+        count = sum(1 for _ in _lines(fh))
     else:  # its "\n" plus one, so the header's line leaves a row to spare
         count = 1 + sum(chunk.count(b"\n") for chunk in iter(lambda: raw.read(_BLOCK_CELLS), b""))
-    fh.seek(0)
-    line = fh.readline()
+    lines = _lines(fh)
+    line = next(lines, "")
     if not line.endswith("\n"):
         return None
     try:  # strict: a quote left open, so the header runs on past this line, is an error
@@ -650,13 +718,13 @@ def _read_plain(fh, labelled: bool):
     values = np.empty((count, width))
     labels, rows = [], 0
     for a, b in _row_blocks(count, width + skip):
-        block = _plain_block(list(itertools.islice(fh, b - a)), labelled, width)
+        block = _plain_block(list(itertools.islice(lines, b - a)), labelled, width)
         if block is None:
             return None
         values[rows : rows + len(block[0])] = block[0]
         rows += len(block[0])
         labels += block[1]
-    if not rows or fh.readline():  # no body, or more lines than counted
+    if not rows or next(lines, ""):  # no body, or more lines than counted
         return None
     return [s.strip() for s in header[skip:]], labels if labelled else None, values[:rows]
 
@@ -701,9 +769,8 @@ def _plain_block(lines: list[str], labelled: bool, width: int):
 
 def _read_cells(fh, labelled: bool) -> tuple[list[str], list[str] | None, np.ndarray]:
     """`read_table` through `csv.reader` from the start of ``fh``, one Python string per cell."""
-    fh.seek(0)
     try:
-        rows = [row for row in csv.reader(fh) if row]
+        rows = [row for row in csv.reader(_lines(fh)) if row]
     except csv.Error as exc:
         raise ValidationError(f"not a CSV table: {exc}") from exc
     if not rows:

@@ -122,6 +122,111 @@ def test_ultrametrics_are_counted_from_the_tree(monkeypatch):
                 assert census(triangle_classify(M, tol)) == census(want)
 
 
+CENSUS_TOLS = (0, 1e-9, 0.05, 0.5)
+
+
+def census_matrices():
+    """Data, integer, Hamming and `check_matrices` families, duplicates and near ties."""
+    rng = np.random.default_rng(613)
+    yield from check_matrices(48, seed=614)
+    for t in range(36):
+        n = int(rng.integers(3, 31))
+        kind = t % 6
+        if kind == 0:
+            yield pairwise_euclidean(rng.normal(size=(n, 5)))
+        elif kind == 1:
+            M = np.triu(rng.integers(0, 6, size=(n, n)), 1)
+            yield M + M.T
+        elif kind == 2:
+            bits = rng.integers(0, 2, size=(n, 8))
+            yield (bits[:, None] != bits).sum(axis=-1)
+        elif kind == 3:  # duplicate points: zero cells off the diagonal
+            X = rng.normal(size=(n, 2))
+            yield pairwise_euclidean(X[rng.integers(0, max(2, n // 2), size=n)])
+        elif kind == 4:  # cells a rounding step or a tolerance apart
+            M = np.triu(1.0 + rng.integers(0, 3, size=(n, n)) * rng.choice([1e-16, 1e-10, 0.04]), 1)
+            yield M + M.T
+        else:
+            yield np.zeros((n, n))
+
+
+@pytest.fixture(scope="module")
+def census_cases():
+    """Every census matrix at every tolerance, with its census by the anchor oracle."""
+    cases = [(M, tol, census(oracles.triangle_classify_anchors(M, tol)))
+             for M in census_matrices() for tol in CENSUS_TOLS]
+    for M, tol, want in cases:
+        if M.shape[0] <= 30:
+            assert census(oracles.triangle_classify(M, tol)) == want
+    return cases
+
+
+@pytest.mark.parametrize("window_pairs", [0.0, 1e12], ids=["anchor-fallback", "windows"])
+def test_census_matches_the_oracles(census_cases, blocks, window_pairs, monkeypatch):
+    monkeypatch.setattr(ultrametric, "_WINDOW_PAIRS", window_pairs)
+    anchors = []
+    anchor_census = ultrametric._anchor_census
+    monkeypatch.setattr(ultrametric, "_anchor_census", lambda *a: anchors.append(1) or anchor_census(*a))
+    for M, tol, want in census_cases:
+        assert census(triangle_classify(M, tol)) == want
+    assert bool(anchors) == (window_pairs == 0.0)
+
+
+def test_the_anchor_loop_never_runs_on_data(monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("the O(n^3) anchor loop ran on data")
+
+    rng = np.random.default_rng(615)
+    for n in (3, 10, 40, 90):
+        M = pairwise_euclidean(rng.normal(size=(n, 5)))
+        wants = {tol: census(oracles.triangle_classify_anchors(M, tol)) for tol in TOLS}
+        with monkeypatch.context() as patch:
+            patch.setattr(ultrametric, "_anchor_census", no_scan)
+            for tol in TOLS:
+                assert census(triangle_classify(M, tol)) == wants[tol]
+
+
+def test_tie_heavy_matrices_fall_back_to_the_anchor_loop(monkeypatch):
+    calls = []
+    anchor_census = ultrametric._anchor_census
+    monkeypatch.setattr(ultrametric, "_anchor_census", lambda *a: calls.append(1) or anchor_census(*a))
+    d = random_dendrogram(60, np.random.default_rng(616))
+    ranks = cophenetic(d).astype(float)
+    constant = 1.0 - np.eye(60)
+    for M in (ranks, constant):
+        M[3, 7] = M[7, 3] = M[3, 7] + 1.0
+        assert census(triangle_classify(M)) == census(oracles.triangle_classify_anchors(M))
+    assert len(calls) == 2
+
+
+def test_the_census_of_data_builds_no_square_temporary():
+    M = pairwise_euclidean(np.random.default_rng(617).normal(size=(2000, 5)))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        c = triangle_classify(M)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert c.violating > 0.99 * c.total
+    assert peak < M.nbytes / 4, f"{peak} bytes at the peak, the matrix has {M.nbytes}"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1e-9, "0.1", None],
+                         ids=["inf", "nan", "negative", "text", "none"])
+def test_tolerances_that_are_not_finite_nonnegative_numbers_are_refused(tol):
+    # three duplicate points, so an infinite tol meets 0 * inf
+    M = np.array([[0, 0, 0, 2], [0, 0, 0, 2], [0, 0, 0, 2], [2, 2, 2, 0.0]])
+    for check in (is_ultrametric, triangle_classify, lambda M, tol: canonical_form(M, range(4), tol)):
+        with pytest.raises(ValidationError, match="tol must be a finite nonnegative number"):
+            check(M, tol)
+
+
 def test_subdominant_lies_below_and_equals_only_ultrametrics():
     for M in check_matrices(90, seed=607):
         n = M.shape[0]

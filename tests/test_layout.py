@@ -97,6 +97,29 @@ def test_layout_arrays_describe_the_stored_order():
             lay.gaps[...] = 0
 
 
+def assert_layout_is_the_oracles(d):
+    want = oracles.build_layout(d.merges, d.n_terminals)
+    for name, arr in want.items():
+        assert np.array_equal(getattr(d.layout, name), arr), name
+
+
+def test_canonical_layout_shares_sizes_and_lows_with_its_source():
+    swapped = 0
+    for d in sample_trees(with_levels=True):
+        c = canonical_orient(d)
+        assert_layout_is_the_oracles(c)
+        if c is not d:
+            swapped += 1
+            assert c.layout.size is d.layout.size and c.layout.low is d.layout.low
+    assert swapped > 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(dendrograms(min_n=1, max_n=14))
+def test_canonical_layout_matches_the_oracle_on_generated_trees(d):
+    assert_layout_is_the_oracles(canonical_orient(d))
+
+
 def test_canonical_tree_is_returned_unchanged():
     for d in random_trees(10, 16, seed=92):
         c = canonical_orient(d)

@@ -9,6 +9,7 @@ import io
 import itertools
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -23,12 +24,20 @@ from conftest import feed
 from dendrowave import tree
 from dendrowave.cli import _parse, main
 from dendrowave.tree import ValidationError, read_text
-from dendrowave.ultrametric import _PLAIN_BYTES, _read_plain, matrix_from_csv, read_table, write_table
+from dendrowave.ultrametric import (
+    _PLAIN_BYTES,
+    _read_plain,
+    _lines,
+    matrix_from_csv,
+    matrix_to_csv,
+    read_table,
+    write_table,
+)
 
 # np.loadtxt warns on an empty input, which the block path must never give it
 pytestmark = pytest.mark.filterwarnings("error")
 
-SOURCES = ("str", "file")
+SOURCES = ("str", "stringio", "file")
 
 NUMBERS = st.floats(allow_nan=False, allow_infinity=False).flatmap(
     lambda v: st.sampled_from([repr(v), format(v, ".12g")])
@@ -56,9 +65,9 @@ def encodable(text: str) -> bool:
 
 @contextlib.contextmanager
 def handle(text: str, source: str):
-    """``text`` in a `io.StringIO`, or in a file opened as `read_table` wants it."""
-    if source == "str":
-        yield io.StringIO(text, newline="")
+    """``text`` itself, in a `io.StringIO`, or in a file opened as `read_table` wants it."""
+    if source != "file":
+        yield text if source == "str" else io.StringIO(text, newline="")
         return
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "table.csv"
@@ -70,14 +79,11 @@ def handle(text: str, source: str):
 def outcome(reader, text: str, labelled: bool, source: str = "str"):
     """What a reader makes of a table: its parts with the values' bits, or its error.
 
-    The "file" source gives the reader a file holding ``text``.
+    The "stringio" and "file" sources give the reader a handle holding ``text``.
     """
     try:
-        if source == "str":
-            header, labels, values = reader(text, labelled)
-        else:
-            with handle(text, source) as fh:
-                header, labels, values = reader(fh, labelled)
+        with handle(text, source) as fh:
+            header, labels, values = reader(fh, labelled)
     except ValidationError as exc:
         return "error", str(exc)
     return header, labels, values.shape, values.view(np.int64).tolist()
@@ -152,7 +158,7 @@ def tables(draw):
 @given(tables(), st.sampled_from([1, 7, 37, tree._BLOCK_CELLS]), st.sampled_from(SOURCES))
 def test_read_table_matches_the_cell_reader(table, block_cells, source):
     text, labelled = table
-    assume(source == "str" or encodable(text))
+    assume(source != "file" or encodable(text))
     with mock.patch.object(tree, "_BLOCK_CELLS", block_cells):
         assert same_as_cells(text, labelled, source)
 
@@ -161,7 +167,7 @@ def test_read_table_matches_the_cell_reader(table, block_cells, source):
 @given(tables(), st.integers(1, 8), st.sampled_from(SOURCES))
 def test_cells_over_the_csv_field_limit_are_refused_alike(table, limit, source):
     text, labelled = table
-    assume(source == "str" or encodable(text))
+    assume(source != "file" or encodable(text))
     old = csv.field_size_limit(limit)
     try:
         assert same_as_cells(text, labelled, source)
@@ -349,3 +355,28 @@ def test_a_pipe_is_read_whole(tmp_path):
         _parse(path, read_table, True)
     writer.join(10)
     assert str(exc.value) == f"{path}: byte 9000: not UTF-8 text"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="ab,\r\n\x85\u2028", max_size=40))
+def test_a_str_splits_into_lines_as_a_file_does(text):
+    assert list(_lines(text)) == list(io.StringIO(text, newline=""))
+
+
+def test_a_str_is_read_without_a_copy_of_its_text():
+    M = np.random.default_rng(8).uniform(size=(600, 600))
+    text = matrix_to_csv(M, [f"p{i}" for i in range(600)])
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        with mock.patch.object(tree, "_BLOCK_CELLS", 4096):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            labels, values = matrix_from_csv(text)
+            peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert outcome(read_table, text, False) == outcome(oracles.read_table_cells, text, False)
+    assert peak - values.nbytes < len(text) / 4, f"{peak} bytes at the peak for {len(text)} characters"
