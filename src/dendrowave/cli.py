@@ -211,7 +211,8 @@ def cmd_cluster(args) -> int:
         raise ValidationError(f"{args.data}: need n >= 2 observation rows")
     diss = pairwise_euclidean(X)
     if args.squared:
-        np.square(diss, out=diss)
+        with np.errstate(over="ignore"):  # an infinite square is refused as non-finite
+            np.square(diss, out=diss)
     tree = agglomerate(diss, args.linkage)
     del diss  # freed before the cophenetic matrix, so one n x n matrix is live at a time
     outdir = _outdir(args)
@@ -259,7 +260,7 @@ def cmd_transform(args) -> int:
         err_paths = float(np.abs(direct - matrix_form).max(initial=0.0))
         print(f"round-trip max abs error: {_fmt(err_direct)}")
         print(f"recursive vs matrix form max abs error: {_fmt(err_paths)}")
-        if err_direct >= 1e-9:
+        if not err_direct < 1e-9:  # NaN fails too
             print("check FAILED: reconstruction error above 1e-9", file=sys.stderr)
             return 1
         print("check passed")

@@ -109,8 +109,11 @@ def _ascend(X, tree: Dendrogram, merge) -> tuple[np.ndarray, np.ndarray, np.ndar
     sizes = np.stack((lay.mid - lay.lo, lay.hi - lay.mid), axis=1)
     smooth = np.empty((2 * n - 1, X.shape[1]))  # by `Waves` row: the terminals, then each slot
     smooth[:n], above, details = X, smooth[n:], np.empty((n - 1, X.shape[1]))
-    for a, b, na, nb, out in waves.steps:
-        above[out], details[out] = merge(smooth[a], smooth[b], na, nb)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for a, b, na, nb, out in waves.steps:
+            above[out], details[out] = merge(smooth[a], smooth[b], na, nb)
+    if not (np.isfinite(above).all() and np.isfinite(details).all()):
+        raise ValidationError("data too large: a cluster's smooth or detail overflows a float")
     return details[waves.slot], smooth[-1].copy(), sizes
 
 

@@ -64,11 +64,16 @@ def pairwise_euclidean(X) -> np.ndarray:
     if not np.isfinite(X).all():
         raise ValidationError("data contains non-finite entries")
     n, m = X.shape
+    # squares of data past 2**500 could overflow, so such data are scaled down
+    # below it by a power of two, exactly but for underflow, and back up after
+    unit = max(int(np.frexp(np.abs(X).max(initial=0.0))[1]) - 500, 0)
+    X = np.ldexp(X, -unit)
     out = np.empty((n, n))
     for a, b in _row_blocks(n, n * m):  # a block's differences hold n * m floats per row
         diffs = X[a:b, None, :] - X[None, :, :]
         out[a:b] = np.sqrt((diffs**2).sum(axis=-1))
-    return out
+    with np.errstate(over="ignore"):  # a distance past the float maximum is refused as non-finite
+        return np.ldexp(out, unit, out=out) if unit else out
 
 
 def validate_dissimilarity(M) -> np.ndarray:

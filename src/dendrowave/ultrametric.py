@@ -255,6 +255,7 @@ def _as_distances(M) -> _Distances:
 
 # ------------------------------------------------------------------- verdicts
 
+@np.errstate(over="ignore")  # a scaled value past the float maximum is inf, the right cap
 def is_ultrametric(M, tol: float = DEFAULT_TOL) -> Verdict:
     """Check the strong triangle inequality over all triples.
 
@@ -308,6 +309,7 @@ def _row_violation(A: np.ndarray, x: int, scale: float) -> int | None:
     return int(bad[0]) if bad.size else None
 
 
+@np.errstate(over="ignore")  # a scaled value past the float maximum is inf, the right cap
 def triangle_classify(M, tol: float = DEFAULT_TOL) -> TriangleCensus:
     """Classify every triple of points by its triangle shape.
 
@@ -473,6 +475,7 @@ def canonical_form(M, order, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, Verd
     return D.A[np.ix_(order, order)], verdict
 
 
+@np.errstate(over="ignore")  # a scaled value past the float maximum is inf, the right cap
 def _layout_verdict(M, order, tol: float = DEFAULT_TOL) -> Verdict:
     """`canonical_form`'s verdict, read through ``order`` a `_row_blocks` block at a time.
 
@@ -650,14 +653,48 @@ def read_table(text, labelled: bool = False) -> tuple[list[str], list[str] | Non
     the header then names the value columns.  Both come back stripped.
     Errors number rows from the header, row 1, skipping blank lines.
 
-    A table of plain numbers is parsed a `_row_blocks` block of lines at a
-    time by `np.loadtxt` (`_read_plain`), so a file's text is never held
-    whole; any other table, and every table that breaks a rule, is read
-    again from its start cell by cell with `csv.reader`, which gives the
-    same values and names the first bad cell.
+    Lines are counted, to size the values, then read once in `_row_blocks`
+    blocks, by `np.loadtxt` while plain, then by `csv.reader`.  A csv error
+    is raised where met, any other fault at the end: the first row of the
+    wrong width, else the first cell that is not a finite number.
     """
-    plain = _read_plain(text, labelled)
-    return plain if plain is not None else _read_cells(text, labelled)
+    raw = getattr(text, "buffer", None)  # a file's bytes, counted a block at a time, not decoded
+    if raw is None:
+        count = sum(1 for _ in _lines(text))
+    else:  # one line for each "\n" and lone "\r", and one for a last line ending in neither
+        count = 1
+        for chunk in iter(lambda: raw.read(_BLOCK_CELLS), b""):
+            count += chunk.count(b"\n")
+            if b"\r" in chunk:
+                count += chunk.count(b"\r") - chunk.count(b"\r\n")
+    lines = _lines(text)
+    try:
+        header = next(filter(None, csv.reader(lines)), None)
+        if header is None:
+            raise ValidationError("empty file")
+        skip, size = int(labelled), len(header)
+        values = np.empty((count, size - skip))
+        labels, rows, fault, plain = [], 0, None, True
+        for a, b in _row_blocks(count, size):
+            block = list(itertools.islice(lines, b - a))
+            got = _plain_block(block, labelled, size - skip) if plain else None
+            if got is None:
+                if plain:  # every line so far was plain, so quote-free and a whole record
+                    lines, plain = filter(None, csv.reader(itertools.chain(block, lines))), False
+                    block = list(itertools.islice(lines, b - a))
+                got = _cell_block(block, rows + 2, size, labelled)
+            if isinstance(got[1], str):  # a fault: the first of the lowest rank is kept
+                fault = got if fault is None or got[0] < fault[0] else fault
+                rows += len(block)
+                continue
+            values[rows : rows + len(got[0])] = got[0]
+            rows += len(got[0])
+            labels += got[1]
+    except csv.Error as exc:
+        raise ValidationError(f"not a CSV table: {exc}") from exc
+    if fault is not None:
+        raise ValidationError(fault[1])
+    return [s.strip() for s in header[skip:]], labels if labelled else None, values[:rows]
 
 
 def _lines(text):
@@ -687,50 +724,13 @@ def _lines(text):
 _PLAIN_BYTES = b"0123456789+-.eE,"
 
 
-def _read_plain(fh, labelled: bool):
-    """`read_table` of a plain table, or None to leave the table to `_read_cells`.
-
-    A table is plain when its header is its first line (by `csv.reader`)
-    and ends in ``\\n``, its body is not empty and has no more lines than
-    counted first, no label holds a quote or NUL, every value cell is ASCII
-    from `_PLAIN_BYTES`, every non-empty line has the header's width, no
-    cell is longer than csv's field size limit and every value is finite.
-    Lines end where `csv.reader` ends rows, at ``\\n``, ``\\r\\n`` or a lone
-    ``\\r``, and are parsed a `_row_blocks` block at a time.
-    """
-    raw = getattr(fh, "buffer", None)  # a file's bytes, counted a block at a time, not decoded
-    if raw is None:
-        count = sum(1 for _ in _lines(fh))
-    else:  # its "\n" plus one, so the header's line leaves a row to spare
-        count = 1 + sum(chunk.count(b"\n") for chunk in iter(lambda: raw.read(_BLOCK_CELLS), b""))
-    lines = _lines(fh)
-    line = next(lines, "")
-    if not line.endswith("\n"):
-        return None
-    try:  # strict: a quote left open, so the header runs on past this line, is an error
-        header = next(csv.reader([line.rstrip("\r\n")], strict=True))
-    except csv.Error:
-        return None
-    skip = int(labelled)
-    width = len(header) - skip
-    if width < 1:
-        return None
-    values = np.empty((count, width))
-    labels, rows = [], 0
-    for a, b in _row_blocks(count, width + skip):
-        block = _plain_block(list(itertools.islice(lines, b - a)), labelled, width)
-        if block is None:
-            return None
-        values[rows : rows + len(block[0])] = block[0]
-        rows += len(block[0])
-        labels += block[1]
-    if not rows or next(lines, ""):  # no body, or more lines than counted
-        return None
-    return [s.strip() for s in header[skip:]], labels if labelled else None, values[:rows]
-
-
 def _plain_block(lines: list[str], labelled: bool, width: int):
-    """The values and labels of one block of lines, or None if it is not plain."""
+    """The values and labels of one block of lines, or None if it is not plain.
+
+    Plain: no quote or NUL in a label, and finite values, as many as the
+    header names, in ASCII cells of `_PLAIN_BYTES` within csv's field size
+    limit.  Free of quotes, each line is then one whole csv record.
+    """
     limit = csv.field_size_limit()
     lines = [line for line in (line.rstrip("\r\n") for line in lines) if line]
     labels = []
@@ -745,10 +745,8 @@ def _plain_block(lines: list[str], labelled: bool, width: int):
             return None
         labels = [label.strip() for label in labels]
         lines = [cells for _, _, cells in parts]
-        if not all(lines):  # a row of one label is too narrow
-            return None
-    # isascii first: a lone surrogate cannot be encoded
-    if not all(line.isascii() and not line.encode().translate(None, _PLAIN_BYTES)
+    # a row of one label has no cells; isascii first: a lone surrogate cannot be encoded
+    if not all(line and line.isascii() and not line.encode().translate(None, _PLAIN_BYTES)
                for line in lines):
         return None
     if max(map(len, lines)) > limit:
@@ -767,40 +765,30 @@ def _plain_block(lines: list[str], labelled: bool, width: int):
     return block, labels
 
 
-def _read_cells(fh, labelled: bool) -> tuple[list[str], list[str] | None, np.ndarray]:
-    """`read_table` through `csv.reader` from the start of ``fh``, one Python string per cell."""
-    try:
-        rows = [row for row in csv.reader(_lines(fh)) if row]
-    except csv.Error as exc:
-        raise ValidationError(f"not a CSV table: {exc}") from exc
-    if not rows:
-        raise ValidationError("empty file")
-    header, body = rows[0], rows[1:]
-    for i, row in enumerate(body, start=2):
-        if len(row) != len(header):
-            raise ValidationError(f"row {i}: expected {len(header)} values, got {len(row)}")
+def _cell_block(rows: list[list[str]], row0: int, size: int, labelled: bool):
+    """The values and labels of a block of `csv.reader` rows, the first row ``row0``, or its fault.
+
+    A fault is (0, message) for the first row not ``size`` cells wide, else
+    (1, message) for the first cell that is not a finite number.
+    """
+    for i, row in enumerate(rows, start=row0):
+        if len(row) != size:
+            return 0, f"row {i}: expected {size} values, got {len(row)}"
     skip = int(labelled)
-    cells = [row[skip:] for row in body]
-    try:
-        values = np.array(cells, dtype=float).reshape(len(body), len(header) - skip)
+    cells = [row[skip:] for row in rows]
+    try:  # numpy reads a cell as `float` does, which names the first bad one below
+        values = np.array(cells, dtype=float).reshape(len(rows), size - skip)
+        if np.isfinite(values).all():
+            return values, [row[0].strip() for row in rows] if labelled else []
     except ValueError:
-        values = None
-    if values is None or not np.isfinite(values).all():
-        # failure path only: name the first cell that is not a finite number
-        for i, row in enumerate(cells, start=2):
-            for j, cell in enumerate(row, start=skip + 1):
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise ValidationError(
-                        f"row {i}, column {j}: could not parse {cell.strip()!r}"
-                    ) from None
-                if not np.isfinite(value):
-                    raise ValidationError(
-                        f"row {i}, column {j}: expected a finite number, got {cell.strip()!r}"
-                    )
-    labels = [row[0].strip() for row in body] if labelled else None
-    return [s.strip() for s in header[skip:]], labels, values
+        pass
+    for i, row in enumerate(cells, start=row0):
+        for j, cell in enumerate(row, start=skip + 1):
+            try:
+                if not np.isfinite(float(cell)):
+                    return 1, f"row {i}, column {j}: expected a finite number, got {cell.strip()!r}"
+            except ValueError:
+                return 1, f"row {i}, column {j}: could not parse {cell.strip()!r}"
 
 
 def matrix_from_csv(text: str) -> tuple[list[str], np.ndarray]:

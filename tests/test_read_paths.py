@@ -1,7 +1,8 @@
-"""Differential tests: `read_table`, whose plain tables are parsed in row blocks
-by `np.loadtxt`, against the cell-by-cell csv reader it replaced (kept in
-oracles.py), on a str and on a file.  Values must match bit for bit, header
-and labels exactly, and every `ValidationError` message word for word."""
+"""Differential tests: `read_table`, which parses blocks of plain rows with
+`np.loadtxt` and the rest through `csv.reader` in one pass, against the
+cell-by-cell csv reader it replaced (kept in oracles.py), on a str and on a
+file.  Values must match bit for bit, header and labels exactly, and every
+`ValidationError` message word for word."""
 
 import contextlib
 import csv
@@ -21,12 +22,11 @@ from hypothesis import strategies as st
 import oracles
 from conftest import feed
 
-from dendrowave import tree
+from dendrowave import tree, ultrametric
 from dendrowave.cli import _parse, main
 from dendrowave.tree import ValidationError, read_text
 from dendrowave.ultrametric import (
     _PLAIN_BYTES,
-    _read_plain,
     _lines,
     matrix_from_csv,
     matrix_to_csv,
@@ -94,8 +94,10 @@ def same_as_cells(text: str, labelled: bool, source: str) -> bool:
 
 
 def is_plain(text: str, labelled: bool, source: str) -> bool:
-    with handle(text, source) as fh:
-        return _read_plain(fh, labelled) is not None
+    """Whether `read_table` reads the whole table by `np.loadtxt`: no error, and no `_cell_block`."""
+    with mock.patch.object(ultrametric, "_cell_block", wraps=ultrametric._cell_block) as spy:
+        got = outcome(read_table, text, labelled, source)
+    return got[0] != "error" and not spy.called
 
 
 # (cells a block, source): every listed table is read each way
@@ -135,8 +137,8 @@ def tables(draw):
             ends[draw(st.integers(0, n))] = "\r"
         elif n:
             r = draw(st.integers(0, n - 1))
-            if fault == "cell":
-                rows[r][draw(st.integers(0, width - 1))] = draw(st.one_of(PLAIN, ODD))
+            if fault == "cell" and rows[r]:  # a "width" fault may have emptied the row
+                rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(st.one_of(PLAIN, ODD))
             elif fault == "label":
                 labels[r] = draw(st.one_of(NAMES, NAMES.map(quoted)))
             else:
@@ -227,6 +229,12 @@ WRITTEN = "a,b\n1,2.5\n-0,1e-300\n"
         ("label,a\nαβ,1\n,2\n", True),
         ("a\n1\n2\n", False),
         ("a,b\n1,2\r3,4\n", False),  # lines split at a lone "\r" too
+        ("a,b\r1,2\r", False),  # the header line ends in a lone "\r"
+        ("a,b\n", False),  # no body
+        ("a,b\n\n\n", False),
+        ("a,b", False),
+        ("\na,b\n1,2\n", False),  # the header is not the first line
+        ('"a\nb",c\n1,2\n', False),  # nor the whole first line
     ],
 )
 def test_plain_tables_take_the_block_path(text, labelled):
@@ -239,7 +247,6 @@ def test_plain_tables_take_the_block_path(text, labelled):
 @pytest.mark.parametrize(
     "text, labelled",
     [
-        ("a,b\r1,2\r", False),  # the header line ends in a lone "\r"
         ('label,a\n"r,1",2\n', True),  # a quoted label
         ("a,b\n1,\xa02\n", False),
         ("a,b\n1,1_0\n", False),
@@ -247,11 +254,6 @@ def test_plain_tables_take_the_block_path(text, labelled):
         ("a,b\n1,inf\n", False),
         ("a,b\n1,1e400\n", False),
         ("a,b\n1\n", False),  # a short row
-        ("a,b\n", False),  # no body
-        ("a,b\n\n\n", False),
-        ("a,b", False),
-        ("\na,b\n1,2\n", False),  # the header is not the first line
-        ('"a\nb",c\n1,2\n', False),  # nor the whole first line
         ("label\nr1\n", True),  # no value column
         ("label,a\nr1\n", True),
         ("label,a\nr\r1,2\n", True),  # a lone "\r" in a label
@@ -308,9 +310,47 @@ def test_written_tables_read_back_through_the_block_path():
     write_table(buf, ["row"] + [f"c{j}" for j in range(7)], values, [f"r {i}" for i in range(300)])
     text = buf.getvalue()
     with mock.patch.object(tree, "_BLOCK_CELLS", 64):
-        plain = _read_plain(io.StringIO(text, newline=""), True)
-    assert plain is not None
-    assert outcome(lambda *_: plain, text, True) == outcome(oracles.read_table_cells, text, True)
+        assert is_plain(text, True, "stringio")
+        assert same_as_cells(text, True, "stringio")
+
+
+def test_a_quoted_label_switches_to_csv_mid_table():
+    # 60 rows of a label and two values: at 37 cells a block, 12 rows a block,
+    # so the first three blocks are parsed plain and the rest through csv
+    lines = ["l,a,b"] + [f"r{i},{i},{i / 7!r}" for i in range(60)]
+    lines[40] = '"r,39",39,1'
+    text = "\n".join(lines) + "\n"
+    with mock.patch.object(tree, "_BLOCK_CELLS", 37):
+        for source in SOURCES:
+            with mock.patch.object(ultrametric, "_plain_block", wraps=ultrametric._plain_block) as plain, \
+                    mock.patch.object(ultrametric, "_cell_block", wraps=ultrametric._cell_block) as cells:
+                _, labels, shape, _ = outcome(read_table, text, True, source)
+            assert plain.call_count == 4, source  # the fourth block is the first not plain
+            assert [len(call.args[0]) for call in cells.call_args_list] == [12, 12, 0], source
+            assert labels[39] == "r,39" and shape == (60, 2), source
+            assert same_as_cells(text, True, source), source
+
+
+@pytest.mark.parametrize(
+    "late, want",
+    [("1,2", "row 47: expected 3 values, got 2"), ('1,2,"3', "not a CSV table: field larger than field limit (100)")],
+    ids=["width", "csv"],
+)
+def test_an_early_bad_cell_is_outranked_by_a_later_fault(late, want):
+    # 60 rows of three values, 12 rows a block at 37 cells: a bad cell in
+    # block 1, then a short row in block 4, or a quote left open there, whose
+    # field runs on to the end of the text, past the field size limit
+    lines = ["a,b,c"] + [f"{i},{i + 0.5},-{i}e-3" for i in range(60)]
+    lines[3], lines[46] = "1,x,2", late
+    text = "\n".join(lines) + "\n"
+    old = csv.field_size_limit(100)
+    try:
+        for block_cells, source in WAYS:
+            with mock.patch.object(tree, "_BLOCK_CELLS", block_cells):
+                assert outcome(read_table, text, False, source) == ("error", want), (block_cells, source)
+                assert same_as_cells(text, False, source), (block_cells, source)
+    finally:
+        csv.field_size_limit(old)
 
 
 def big_table(rows: int = 3000) -> str:
@@ -321,7 +361,7 @@ def big_table(rows: int = 3000) -> str:
 @pytest.mark.parametrize("quoted", [False, True], ids=["block-path", "cell-path"])
 def test_bad_utf8_is_located_from_the_start_of_the_file(tmp_path, capsys, quoted):
     text = big_table()
-    if quoted:  # the block path gives up at once, and the cell reader meets the byte
+    if quoted:  # csv.reader reads from the first block on, and meets the byte
         text = text.replace("r0,", '"r,0",', 1)
     raw = text.encode("utf-8")
     path = tmp_path / "bad.csv"
@@ -363,9 +403,8 @@ def test_a_str_splits_into_lines_as_a_file_does(text):
     assert list(_lines(text)) == list(io.StringIO(text, newline=""))
 
 
-def test_a_str_is_read_without_a_copy_of_its_text():
-    M = np.random.default_rng(8).uniform(size=(600, 600))
-    text = matrix_to_csv(M, [f"p{i}" for i in range(600)])
+def peak_beyond_values(text: str) -> int:
+    """Bytes that `matrix_from_csv` of ``text`` peaks at beyond its values, by tracemalloc."""
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -379,4 +418,23 @@ def test_a_str_is_read_without_a_copy_of_its_text():
         if not tracing:
             tracemalloc.stop()
     assert outcome(read_table, text, False) == outcome(oracles.read_table_cells, text, False)
-    assert peak - values.nbytes < len(text) / 4, f"{peak} bytes at the peak for {len(text)} characters"
+    return peak - values.nbytes
+
+
+def written_matrix() -> str:
+    M = np.random.default_rng(8).uniform(size=(600, 600))
+    return matrix_to_csv(M, [f"p{i}" for i in range(600)])
+
+
+def test_a_str_is_read_without_a_copy_of_its_text():
+    text = written_matrix()
+    peak = peak_beyond_values(text)
+    assert peak < len(text) / 4, f"{peak} bytes at the peak for {len(text)} characters"
+
+
+def test_a_str_that_is_not_plain_is_read_a_block_of_cells_at_a_time():
+    header, _, body = written_matrix().partition("\n")
+    text = header + "\n" + body.replace(",", ", ")  # csv.reader's from the first block
+    peak = peak_beyond_values(text)
+    # a block of 4096 cells as Python strs, not every cell of the table
+    assert peak < 1 << 20, f"{peak} bytes at the peak for {len(text)} characters"
