@@ -25,6 +25,7 @@ from itertools import groupby
 import numpy as np
 
 from .tree import Dendrogram, ValidationError, branch_signs, canonical_orient
+from .ultrametric import _real_array
 
 MODE_ULTRAMETRIC = "ultrametric"
 MODE_INDICATOR = "indicator"
@@ -78,7 +79,7 @@ class WaveletDecomposition:
 
 
 def _checked_data(X, d: Dendrogram) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
+    X = np.asarray(_real_array(X, "data"), dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     if X.ndim != 2 or X.shape[0] != d.n_terminals:

@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .tree import Dendrogram, ValidationError, _labels, _row_blocks
-from .ultrametric import _checked_matrix
+from .ultrametric import _checked_matrix, _real_array
 
 # coefficient table: (size_a, size_b, size_other) -> (alpha_a, alpha_b, beta, gamma)
 _Coeffs = Callable[[int, int, int], tuple[float, float, float, float]]
@@ -56,7 +56,7 @@ LINKAGES: dict[str, _Coeffs] = {
 
 def pairwise_euclidean(X) -> np.ndarray:
     """Euclidean distance matrix between the rows of X."""
-    X = np.asarray(X, dtype=float)
+    X = np.asarray(_real_array(X, "data"), dtype=float)
     if X.ndim == 1:
         X = X[:, None]
     if X.ndim != 2:

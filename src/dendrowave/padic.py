@@ -24,9 +24,10 @@ from .tree import (
     Dendrogram,
     NodeRef,
     ValidationError,
-    _has_signs,
+    _first_wrong_column,
     _int_at_least,
     _labels,
+    _node_ref,
     _row_blocks,
     branch_signs,
     canonical_orient,
@@ -389,10 +390,11 @@ def decode(
     `encode` returns the canonical orientation of the original tree.
 
     Column k's first +1 row and first -1 row name its two children: the
-    largest nodes built so far over them.  The tree those choices give is
-    accepted when its branch signs are the matrix, which is exactly when
-    the column-by-column check accepts the matrix, so that check runs only
-    on a matrix that fails, to name the first failing column.
+    largest nodes built so far over them.  The ranks before the first that
+    lacks a sign or takes a taken node form a forest; joined into one tree,
+    the first column where its signs differ from the matrix, else that
+    rank, is the first a column-by-column build refuses.  With none, the
+    matrix is the branch signs of the tree built, so one scan decides both.
     """
     if isinstance(codes_or_matrix, np.ndarray):
         mat = np.asarray(codes_or_matrix)
@@ -411,41 +413,63 @@ def decode(
     if m != n - 1:
         raise ValidationError(f"matrix must be n x (n-1), got {n} x {m}")
     signs = mat if mat.dtype == np.int8 else (mat == 1).astype(np.int8) - (mat == -1)
+    first, kids = _candidate(signs)
+    ranks = np.arange(m)
+    used = np.full(2 * n - 1, m)  # the first rank that takes each node as a child
+    np.minimum.at(used, kids.ravel(), ranks.repeat(2))
+    lacking, taken = (first == n).any(axis=0), (used[kids] < ranks[:, None]).any(axis=1)
+    k0 = int(np.append(lacking | taken, True).argmax())
+    joined = kids
+    if k0 < m:  # join the roots of the forest below rank k0 left to right
+        root = np.ones(n + k0, dtype=bool)
+        root[kids[:k0]] = False
+        roots = np.flatnonzero(root)
+        chain = np.column_stack((np.append(roots[0], np.arange(n + k0, n + m - 1)), roots[1:]))
+        joined = np.concatenate((kids[:k0], chain))
+    try:
+        tree, fault = _build(joined, labels), None
+    except ValidationError as exc:  # only the labels can be wrong, and a bad column comes first
+        tree, fault = _build(joined, None), exc
+    k = _first_wrong_column(tree, signs, k0)
     # the int8 digits equal the matrix exactly when its entries are -1, 0 and +1
-    tree = _candidate(signs, labels) if signs is mat or (signs == mat).all() else None
-    if tree is not None and _has_signs(tree, signs):
-        return tree
-    if not ((mat == 0) | (mat == 1) | (mat == -1)).all():
+    exact = signs is mat or (signs == mat).all()
+    if not exact or k < m and not -1 <= signs.min() <= signs.max() <= 1:
         raise ValidationError("branch codes contain entries other than -1, 0, +1")
-    return _decode_columns(signs, labels)
+    if k < m and lacking[k]:
+        raise ValidationError(f"column cluster_{k + 1}: both signs must appear")
+    if k < m:
+        start, end = tree.span(_node_ref(kids[k, 0], n))
+        plus = signs[:, k] == 1
+        # the +1 side fails when its child was taken or does not span exactly the +1 rows
+        bad = used[kids[k, 0]] < k or np.count_nonzero(plus) != end - start
+        side = "+1" if bad or not plus[tree.layout.order[start:end] - 1].all() else "-1"
+        raise ValidationError(
+            f"column cluster_{k + 1}: {side} rows do not match any current subtree "
+            "(not a laminar family)"
+        )
+    if fault is not None:
+        raise fault
+    return tree
 
 
-def _candidate(mat: np.ndarray, labels: Sequence[str] | None) -> Dendrogram | None:
-    """The tree whose rank-k children hold column k's first +1 and -1 rows.
+def _candidate(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's first +1 and first -1 row (n if it has none), and the child ids they name.
 
-    None when a column lacks a sign, no tree has these children or the
-    labels are bad: the column check then raises, naming any failing
-    column before the labels.
+    Rank k's children are the largest nodes below k over those rows.
     """
     n, m = mat.shape
-    first = np.full((2, m), n)  # each column's first +1 row and first -1 row, n until found
+    first = np.full((2, m), n)
     for a, b in _row_blocks(n, m):  # a block's max and min show the columns it signs
         blk = mat[a:b]
         for side, sign, ext in ((first[0], 1, blk.max(axis=0)), (first[1], -1, blk.min(axis=0))):
             new = np.flatnonzero((ext == sign) & (side == n))
             side[new] = a + (blk[:, new] == sign).argmax(axis=0)
-    if (first == n).any():
-        return None
     top = first.min(axis=0)  # each cluster's first row
     by, ranks = np.argsort(top, kind="stable"), np.arange(m)
     # the child over row r is the highest-ranked cluster below k whose first row is r, else
     # terminal r: the last cluster before (r, k) in (first row, rank) order, if it fits
     at = by[np.searchsorted(top[by] * m + by, first * m + ranks) - 1]
-    kids = np.where((top[at] == first) & (at < ranks), at + n, first).T
-    try:
-        return _build(kids, labels)
-    except ValidationError:
-        return None
+    return first, np.where((top[at] == first) & (at < ranks), at + n, first).T
 
 
 def _build(kids, labels: Sequence[str] | None) -> Dendrogram:
@@ -454,31 +478,3 @@ def _build(kids, labels: Sequence[str] | None) -> Dendrogram:
     if labels is not None and len(labels) != n:
         raise ValidationError(f"{len(labels)} labels given for {n} terminals")
     return Dendrogram(_labels(labels, n), np.array(kids, dtype=np.int64))
-
-
-def _decode_columns(mat: np.ndarray, labels: Sequence[str] | None) -> Dendrogram:
-    """Check the columns one at a time, raising at the first that fails."""
-    n = mat.shape[0]
-    cover = np.arange(n)  # the id of the largest node built so far over each row
-    size = np.ones(2 * n - 1, dtype=np.int64)
-    kids: list[tuple[int, int]] = []
-    for k, col in enumerate(np.ascontiguousarray(mat.T), start=1):
-        rows = np.flatnonzero(col)
-        positive = col[rows] == 1
-        sides = (rows[positive], rows[~positive])
-        if not sides[0].size or not sides[1].size:
-            raise ValidationError(f"column cluster_{k}: both signs must appear")
-        children = []
-        for rows, name in zip(sides, ("+1", "-1")):
-            node_id = int(cover[rows[0]])
-            if rows.size != size[node_id] or (cover[rows] != node_id).any():
-                raise ValidationError(
-                    f"column cluster_{k}: {name} rows do not match any current subtree "
-                    "(not a laminar family)"
-                )
-            children.append(node_id)
-        new_id = n + k - 1
-        cover[sides[0]] = cover[sides[1]] = new_id
-        size[new_id] = sides[0].size + sides[1].size
-        kids.append((children[0], children[1]))
-    return _build(kids, labels)

@@ -554,28 +554,32 @@ def branch_signs(d: Dendrogram) -> np.ndarray:
     return d._signs
 
 
-def _has_signs(d: Dendrogram, mat: np.ndarray) -> bool:
-    """Whether the int8 n x (n-1) matrix ``mat`` is ``branch_signs(d)``, read in row blocks.
+def _first_wrong_column(d: Dendrogram, mat: np.ndarray, width: int) -> int:
+    """The first column below ``width`` where int8 ``mat`` is not ``branch_signs(d)``, else width.
 
-    In leaf order, from a zero row before the first leaf to one past the
-    last, column k of the signs steps by +1 at ``lo``, -2 at ``mid`` and +1
-    at ``hi`` only, and ``mat``'s row differences must be those steps.  They
-    wrap mod 256, but fix each column from the zero row, so the check is exact.
+    ``mat`` is read in row blocks.  In leaf order, from a zero row before
+    the first leaf to one past the last, column k of the signs steps by +1
+    at ``lo``, -2 at ``mid`` and +1 at ``hi`` only, and ``mat``'s row
+    differences must be those steps.  They wrap mod 256, but fix each
+    column from the zero row, so the check is exact.
     """
-    lay, n, m = d.layout, d.n_terminals, d.n_clusters
-    at = np.concatenate((lay.lo, lay.mid, lay.hi))
+    lay, n = d.layout, d.n_terminals
+    at = np.concatenate((lay.lo[:width], lay.mid[:width], lay.hi[:width]))
     by = np.argsort(at)
-    at, col, value = at[by], np.tile(np.arange(m), 3)[by], np.repeat(np.int8([1, -2, 1]), m)[by]
-    prev = np.zeros((1, m), dtype=np.int8)
-    blocks = _row_blocks(n + 1, m)
+    at, col = at[by], np.tile(np.arange(width), 3)[by]
+    value = np.repeat(np.int8([1, -2, 1]), width)[by]
+    prev, wrong = np.zeros((1, width), dtype=np.int8), width
+    blocks = _row_blocks(n + 1, mat.shape[1])
     for (a, b), (i, j) in zip(blocks, np.searchsorted(at, blocks).tolist()):
-        blk = np.take(mat, lay.order[a:b] - 1, axis=0)
+        blk = np.take(mat, lay.order[a:b] - 1, axis=0)[:, :width]  # whole rows, then the slice
         if b > n:
             blk = np.concatenate((blk, np.zeros_like(prev)))
         step, prev = np.diff(blk, axis=0, prepend=prev), blk[-1:]
-        if np.count_nonzero(step) != j - i or (step[at[i:j] - a, col[i:j]] != value[i:j]).any():
-            return False
-    return True
+        cells = (at[i:j] - a, col[i:j])
+        if np.count_nonzero(step) != j - i or (step[cells] != value[i:j]).any():
+            step[cells] -= value[i:j]  # zero where the step is right
+            wrong = min(wrong, int(np.append(step.any(axis=0), True).argmax()))
+    return wrong
 
 
 # -------------------------------------------------------------------- JSON I/O

@@ -89,6 +89,18 @@ def cophenetic(d: Dendrogram, use: str = "ranks") -> np.ndarray:
     return out
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    """``values`` as an array of real numbers, numbers held as text or objects read as floats."""
+    try:
+        arr = np.asarray(values)
+        arr = arr.astype(float) if arr.dtype.kind in "OSU" else arr
+        if arr.dtype.kind not in "biuf":
+            raise TypeError
+    except (TypeError, ValueError, OverflowError):  # ragged, complex or not numbers
+        raise ValidationError(f"{what} must be an array of real numbers") from None
+    return arr
+
+
 def _checked_matrix(M, name: str = "distance", rtol: float = 0.0, atol: float = 0.0) -> np.ndarray:
     """M as a square, finite, symmetric, zero-diagonal, nonnegative real array.
 
@@ -97,13 +109,7 @@ def _checked_matrix(M, name: str = "distance", rtol: float = 0.0, atol: float = 
     columns, so no n x n temporary is built: exactly, or by `np.allclose`
     when ``rtol`` or ``atol`` is set.
     """
-    try:
-        M = np.asarray(M)
-        M = M.astype(float) if M.dtype.kind in "OSU" else M
-        if M.dtype.kind not in "biuf":
-            raise TypeError
-    except (TypeError, ValueError, OverflowError):  # ragged, complex or not numbers
-        raise ValidationError(f"{name} matrix must be an array of real numbers") from None
+    M = _real_array(M, f"{name} matrix")
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValidationError(f"{name} matrix must be square, got shape {M.shape}")
     plural = name[:-1] + "ies" if name.endswith("y") else name + "s"
@@ -484,10 +490,9 @@ def _layout_verdict(M, order, tol: float = DEFAULT_TOL) -> Verdict:
     """
     A = _as_distances(M).A
     _scale(tol)
-    n = A.shape[0]
-    if sorted(order) != list(range(n)):
+    n, order = A.shape[0], np.asarray(order)
+    if order.size and order.dtype.kind not in "iu" or not np.array_equal(np.sort(order), range(n)):
         raise ValidationError(f"order must be a permutation of 0..{n - 1}")
-    order = np.asarray(order, dtype=np.int64)
     verdict = Verdict(True)  # the first run-rule failure, once found
     for k0, k1 in _row_blocks(n - 2, n):  # the last two rows have no cell to test
         # P[i, c] is the permuted A[k0 + i, k0 + c]: rows k0 .. k1, columns from k0
@@ -541,8 +546,12 @@ def ball(M, center: int, r) -> frozenset[int]:
 
 def _ball(A: np.ndarray, center: int, r) -> frozenset[int]:
     n = A.shape[0]
+    if isinstance(center, bool) or not isinstance(center, numbers.Integral):
+        raise ValidationError(f"center must be an integer, got {center!r}")
     if not 0 <= center < n:
         raise ValidationError(f"center {center} outside 0..{n - 1}")
+    if not isinstance(r, numbers.Real) or r != r:
+        raise ValidationError(f"radius must be a real number other than NaN, got {r!r}")
     if r < 0:
         raise ValidationError("radius must be nonnegative")
     return frozenset(int(i) for i in np.flatnonzero(A[center] <= r))
@@ -591,13 +600,16 @@ def check_ball_axioms(M, radii=None) -> Verdict:
 
 def proximity_from_distance(d):
     """Map distances to proximities via -log; zero distance becomes +inf."""
+    d = np.asarray(_real_array(d, "distances"), dtype=float)
+    if (d < 0).any():
+        raise ValidationError("distances must be nonnegative")
     with np.errstate(divide="ignore"):
-        return -np.log(np.asarray(d, dtype=float))
+        return -np.log(d)
 
 
 def distance_from_proximity(p):
     """Inverse of `proximity_from_distance`: exp(-p)."""
-    return np.exp(-np.asarray(p, dtype=float))
+    return np.exp(-np.asarray(_real_array(p, "proximities"), dtype=float))
 
 
 # --------------------------------------------------------------------- CSV I/O

@@ -14,9 +14,11 @@ are slow (quadratic memory on a caterpillar tree, cubic time on a matrix)
 and exist only so the differential tests can compare the fast paths
 against them.  `decode_candidate` is `decode`'s accepting step as it ran
 before it read the matrix in row blocks: a transposed copy, a union-find
-and a comparison with rebuilt signs.  `decode_columns`, `to_json_dumps` and
-`inverse_dict` are the codec as it ran before
-it worked by node id: a check of every column while decoding, the document serialized by
+and a comparison with rebuilt signs.  `decode_columns` is the only
+column-by-column decoder left: `decode` now names a refused column from its
+one candidate tree, and `decode_columns` is the reference for every tree and
+message `decode` gives.  `to_json_dumps` and `inverse_dict` are the codec as
+it ran before it worked by node id: the document serialized by
 `json.dumps`, and a dict of smooth rows keyed by node.  The ``*_csv_cells``
 writers are the CLI's tables as they were written before one writer formatted
 each distinct value once: one string per cell, every row through

@@ -1,8 +1,9 @@
 """Differential tests: the codec paths that work by node id against the code
 they replaced (kept in oracles.py).
 
-`decode` builds one candidate tree and checks the matrix against its
-branch signs in row blocks, `to_json` writes the schema directly, `inverse` descends into rows
+`decode` builds one candidate tree and reads the matrix against its
+branch signs in row blocks, both to accept it and to name a refused column,
+`to_json` writes the schema directly, `inverse` descends into rows
 indexed by node id and every CSV table is written by `write_table`, which
 formats each distinct value once.  Trees, messages, text and bytes must be
 identical; floats must be bit-identical.
@@ -23,8 +24,11 @@ from dendrowave.cli import load_bundle, main, save_bundle
 from dendrowave.haar import forward, forward_indicator, forward_weighted, hard_threshold, inverse
 from dendrowave.padic import PAdicCode, _candidate, decode, encode
 from dendrowave.tree import (
+    Dendrogram,
     ValidationError,
+    branch_signs,
     build_from_merges,
+    canonical_orient,
     load_json,
     random_dendrogram,
     terminal,
@@ -148,19 +152,176 @@ def test_decode_of_600_terminals_at_the_real_block_size(shape):
         same_outcome(bad)
 
 
+def accepted_candidate(mat):
+    """The tree that `decode` accepts from its candidate children and the step test, or None."""
+    n, m = mat.shape
+    first, kids = _candidate(mat)
+    if (first == n).any():
+        return None
+    try:
+        got = Dendrogram(tree.default_labels(n), np.array(kids, dtype=np.int64))
+    except ValidationError:
+        return None
+    return got if tree._first_wrong_column(got, mat, m) == m else None
+
+
 @pytest.mark.parametrize("block_cells", [5, tree._BLOCK_CELLS])
 def test_candidate_matches_the_union_find_candidate(monkeypatch, block_cells):
     monkeypatch.setattr(tree, "_BLOCK_CELLS", block_cells)
     rng = np.random.default_rng(77)
     for d in sample_trees():
         _, C = encode(d)
-        got = _candidate(C, d.labels)
-        assert got == oracles.decode_candidate(C, d.labels) and tree._has_signs(got, C)
+        n, m = C.shape
+        t = accepted_candidate(C)
+        assert t == oracles.decode_candidate(C) and t.kids.tolist() == canonical_orient(d).kids.tolist()
+        for mat in [C, *(bad for _, bad in mutations(C, rng) if bad.dtype == np.int8)]:
+            first, _ = _candidate(mat)
+            if -1 <= mat.min(initial=0) and mat.max(initial=0) <= 1:  # a block's max and min
+                for row, sign in zip(first, (1, -1)):  # find the first signs among digits only
+                    signed = mat == sign
+                    assert np.array_equal(row, np.where(signed.any(0), signed.argmax(0), n))
+            assert accepted_candidate(mat) == oracles.decode_candidate(mat)
+            # the step test names the first column, below the width, where the signs differ
+            width = int(rng.integers(m + 1))
+            differ = (branch_signs(t)[:, :width] != mat[:, :width]).any(axis=0)
+            assert tree._first_wrong_column(t, mat, width) == np.append(differ, True).argmax()
+
+
+def refused(mat, labels=None):
+    """The message `decode` refuses with, after checking it against `decode_columns`."""
+    assert not same_outcome(mat, labels=labels)
+    with pytest.raises(ValidationError) as got:
+        decode(mat, labels=labels)
+    return str(got.value)
+
+
+def subtree_rows(C, k, side):
+    """Row indices of column k's +1 (side 0) or -1 (side 1) child."""
+    return np.flatnonzero(C[:, k] == (1, -1)[side])
+
+
+@pytest.mark.parametrize("shape", ["random", "caterpillar"])
+def test_decode_names_a_child_taken_by_an_earlier_rank(shape):
+    rng = np.random.default_rng(80)
+    seen = set()
+    for _ in range(20):
+        d = random_dendrogram(30, rng) if shape == "random" else oracles.caterpillar(30, rng)
+        _, C = encode(d)
+        for side, name in ((0, "+1"), (1, "-1")):
+            # a side whose child holds two terminals or more loses its first row, so the
+            # first row left lies under a node that an earlier rank already merged
+            ks = [k for k in range(C.shape[1]) if subtree_rows(C, k, side).size > 1]
+            if not ks:
+                continue
+            k = int(rng.choice(ks))
+            bad = C.copy()
+            bad[subtree_rows(C, k, side)[0], k] = 0
+            _, kids = _candidate(bad)
+            assert kids[k, side] < C.shape[0] + k and kids[k, side] in kids[:k]
+            assert refused(bad) == (
+                f"column cluster_{k + 1}: {name} rows do not match any current subtree "
+                "(not a laminar family)"
+            )
+            seen.add((side, name))
+    assert len(seen) == 2
+
+
+def test_decode_names_a_first_column_without_a_minus_row():
+    for d in random_trees(10, 20, seed=81):
+        _, C = encode(d)
+        bad = C.copy()
+        bad[:, 0] = np.abs(bad[:, 0])
+        assert refused(bad) == "column cluster_1: both signs must appear"
+        assert refused(bad, labels=d.labels) == "column cluster_1: both signs must appear"
+
+
+def test_decode_names_a_bad_column_before_bad_labels():
+    rng = np.random.default_rng(82)
+    for d in random_trees(10, 20, seed=82):
+        _, C = encode(d)
         for _, bad in mutations(C, rng):
-            if bad.dtype == np.int8:
-                got = _candidate(bad, None)
-                accepted = got is not None and tree._has_signs(got, bad)
-                assert (got if accepted else None) == oracles.decode_candidate(bad)
+            if bad.dtype != np.int8 or same_outcome(bad):
+                continue
+            want = refused(bad)
+            assert want.startswith(("column", "branch codes"))
+            for labels in (d.labels[:-1], ["a"] * d.n_terminals, [*d.labels, "extra"]):
+                assert refused(bad, labels=labels) == want
+
+
+def test_decode_names_entries_before_a_bad_column():
+    for d in random_trees(10, 20, seed=83):
+        _, C = encode(d)
+        bad = C.astype(float)
+        bad[:, -1] = np.abs(bad[:, -1])  # the root column loses its -1 rows
+        assert refused(bad) == f"column cluster_{C.shape[1]}: both signs must appear"
+        bad[0, 0] = 2.0
+        assert refused(bad) == "branch codes contain entries other than -1, 0, +1"
+        assert refused(bad, labels=["a"]) == "branch codes contain entries other than -1, 0, +1"
+
+
+def edited(C, rng):
+    """A tree's branch signs with one random kind of edit."""
+    n, m = C.shape
+    C = C.copy()
+    kind = int(rng.integers(8)) if m else -1
+    k, i = (int(rng.integers(m)), int(rng.integers(n))) if m else (0, 0)
+    if kind == 0:  # a few cells
+        for _ in range(int(rng.integers(1, 4))):
+            C[rng.integers(n), rng.integers(m)] = rng.integers(-1, 2)
+    elif kind == 1:  # a column
+        C[:, k] = rng.integers(-1, 2, size=n) if rng.random() < 0.5 else np.maximum(C[:, k], 0)
+    elif kind == 2:  # the rows permuted
+        C = C[rng.permutation(n)]
+    elif kind == 3:  # two columns swapped
+        a, b = rng.integers(m, size=2)
+        C[:, [a, b]] = C[:, [b, a]]
+    elif kind == 4:  # random signs
+        C = rng.integers(-1, 2, size=(n, m)).astype(np.int8)
+    elif kind == 5:  # a float matrix with a bad cell, and maybe a bad column
+        C = C.astype(float)
+        C[i, k] = rng.choice([2.0, 0.5, np.nan, -1.0])
+        if rng.random() < 0.5:
+            C[:, k] = np.abs(C[:, k])
+    elif kind == 6:  # an int8 cell out of range, and maybe a zeroed column
+        C[i, k] = rng.choice([2, -2, 127, -128])
+        if rng.random() < 0.5:
+            C[:, int(rng.integers(m))] = 0
+    elif kind == 7:  # a negated column
+        C[:, k] = -C[:, k]
+    return C
+
+
+def test_decode_matches_the_column_check_on_2000_edited_matrices(monkeypatch):
+    rng = np.random.default_rng(84)
+    outcomes = {}
+    for _ in range(2000):
+        n = int(rng.integers(1, 40))
+        d = random_dendrogram(n, rng) if rng.random() < 0.5 else oracles.caterpillar(n, rng)
+        cells = int(rng.integers(3, 40)) if rng.random() < 0.5 else tree._BLOCK_CELLS
+        monkeypatch.setattr(tree, "_BLOCK_CELLS", cells)
+        bad = edited(encode(d)[1], rng)
+        which = int(rng.integers(4))  # labels absent, right, one short or duplicated
+        labels = (None, d.labels, d.labels[:-1], ["a"] * n)[which]
+        try:
+            oracles.decode_columns(bad)
+        except ValidationError as exc:  # a bad entry or column is named before the labels
+            key = refused(bad, labels=labels)
+            assert key == str(exc)
+        else:  # the labels, when they are bad, are named as the tree builder names them
+            wrong = labels is not None and len(labels) != n
+            key = f"{len(labels)} labels given for {n} terminals" if wrong else None
+            if not wrong and labels is not None and len(set(labels)) != n:
+                key = "terminal labels must be distinct"
+            if key is None:
+                assert same_outcome(bad, labels=labels)
+            else:
+                with pytest.raises(ValidationError) as got:
+                    decode(bad, labels=labels)
+                assert str(got.value) == key
+        kinds = ("+1 rows", "-1 rows", "both signs", "entries", "labels given", "distinct")
+        kind = "ok" if key is None else next(word for word in kinds if word in key)
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert min(outcomes.values()) >= 20 and len(outcomes) == 7, outcomes
 
 
 def test_decode_of_one_terminal():

@@ -18,15 +18,19 @@ from conftest import random_trees
 from dendrowave import cli, tree, ultrametric
 from dendrowave.cli import main
 from dendrowave.demo import walkthrough_tree
-from dendrowave.hcluster import agglomerate, validate_dissimilarity
+from dendrowave.haar import forward, forward_weighted
+from dendrowave.hcluster import agglomerate, pairwise_euclidean, validate_dissimilarity
 from dendrowave.pway import random_pway_tree, unfold
 from dendrowave.tree import ValidationError, from_json, random_dendrogram, save_json, to_json
 from dendrowave.ultrametric import (
     _checked_matrix,
     ball,
+    canonical_form,
     check_ball_axioms,
     cophenetic,
+    distance_from_proximity,
     is_ultrametric,
+    proximity_from_distance,
 )
 
 # the ways each dtype can break a rule at one drawn cell (i, j)
@@ -186,6 +190,62 @@ def test_numbers_as_text_read_as_the_floats_they_spell():
     assert check_ball_axioms(text) == check_ball_axioms(M)
     want = outcome(oracles.validate_dissimilarity_whole, text)
     assert outcome(validate_dissimilarity, text) == want == outcome(validate_dissimilarity, M)
+
+
+DATA = {
+    "forward": lambda X: forward(X, random_dendrogram(3, 1)),
+    "forward_weighted": lambda X: forward_weighted(X, random_dendrogram(3, 1)),
+    "pairwise_euclidean": pairwise_euclidean,
+}
+MALFORMED_DATA = {
+    "ragged": [[1.0, 2.0], [3.0], [4.0, 5.0]],
+    "complex": np.full((3, 2), 1 + 1j),
+    "complex, real-valued": np.ones((3, 2), dtype=complex),
+    "text": [["a"], ["b"], ["c"]],
+}
+
+
+@pytest.mark.parametrize("bad", sorted(MALFORMED_DATA))
+@pytest.mark.parametrize("check", sorted(DATA))
+def test_malformed_data_raise_a_validation_error(check, bad):
+    with pytest.raises(ValidationError, match="^data must be an array of real numbers$"):
+        DATA[check](MALFORMED_DATA[bad])
+
+
+@pytest.mark.parametrize("check", sorted(DATA))
+def test_data_keep_their_shape_and_finiteness_messages(check):
+    DATA[check]([["0", "1"], ["2", "3"], ["4", "5"]])  # numbers as text are read as floats
+    with pytest.raises(ValidationError, match="non-finite"):
+        DATA[check]([[0.0, 1.0], [np.inf, 1.0], [2.0, 3.0]])
+    with pytest.raises(ValidationError, match="shape"):
+        DATA[check](np.zeros((3, 2, 1)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda M: ball(M, True, 1), "center must be an integer, got True"),
+        (lambda M: ball(M, 0.5, 1), "center must be an integer, got 0.5"),
+        (lambda M: ball(M, 0, "a"), "radius must be a real number other than NaN, got 'a'"),
+        (lambda M: ball(M, 0, np.nan), "radius must be a real number other than NaN, got nan"),
+        (
+            lambda M: check_ball_axioms(M, radii=[1, "x"]),
+            "radius must be a real number other than NaN, got 'x'",
+        ),
+        (lambda M: canonical_form(M, [0.0, 1.0, 2.0]), "order must be a permutation of 0..2"),
+        (lambda M: canonical_form(M[:2, :2], [True, False]), "order must be a permutation of 0..1"),
+        (lambda M: proximity_from_distance(-M), "distances must be nonnegative"),
+        (
+            lambda M: distance_from_proximity(M + 1j),
+            "proximities must be an array of real numbers",
+        ),
+    ],
+)
+def test_ball_layout_and_proximity_arguments_are_checked(call, message):
+    M = np.array([[0, 1, 2], [1, 0, 2], [2, 2, 0]])
+    with pytest.raises(ValidationError) as exc:
+        call(M)
+    assert str(exc.value) == message
 
 
 # ------------------------------------------------------------------------ balls
