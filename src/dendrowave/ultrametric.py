@@ -10,11 +10,12 @@ The validators rest on the subdominant ultrametric U of a matrix M, the
 cophenetic level matrix of its minimum spanning tree (`subdominant`):
 U <= M everywhere, with equality exactly when M is an ultrametric, and
 its entries are entries of M, so comparing the two involves no rounding.
-Building U and comparing it with M takes O(n^2) time.  An ultrametric
-therefore passes `is_ultrametric` in O(n^2), gets its triangle census
-from the tree, and is laid out in the tree's leaf order; only a matrix
-that is not one pays for an O(n^2) witness scan per row that exceeds U,
-and for a census from its sorted rows, O(n^3) only when ties abound.
+Whether M == U is decided once per matrix, in O(n^2) (`_Distances.exact`).
+An exact ultrametric passes `is_ultrametric` at any tol, gets its census
+from the tree, is laid out in its leaf order and has its clusters as balls.
+Only a matrix that is not one pays for an O(n^2) witness scan per row above
+U (1 + tol), a census from its sorted rows (O(n^3) only when ties abound),
+the layout scan and the ball-by-ball check, O(n^3) per radius.
 """
 
 from __future__ import annotations
@@ -162,26 +163,18 @@ class Subdominant:
         """Mask of the points x with A[x, z] > U[x, z] * scale for some z.
 
         In leaf order, U right of the diagonal is a running maximum of the
-        gap levels along each row, so a block of rows at a time is one
-        accumulate, and no n x n matrix is built.
+        gap levels along each row: one accumulate per leaf position, and no
+        n x n matrix is built.
         """
         lay = self.tree.layout
-        n = len(lay.order)
         order = lay.order - 1
         # rounding is monotone, so scaling the gaps scales their maxima exactly
         gap_caps = self.levels[lay.gaps - 1] * scale
-        above = np.zeros(n, dtype=bool)  # by leaf position
-        for p0, p1 in _row_blocks(n - 1, n):
-            # caps[i, j] is U * scale at positions (p0 + i, p0 + 1 + j) for
-            # j >= i; gaps left of row i's start are blanked (levels are >= 0)
-            caps = np.tile(gap_caps[p0:], (p1 - p0, 1))
-            left = np.tri(p1 - p0, k=-1, dtype=bool)
-            caps[:, : p1 - p0][left] = 0.0
-            np.maximum.accumulate(caps, axis=1, out=caps)
-            caps[:, : p1 - p0][left] = np.inf
-            over = A[np.ix_(order[p0:p1], order[p0 + 1 :])] > caps
-            above[p0:p1] |= over.any(axis=1)
-            above[p0 + 1 :] |= over.any(axis=0)
+        above = np.zeros(len(order), dtype=bool)  # by leaf position
+        for p, x in enumerate(order[:-1].tolist()):
+            over = A[x, order[p + 1 :]] > np.maximum.accumulate(gap_caps[p:])
+            above[p] |= over.any()
+            above[p + 1 :] |= over
         return above[lay.pos]
 
 
@@ -235,15 +228,14 @@ def _subdominant(A: np.ndarray) -> Subdominant:
 class _Distances:
     """A validated distance matrix as floats, and its subdominant ultrametric.
 
-    `subdominant`, `is_ultrametric`, `triangle_classify` and `canonical_form`
-    take one in place of a matrix, so several checks of one matrix share one
-    validation (skipped if ``checked``; float64 is kept, not copied) and one
-    minimum spanning tree.  The tree is built on first use, so a check that
-    decides from row 0 never builds it.
+    The checks take one in place of a matrix, so several checks of one
+    matrix share one validation (float64 is kept, not copied), one minimum
+    spanning tree and one `exact` test; ``integral`` says if it came as integers.
     """
 
-    def __init__(self, M, checked: bool = False) -> None:
-        self.A = (M if checked else _checked_matrix(M)).astype(float, copy=False)
+    def __init__(self, M) -> None:
+        M = _checked_matrix(M)
+        self.integral, self.A = np.issubdtype(M.dtype, np.integer), M.astype(float, copy=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -253,6 +245,13 @@ class _Distances:
     @cached_property
     def sub(self) -> Subdominant:
         return _subdominant(self.A)
+
+    @cached_property
+    def exact(self) -> bool:
+        """A == U, so A is an ultrametric; a violation in row 0 says no before U is built."""
+        A = self.A
+        return len(A) < 3 or (_row_violation(A, 0, 1.0) is None
+                              and not self.sub._rows_above(A, 1.0).any())
 
 
 def _as_distances(M) -> _Distances:
@@ -270,15 +269,14 @@ def is_ultrametric(M, tol: float = DEFAULT_TOL) -> Verdict:
     d(x, z) > max(d(x, y), d(y, z)), and is the first in x, then z, whose
     cap over one middle point, min_y max(d(x, y), d(y, z)), falls short.
 
-    That cap is never below the subdominant ultrametric U, so after row 0
-    only the rows with some d(x, z) > U[x, z] (1 + tol) can fail; they are
-    scanned in increasing x, O(n^2) each.  A matrix with no such row
-    passes in O(n^2).
+    An exact ultrametric, equal to its subdominant ultrametric U, passes.
+    Otherwise, as the cap is never below U, after row 0 only the rows with
+    some d(x, z) > U[x, z] (1 + tol) can fail; they are scanned in
+    increasing x, O(n^2) each.
     """
     D = _as_distances(M)
-    A = D.A
-    scale = _scale(tol)
-    if A.shape[0] < 3:
+    A, scale = D.A, _scale(tol)
+    if D.exact:
         return Verdict(True)
     for x in _scan_rows(D, scale):
         z = _row_violation(A, x, scale)
@@ -296,14 +294,9 @@ def is_ultrametric(M, tol: float = DEFAULT_TOL) -> Verdict:
 
 
 def _scan_rows(D: _Distances, scale: float):
-    """Row 0, then the later rows above U * scale in increasing order.
-
-    Row 0 is scanned first whether or not it exceeds U, so a matrix far
-    from ultrametric fails before U is built.
-    """
+    """Row 0, so that a matrix far from ultrametric fails before U is built, then rows above U."""
     yield 0
-    above = D.sub._rows_above(D.A, scale)
-    yield from (x for x in np.flatnonzero(above).tolist() if x)
+    yield from (x for x in np.flatnonzero(D.sub._rows_above(D.A, scale)).tolist() if x)
 
 
 def _row_violation(A: np.ndarray, x: int, scale: float) -> int | None:
@@ -329,9 +322,8 @@ def triangle_classify(M, tol: float = DEFAULT_TOL) -> TriangleCensus:
     scale = _scale(tol)
     n = A.shape[0]
     total = n * (n - 1) * (n - 2) // 6
-    # a violation in row 0 already shows that A is no ultrametric, so A != U
-    if n >= 3 and _row_violation(A, 0, 1.0) is None and not D.sub._rows_above(A, 1.0).any():
-        eq = _tree_equilateral(D.sub, scale)  # A == U, since U <= A
+    if n >= 3 and D.exact:
+        eq = _tree_equilateral(D.sub, scale)
         return TriangleCensus(eq, total - eq, 0)
     eq, bad = _window_census(A, scale) or _anchor_census(A, scale)
     return TriangleCensus(eq, total - eq - bad, bad)
@@ -550,11 +542,15 @@ def _ball(A: np.ndarray, center: int, r) -> frozenset[int]:
         raise ValidationError(f"center must be an integer, got {center!r}")
     if not 0 <= center < n:
         raise ValidationError(f"center {center} outside 0..{n - 1}")
+    _check_radius(r)
+    return frozenset(int(i) for i in np.flatnonzero(A[center] <= r))
+
+
+def _check_radius(r) -> None:
     if not isinstance(r, numbers.Real) or r != r:
         raise ValidationError(f"radius must be a real number other than NaN, got {r!r}")
     if r < 0:
         raise ValidationError("radius must be nonnegative")
-    return frozenset(int(i) for i in np.flatnonzero(A[center] <= r))
 
 
 def check_ball_axioms(M, radii=None) -> Verdict:
@@ -563,17 +559,21 @@ def check_ball_axioms(M, radii=None) -> Verdict:
     For each radius: every member of a ball generates the identical ball
     (so same-radius balls partition the points), and the distance between
     two distinct balls is constant across member pairs.  Radii default to
-    every value appearing in the matrix.
+    every value appearing in the matrix.  An exact ultrametric, whose balls
+    are its clusters, passes once its radii are checked; only a
+    near-ultrametric has its balls compared, O(n^3) per radius.
     """
-    A = _checked_matrix(M)
-    tol = 0 if np.issubdtype(A.dtype, np.integer) else DEFAULT_TOL
-    verdict = is_ultrametric(_Distances(A, checked=True), tol)
+    D = _Distances(M)
+    verdict = is_ultrametric(D, 0 if D.integral else DEFAULT_TOL)
     if not verdict:
         raise ValidationError(f"matrix is not ultrametric: {verdict.detail}")
-    n = A.shape[0]
+    A, n = D.A, len(D.A)
     if radii is None:
-        radii = sorted(set(A.ravel().tolist()))
+        radii = [] if D.exact else sorted(set(A.ravel().tolist()))
     for r in radii:
+        _check_radius(r)
+        if D.exact:  # its balls are its clusters
+            continue
         balls = [_ball(A, c, r) for c in range(n)]
         for c in range(n):
             for member in balls[c]:

@@ -40,6 +40,9 @@ square-matrix validators as they ran before they became one row-block
 function: each rule checked over the whole matrix, with n x n temporaries.
 `check_ball_axioms_per_ball` is the ball check as it ran before it
 validated its matrix once: every `ball` call validated the matrix again.
+`rows_above_blocks` is `Subdominant._rows_above` as it ran before it took
+one accumulate per leaf position: a block of rows of U at a time, each a
+tiled copy of the gap levels with the gaps left of its row blanked.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from dendrowave.tree import (
     NodeRef,
     ValidationError,
     _find,
+    _row_blocks,
     build_from_merges,
     cluster,
     default_labels,
@@ -980,3 +984,24 @@ def check_ball_axioms_per_ball(M, radii=None) -> Verdict:
                     ),
                 )
     return Verdict(True)
+
+
+def rows_above_blocks(sub: ultrametric.Subdominant, A: np.ndarray, scale: float) -> np.ndarray:
+    """The points x with A[x, z] > U[x, z] * scale for some z, U a block of rows at a time."""
+    lay = sub.tree.layout
+    n = len(lay.order)
+    order = lay.order - 1
+    gap_caps = sub.levels[lay.gaps - 1] * scale
+    above = np.zeros(n, dtype=bool)  # by leaf position
+    for p0, p1 in _row_blocks(n - 1, n):
+        # caps[i, j] is U * scale at positions (p0 + i, p0 + 1 + j) for
+        # j >= i; gaps left of row i's start are blanked (levels are >= 0)
+        caps = np.tile(gap_caps[p0:], (p1 - p0, 1))
+        left = np.tri(p1 - p0, k=-1, dtype=bool)
+        caps[:, : p1 - p0][left] = 0.0
+        np.maximum.accumulate(caps, axis=1, out=caps)
+        caps[:, : p1 - p0][left] = np.inf
+        over = A[np.ix_(order[p0:p1], order[p0 + 1 :])] > caps
+        above[p0:p1] |= over.any(axis=1)
+        above[p0 + 1 :] |= over.any(axis=0)
+    return above[lay.pos]

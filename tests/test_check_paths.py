@@ -122,6 +122,17 @@ def test_ultrametrics_are_counted_from_the_tree(monkeypatch):
                 assert census(triangle_classify(M, tol)) == census(want)
 
 
+def test_rows_above_matches_the_blocked_oracle(blocks):
+    masks = set()
+    for M in check_matrices(180, seed=618):
+        A, sub = M.astype(float), subdominant(M)
+        for scale in (1.0, 1.0 + 1e-9):
+            got = sub._rows_above(A, scale)
+            assert np.array_equal(got, oracles.rows_above_blocks(sub, A, scale))
+            masks.add(bool(got.any()))
+    assert masks == {True, False}
+
+
 CENSUS_TOLS = (0, 1e-9, 0.05, 0.5)
 
 
@@ -402,3 +413,23 @@ def test_an_ultrametric_can_fail_its_layout(tmp_path, capsys, pipe):
         "canonical layout under single-linkage order: FAIL\n"
     )
     assert oracle_check(*matrix_from_csv(NEAR_TIES)) == (1, out)
+
+
+def test_check_decides_an_exact_ultrametric_once(tmp_path, capsys, monkeypatch):
+    def no_layout(*args):
+        raise AssertionError("check scanned the layout of an exact ultrametric")
+
+    calls = []
+    rows_above = ultrametric.Subdominant._rows_above
+    monkeypatch.setattr(ultrametric.Subdominant, "_rows_above", lambda *a: calls.append(1) or rows_above(*a))
+    monkeypatch.setattr(cli, "_layout_verdict", no_layout)
+    path = tmp_path / "m.csv"
+    for d in random_trees(20, 30, seed=619, with_levels=True):
+        for M in (cophenetic(d), cophenetic(d, use="levels"), tie_heavy(cophenetic(d, "levels"))):
+            n = M.shape[0]
+            path.write_text(matrix_to_csv(M, [f"p{i}" for i in range(n)]), encoding="utf-8")
+            code, text = oracle_check(*matrix_from_csv(path.read_text(encoding="utf-8")))
+            calls.clear()
+            assert main(["check", str(path)]) == code == 0
+            assert capsys.readouterr().out == text
+            assert len(calls) == (n >= 3)

@@ -287,6 +287,22 @@ def test_ball_axioms_match_the_per_ball_check():
     assert seen == {True, False, "radius must be nonnegative"}
 
 
+def test_ball_axioms_of_cophenetic_matrices_build_at_most_one_ball_per_radius(monkeypatch):
+    radii_seen = []
+    one_ball = ultrametric._ball
+    monkeypatch.setattr(ultrametric, "_ball", lambda A, c, r: radii_seen.append(r) or one_ball(A, c, r))
+    trees = list(random_trees(30, 40, seed=75, with_levels=True))
+    trees.append(random_dendrogram(300, 76, with_levels=True))
+    for d in trees:
+        for M in (cophenetic(d), cophenetic(d, use="levels")):
+            values = np.unique(M).tolist()
+            for radii in (None, values[:3] + [values[-1] * 2, 0.5]):
+                radii_seen.clear()
+                assert check_ball_axioms(M, radii).ok
+                assert len(radii_seen) == len(set(radii_seen)) <= len(values if radii is None else radii)
+    assert check_ball_axioms(np.zeros((0, 0)), [0, 1.5]).ok
+
+
 def test_ball_axioms_refuse_a_non_ultrametric_after_one_validation():
     M = np.array([[0, 3, 4], [3, 0, 1], [4, 1, 0]])
     with mock.patch.object(ultrametric, "_checked_matrix", wraps=_checked_matrix) as checked:
