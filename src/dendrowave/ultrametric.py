@@ -468,7 +468,7 @@ def canonical_form(M, order, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, Verd
     any dendrogram generating M passes this test.  Equality is relative,
     within ``tol``; the verdict is `_layout_verdict`'s.
     """
-    D, order = _as_distances(M), list(order)
+    D, order = _as_distances(M), list(order) if np.iterable(order) else order
     verdict = _layout_verdict(D, order, tol)
     return D.A[np.ix_(order, order)], verdict
 
@@ -483,7 +483,8 @@ def _layout_verdict(M, order, tol: float = DEFAULT_TOL) -> Verdict:
     A = _as_distances(M).A
     _scale(tol)
     n, order = A.shape[0], np.asarray(order)
-    if order.size and order.dtype.kind not in "iu" or not np.array_equal(np.sort(order), range(n)):
+    wrong = order.shape != (n,) or order.size and order.dtype.kind not in "iu"
+    if wrong or not np.array_equal(np.sort(order), range(n)):
         raise ValidationError(f"order must be a permutation of 0..{n - 1}")
     verdict = Verdict(True)  # the first run-rule failure, once found
     for k0, k1 in _row_blocks(n - 2, n):  # the last two rows have no cell to test
@@ -568,6 +569,8 @@ def check_ball_axioms(M, radii=None) -> Verdict:
     if not verdict:
         raise ValidationError(f"matrix is not ultrametric: {verdict.detail}")
     A, n = D.A, len(D.A)
+    if radii is not None and not np.iterable(radii):
+        raise ValidationError(f"radii must be an iterable of real numbers, got {radii!r}")
     if radii is None:
         radii = [] if D.exact else sorted(set(A.ravel().tolist()))
     for r in radii:
@@ -675,6 +678,7 @@ def read_table(text, labelled: bool = False) -> tuple[list[str], list[str] | Non
         count = sum(1 for _ in _lines(text))
     else:  # one line for each "\n" and lone "\r", and one for a last line ending in neither
         count = 1
+        raw.seek(0)  # from the start, wherever the file's text layer had read ahead to
         for chunk in iter(lambda: raw.read(_BLOCK_CELLS), b""):
             count += chunk.count(b"\n")
             if b"\r" in chunk:

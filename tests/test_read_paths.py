@@ -397,6 +397,18 @@ def test_a_pipe_is_read_whole(tmp_path):
     assert str(exc.value) == f"{path}: byte 9000: not UTF-8 text"
 
 
+@pytest.mark.parametrize("lines_read", [0, 1, 2000])
+def test_a_file_read_ahead_is_counted_from_its_start(tmp_path, lines_read):
+    path = tmp_path / "table.csv"
+    M = np.arange(9000.0).reshape(3000, 3)
+    path.write_text("a,b,c\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in M.tolist()), encoding="utf-8")
+    with open(path, encoding="utf-8", newline="") as fh:
+        for _ in range(lines_read):
+            fh.readline()  # the text layer reads a chunk of bytes ahead of the line
+        header, _, values = read_table(fh)
+    assert header == ["a", "b", "c"] and np.array_equal(values, M)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet="ab,\r\n\x85\u2028", max_size=40))
 def test_a_str_splits_into_lines_as_a_file_does(text):

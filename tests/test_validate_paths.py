@@ -232,6 +232,12 @@ def test_data_keep_their_shape_and_finiteness_messages(check):
             lambda M: check_ball_axioms(M, radii=[1, "x"]),
             "radius must be a real number other than NaN, got 'x'",
         ),
+        (lambda M: check_ball_axioms(M, radii=5), "radii must be an iterable of real numbers, got 5"),
+        (
+            lambda M: check_ball_axioms(np.zeros((0, 0)), radii=[1, np.nan]),
+            "radius must be a real number other than NaN, got nan",
+        ),
+        (lambda M: canonical_form(M, 5), "order must be a permutation of 0..2"),
         (lambda M: canonical_form(M, [0.0, 1.0, 2.0]), "order must be a permutation of 0..2"),
         (lambda M: canonical_form(M[:2, :2], [True, False]), "order must be a permutation of 0..1"),
         (lambda M: proximity_from_distance(-M), "distances must be nonnegative"),
