@@ -10,7 +10,9 @@ O(height) numpy calls, O(n m) work.  The details by rank give the identity
 with C the branch-code matrix (+1 / -1 / 0), D the (n-1) x m detail matrix
 and S the final smooth replicated over all n rows.  The transform is
 orthogonal-free but exactly invertible: descending the same waves
-recovers every terminal row.
+recovers every terminal row.  Where a sum s_first + s_second overflows,
+`forward` ascends again halving each smooth first, so finite data are
+never refused; all other data keep the bits of the plain merge.
 
 The weighted variant replaces the plain average by the cardinality
 weighted mean and stores the child sizes so its inverse stays exact; the
@@ -95,6 +97,12 @@ def _plain_merge(sa, sb, na, nb):
     return (sa + sb) / 2.0, (sa - sb) / 2.0
 
 
+def _halved_merge(sa, sb, na, nb):
+    """`_plain_merge` halving first: no finite smooths overflow, but subnormals round apart."""
+    sa, sb = sa / 2.0, sb / 2.0
+    return sa + sb, sa - sb
+
+
 def _weighted_merge(sa, sb, na, nb):
     merged = (na * sa + nb * sb) / (na + nb)
     return merged, sa - merged
@@ -126,7 +134,11 @@ def forward(X, d: Dendrogram, orient: bool = True, mode: str = MODE_ULTRAMETRIC)
     that a child swap negates one C column and one D row and nothing else).
     """
     tree = canonical_orient(d) if orient else d
-    details, final, _ = _ascend(_checked_data(X, tree), tree, _plain_merge)
+    X = _checked_data(X, tree)
+    try:
+        details, final, _ = _ascend(X, tree, _plain_merge)
+    except ValidationError:  # a sum past the float maximum: again, halving first
+        details, final, _ = _ascend(X, tree, _halved_merge)
     return WaveletDecomposition(tree, details, final, mode)
 
 

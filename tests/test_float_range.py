@@ -5,9 +5,12 @@ Every result must be right and no RuntimeWarning may be raised."""
 import numpy as np
 import pytest
 
+import oracles
+from conftest import random_trees
+
 from dendrowave import cli
 from dendrowave.cli import main
-from dendrowave.haar import forward, forward_weighted
+from dendrowave.haar import forward, forward_weighted, inverse
 from dendrowave.hcluster import pairwise_euclidean
 from dendrowave.tree import (
     ValidationError,
@@ -51,7 +54,7 @@ def test_check_a_matrix_whose_entries_reach_the_float_maximum(tmp_path, capsys):
     assert captured.out.splitlines()[0] == "ultrametric: PASS"
 
 
-# x1 and x2 merge first, so their smooth overflows
+# x1 and x2 merge first, so the sum of their smooths overflows
 TREE = build_from_merges([(terminal(1), terminal(2)), (cluster(1), terminal(3))])
 HUGE = np.array([[1.5e308, 1.0], [1.6e308, 2.0], [-1.7e308, 3.0]])
 
@@ -62,17 +65,44 @@ def three_leaves(tmp_path) -> str:
     return str(path)
 
 
-def test_a_transform_whose_sums_overflow_is_refused(tmp_path, capsys):
-    for transform in (forward, forward_weighted):
-        with pytest.raises(ValidationError, match="overflows a float"):
-            transform(HUGE, TREE)
+def plain_merge(sa, sb, na, nb):
+    """The plain merge as `forward` computes it whenever no sum overflows."""
+    return (sa + sb) / 2.0, (sa - sb) / 2.0
+
+
+def halved_merge(sa, sb, na, nb):
+    """The plain merge with both smooths halved first."""
+    return sa / 2.0 + sb / 2.0, sa / 2.0 - sb / 2.0
+
+
+def test_a_transform_whose_sums_overflow_is_refused():
+    # the weighted merge sums |a| s_a + |b| s_b, which has no halved form
+    with pytest.raises(ValidationError, match="overflows a float"):
+        forward_weighted(HUGE, TREE)
+
+
+def test_the_plain_transform_halves_first_only_where_a_sum_overflows(tmp_path, capsys):
+    w = forward(HUGE, TREE)
+    details, final, _ = oracles.ascend_ranks(HUGE, w.tree, halved_merge)
+    assert np.array_equal(w.details, details) and np.array_equal(w.smooth, final)
+    assert np.isfinite(w.details).all() and np.allclose(inverse(w), HUGE, rtol=1e-15, atol=0)
     data = tmp_path / "huge.csv"
     data.write_text("f1,f2\n" + "".join(f"{a!r},{b!r}\n" for a, b in HUGE.tolist()), encoding="utf-8")
-    out = tmp_path / "w"
-    assert main(["transform", str(data), three_leaves(tmp_path), "--check", "--out", str(out)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "overflows a float" in captured.err
-    assert not out.exists()
+    assert main(["transform", str(data), three_leaves(tmp_path), "--out", str(tmp_path / "w")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unit", [1.0, 1e300, 5e-324], ids=["normal", "large", "subnormal"])
+def test_accepted_data_keep_the_bits_of_the_plain_merge(unit):
+    rng = np.random.default_rng(11)
+    differs = False  # whether halving first would have changed some bits
+    for d in random_trees(40, 30, seed=12):
+        X = rng.integers(-99, 100, size=(d.n_terminals, 3)) * unit
+        w = forward(X, d)
+        details, final, _ = oracles.ascend_ranks(X, w.tree, plain_merge)
+        assert np.array_equal(w.details, details) and np.array_equal(w.smooth, final)
+        differs |= not np.array_equal(oracles.ascend_ranks(X, w.tree, halved_merge)[0], details)
+    assert differs == (unit == 5e-324)
 
 
 def test_a_round_trip_error_of_nan_fails_the_check(tmp_path, capsys, monkeypatch):
