@@ -407,7 +407,7 @@ def cmd_check(args) -> int:
         f"violating={census.violating}"
     )
     if verdict:
-        canon = D.exact or _layout_verdict(D, subdominant(D).order)  # U passes in its order
+        canon = D.exact or _layout_verdict(D, subdominant(D).order)  # U passes in its own order
         print(f"canonical layout under single-linkage order: {'PASS' if canon else 'FAIL'}")
         return 0 if canon else 1
     return 1

@@ -569,10 +569,10 @@ def check_ball_axioms(M, radii=None) -> Verdict:
     if not verdict:
         raise ValidationError(f"matrix is not ultrametric: {verdict.detail}")
     A, n = D.A, len(D.A)
-    if radii is not None and not np.iterable(radii):
-        raise ValidationError(f"radii must be an iterable of real numbers, got {radii!r}")
     if radii is None:
         radii = [] if D.exact else sorted(set(A.ravel().tolist()))
+    elif not np.iterable(radii):
+        raise ValidationError(f"radii must be an iterable of real numbers, got {radii!r}")
     for r in radii:
         _check_radius(r)
         if D.exact:  # its balls are its clusters
