@@ -233,11 +233,14 @@ def test_data_keep_their_shape_and_finiteness_messages(check):
             "radius must be a real number other than NaN, got 'x'",
         ),
         (lambda M: check_ball_axioms(M, radii=5), "radii must be an iterable of real numbers, got 5"),
-        (
+        pytest.param(
             lambda M: check_ball_axioms(np.zeros((0, 0)), radii=[1, np.nan]),
             "radius must be a real number other than NaN, got nan",
+            id="empty-matrix-nan-radius",
         ),
-        (lambda M: canonical_form(M, 5), "order must be a permutation of 0..2"),
+        pytest.param(
+            lambda M: canonical_form(M, 5), "order must be a permutation of 0..2", id="order-not-iterable"
+        ),
         (lambda M: canonical_form(M, [0.0, 1.0, 2.0]), "order must be a permutation of 0..2"),
         (lambda M: canonical_form(M[:2, :2], [True, False]), "order must be a permutation of 0..1"),
         (lambda M: proximity_from_distance(-M), "distances must be nonnegative"),
