@@ -273,12 +273,12 @@ def dilate(code: PAdicCode) -> PAdicCode:
 
 
 def dilation_steps_to_null(code: PAdicCode) -> int:
-    """Number of dilations until the null code is reached (at most n - 1)."""
-    steps = 0
-    while not code.is_null:
-        code = dilate(code)
-        steps += 1
-    return steps
+    """Number of dilations until the null code is reached (at most n - 1).
+
+    Each dilation lowers every power by one, so this is the code's highest
+    power with a nonzero digit, and 0 for the null code.
+    """
+    return len(code.digits.rstrip(b"\x00"))
 
 
 def dilate_tree(d: Dendrogram) -> Dendrogram:

@@ -7,9 +7,9 @@ node-ranked dendrogram that the binary transform machinery accepts; every
 original cluster survives as the top of its chain, so the terminal-set
 family is preserved (and grows by the chain intermediates).
 
-The scaling-filter catalog keeps exact rational coefficients: repeated
-self-convolution of the box filter (1/2, 1/2) yields the triangle filter
-and the cubic B-spline filter.
+The scaling-filter catalog keeps exact rational coefficients and is built
+from the box filter (1/2, 1/2) alone: its self-convolution is the triangle
+filter, and the triangle's self-convolution the cubic B-spline filter.
 """
 
 from __future__ import annotations
@@ -138,17 +138,12 @@ def convolve_filters(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Frac
 
 
 BOX = ScalingFilter("box", (Fraction(1, 2), Fraction(1, 2)))
-TRIANGLE = ScalingFilter(
-    "triangle", (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
-)
-B3_SPLINE = ScalingFilter(
-    "b3_spline",
-    (Fraction(1, 16), Fraction(1, 4), Fraction(3, 8), Fraction(1, 4), Fraction(1, 16)),
-)
+TRIANGLE = ScalingFilter("triangle", convolve_filters(BOX.coefficients, BOX.coefficients))
+B3_SPLINE = ScalingFilter("b3_spline", convolve_filters(TRIANGLE.coefficients, TRIANGLE.coefficients))
 
 
 def scaling_filters() -> dict[str, ScalingFilter]:
-    """The catalog: box, its self-convolution (triangle), and the cubic spline."""
+    """The catalog: box, its self-convolution (triangle), and the triangle's (cubic spline)."""
     return {f.name: f for f in (BOX, TRIANGLE, B3_SPLINE)}
 
 

@@ -43,6 +43,8 @@ validated its matrix once: every `ball` call validated the matrix again.
 `rows_above_blocks` is `Subdominant._rows_above` as it ran before it took
 one accumulate per leaf position: a block of rows of U at a time, each a
 tiled copy of the gap levels with the gaps left of its row blanked.
+`dilation_steps_by_dilating` is `dilation_steps_to_null` as it ran before
+it read the code's highest power: one `dilate` and one new code per step.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ import numpy as np
 from dendrowave import ultrametric
 from dendrowave.hcluster import LINKAGES
 from dendrowave.haar import WaveletDecomposition
-from dendrowave.padic import PAdicCode, _array, padd
+from dendrowave.padic import PAdicCode, _array, dilate, padd
 from dendrowave.tree import (
     Dendrogram,
     NodeRef,
@@ -400,6 +402,15 @@ def padd_tuples(a: TupleCode, b: TupleCode) -> TupleCode:
 
 def dilate_tuples(code: TupleCode) -> TupleCode:
     return TupleCode(code.coeffs[1:] + (0,), code.base)
+
+
+def dilation_steps_by_dilating(code: PAdicCode) -> int:
+    """Dilate until the null code is reached and count the steps."""
+    steps = 0
+    while not code.is_null:
+        code = dilate(code)
+        steps += 1
+    return steps
 
 
 def pdistance_tuples(a: TupleCode, b: TupleCode) -> Fraction:

@@ -5,8 +5,9 @@ they replaced (kept in oracles.py).
 branch signs in row blocks, both to accept it and to name a refused column,
 `to_json` writes the schema directly, `inverse` descends into rows
 indexed by node id and every CSV table is written by `write_table`, which
-formats each distinct value once.  Trees, messages, text and bytes must be
-identical; floats must be bit-identical.
+formats each distinct value once.  `dilation_steps_to_null` reads a
+code's highest power instead of dilating it.  Trees, messages, counts, text
+and bytes must be identical; floats must be bit-identical.
 """
 
 from unittest import mock
@@ -14,21 +15,33 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import random_trees
 from strategies import dendrograms
 
-from dendrowave import tree, ultrametric
+from dendrowave import padic, tree, ultrametric
 from dendrowave.cli import load_bundle, main, save_bundle
 from dendrowave.haar import forward, forward_indicator, forward_weighted, hard_threshold, inverse
-from dendrowave.padic import PAdicCode, _candidate, decode, encode
+from dendrowave.padic import (
+    PAdicCode,
+    _candidate,
+    cluster_code,
+    decode,
+    dilate,
+    dilation_steps_to_null,
+    encode,
+    padd,
+)
+from dendrowave.pway import random_pway_tree, unfold
 from dendrowave.tree import (
     Dendrogram,
     ValidationError,
     branch_signs,
     build_from_merges,
     canonical_orient,
+    cluster,
     load_json,
     random_dendrogram,
     terminal,
@@ -469,3 +482,38 @@ def test_check_validates_once_and_builds_one_spanning_tree(tmp_path, capsys):
         assert main(["check", str(path)]) == 1
     assert "ultrametric: FAIL" in capsys.readouterr().out
     assert (checked.call_count, built.call_count) == (1, 0)
+
+
+@st.composite
+def tree_codes(draw):
+    """Terminal and cluster codes of random, caterpillar and unfolded p-way trees,
+    their `padd` sums, dilated codes and the null code."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["random", "caterpillar", "pway"]))
+    if shape == "pway":
+        d = unfold(random_pway_tree(draw(st.integers(1, 8)), draw(st.integers(2, 5)), rng))
+    else:
+        n = draw(st.integers(1, 40))
+        d = random_dendrogram(n, rng) if shape == "random" else oracles.caterpillar(n, rng)
+    base = draw(st.integers(2, 7))
+    codes, _ = encode(d, base)
+    codes += [cluster_code(d, cluster(k), base) for k in range(1, d.n_terminals)]
+    code = draw(st.sampled_from(codes))
+    how = draw(st.sampled_from(["as is", "padd", "dilated", "null"]))
+    if how == "padd":
+        code = padd(code, draw(st.sampled_from(codes)))
+    elif how == "dilated":
+        for _ in range(draw(st.integers(1, d.n_terminals))):
+            code = dilate(code)
+    elif how == "null":
+        code = PAdicCode(bytes(len(code.digits)), base)
+    return code
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree_codes())
+def test_steps_to_null_read_from_the_highest_power_equal_dilating(code):
+    with mock.patch.object(padic, "dilate", wraps=padic.dilate) as spy:
+        got = dilation_steps_to_null(code)
+    assert got == oracles.dilation_steps_by_dilating(code)
+    assert spy.call_count == 0

@@ -152,6 +152,18 @@ def test_filters_arise_from_box_convolutions():
     assert convolve_filters(twice, BOX.coefficients) == B3_SPLINE.coefficients
 
 
+def test_catalog_constants_are_the_typed_coefficients():
+    assert TRIANGLE.coefficients == (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4))
+    assert B3_SPLINE.coefficients == (
+        Fraction(1, 16),
+        Fraction(1, 4),
+        Fraction(3, 8),
+        Fraction(1, 4),
+        Fraction(1, 16),
+    )
+    assert all(isinstance(c, Fraction) for f in (TRIANGLE, B3_SPLINE) for c in f.coefficients)
+
+
 def test_filter_sums_are_one():
     for f in scaling_filters().values():
         assert sum(f.coefficients, Fraction(0)) == 1
