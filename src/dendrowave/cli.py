@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .demo import demo_names, walkthrough_text
+from .demo import demo_names, load_demo, walkthrough_text
 from .haar import (
     THRESHOLD_RULES,
     WaveletDecomposition,
@@ -260,8 +260,13 @@ def cmd_transform(args) -> int:
         err_paths = float(np.abs(direct - matrix_form).max(initial=0.0))
         print(f"round-trip max abs error: {_fmt(err_direct)}")
         print(f"recursive vs matrix form max abs error: {_fmt(err_paths)}")
-        if not err_direct < 1e-9:  # NaN fails too
-            print("check FAILED: reconstruction error above 1e-9", file=sys.stderr)
+        tol = 1e-9 * max(1.0, float(np.abs(original).max(initial=0.0)))
+        if not err_direct < tol:  # NaN fails too
+            print(
+                f"check FAILED: reconstruction error above {_fmt(tol)}"
+                " (1e-9 x max(1, largest |entry| of the data))",
+                file=sys.stderr,
+            )
             return 1
         print("check passed")
     return 0
@@ -365,10 +370,7 @@ def cmd_padic(args) -> int:
 
 def cmd_check(args) -> int:
     if args.demo:
-        if args.demo not in demo_names():
-            raise ValidationError(
-                f"unknown demo {args.demo!r}; available: {', '.join(demo_names())}"
-            )
+        load_demo(args.demo)  # an unknown name is refused
         print(walkthrough_text(), end="")
         return 0
     if not args.input:
@@ -442,7 +444,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", default="ultrametric", choices=("ultrametric", "indicator")
     )
     p_transform.add_argument(
-        "--check", action="store_true", help="verify the round trip below 1e-9"
+        "--check",
+        action="store_true",
+        help="verify the round trip below 1e-9 x max(1, largest |entry| of the data)",
     )
     p_transform.add_argument("--out", help="output directory")
 

@@ -20,7 +20,7 @@ from .padic import (
     pnorm,
     power_repr,
 )
-from .tree import Dendrogram, build_from_merges, cluster, terminal
+from .tree import Dendrogram, ValidationError, build_from_merges, cluster, terminal
 
 
 def walkthrough_tree() -> Dendrogram:
@@ -43,7 +43,7 @@ def load_demo(name: str) -> Dendrogram:
     try:
         return DEMOS[name]()
     except KeyError:
-        raise ValueError(f"unknown demo {name!r}; available: {', '.join(demo_names())}") from None
+        raise ValidationError(f"unknown demo {name!r}; available: {', '.join(demo_names())}") from None
 
 
 def _node_name(d: Dendrogram, ref) -> str:

@@ -219,16 +219,22 @@ def hard_threshold(w: WaveletDecomposition, rule: str, value) -> WaveletDecompos
     if rule not in THRESHOLD_RULES:
         raise ValidationError(f"rule must be one of {THRESHOLD_RULES}, got {rule!r}")
     D = w.details.copy()
+    needs = "keep-k needs an integer" if rule == "keep-k" else "threshold must be a real number"
+    try:  # a number held as text is read too
+        if np.iscomplexobj(value):
+            raise TypeError
+        t = float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{needs}, got {value!r}") from None
     if rule == "keep-k":
-        if isinstance(value, (bool, np.bool_)) or not float(value).is_integer():
-            raise ValidationError(f"keep-k needs an integer, got {value!r}")
-        k, norms = int(value), np.linalg.norm(D, axis=1)
+        if isinstance(value, (bool, np.bool_)) or not t.is_integer():
+            raise ValidationError(f"{needs}, got {value!r}")
+        k, norms = int(t), np.linalg.norm(D, axis=1)
         if not 0 <= k <= D.shape[0]:
             raise ValidationError(f"keep-k needs 0 <= k <= {D.shape[0]}, got {k}")
         # stable order: larger norm first, earlier rank breaks ties; the first k are kept
         D[np.lexsort((np.arange(len(norms)), -norms))[k:]] = 0.0
     else:
-        t = float(value)
         if not t >= 0:  # NaN too
             raise ValidationError(f"threshold must be >= 0, got {t!r}")
         size = np.abs(D) if rule == "absolute" else np.linalg.norm(D, axis=1)

@@ -7,7 +7,8 @@ import pytest
 from dendrowave import cli
 from dendrowave.cli import load_bundle, main, save_bundle
 from dendrowave.haar import forward, forward_weighted, inverse
-from dendrowave.tree import load_json, save_json, to_json
+from dendrowave.demo import load_demo
+from dendrowave.tree import ValidationError, load_json, save_json, to_json
 from dendrowave.ultrametric import cophenetic, matrix_to_csv
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -288,6 +289,11 @@ def test_check_demo_matches_golden(capsys):
 def test_check_unknown_demo(capsys):
     assert main(["check", "--demo", "nope"]) == 2
     assert "unknown demo" in capsys.readouterr().err
+
+
+def test_load_demo_refuses_an_unknown_name():
+    with pytest.raises(ValidationError, match="^unknown demo 'nope'; available: fig2$"):
+        load_demo("nope")
 
 
 def test_check_matrix_pass(tmp_path, capsys, demo8):

@@ -115,6 +115,32 @@ def test_a_round_trip_error_of_nan_fails_the_check(tmp_path, capsys, monkeypatch
     assert "check FAILED" in captured.err
 
 
+@pytest.mark.parametrize("scale", [1e7, 1e8], ids=["1e7", "1e8"])
+def test_the_round_trip_check_is_relative_to_the_data_scale(tmp_path, capsys, monkeypatch, scale):
+    X = np.random.default_rng(1).normal(size=(40, 3)) * scale
+    data = tmp_path / "data.csv"
+    np.savetxt(data, X, fmt="%.17g", delimiter=",", header="f1,f2,f3", comments="")
+    assert main(["cluster", str(data), "--linkage", "average", "--out", str(tmp_path / "run")]) == 0
+    args = ["transform", str(data), str(tmp_path / "run" / "dendrogram.json"), "--check"]
+    assert main(args + ["--out", str(tmp_path / "w")]) == 0
+    assert capsys.readouterr().out.endswith("check passed\n")
+    # off by 1e-6 of the data's scale still fails
+    exact = cli.inverse
+    monkeypatch.setattr(cli, "inverse", lambda w: exact(w) + 1e-6 * np.abs(X).max())
+    assert main(args + ["--out", str(tmp_path / "off")]) == 1
+    captured = capsys.readouterr()
+    assert "check passed" not in captured.out and "check FAILED" in captured.err
+
+
+def test_data_within_one_keep_the_absolute_round_trip_bound(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data.csv"
+    data.write_text("f1\n0.5\n-0.25\n1\n", encoding="utf-8")
+    exact = cli.inverse
+    monkeypatch.setattr(cli, "inverse", lambda w: exact(w) + 2e-9)
+    assert main(["transform", str(data), three_leaves(tmp_path), "--check", "--out", str(tmp_path / "w")]) == 1
+    assert "check FAILED: reconstruction error above 1e-09 " in capsys.readouterr().err
+
+
 def test_distances_between_huge_points_are_finite():
     X = np.array([[2e200], [0.0], [5e199], [-1e308], [1e308]])
     M = pairwise_euclidean(X)

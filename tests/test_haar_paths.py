@@ -300,11 +300,37 @@ def test_keep_k_keeps_the_same_rows_as_the_sort_with_ties_to_lower_rank():
             assert np.array_equal(hard_threshold(w, "keep-k", float(k)).details, kept.details)
 
 
-@pytest.mark.parametrize("value", [2.5, float("nan"), float("inf"), True, np.True_, -0.5])
+NOT_NUMBERS = [
+    pytest.param("abc", id="text"),
+    pytest.param(None, id="none"),
+    pytest.param(1 + 1j, id="complex"),
+    pytest.param(np.complex128(2 + 0j), id="numpy-complex"),
+]
+
+
+@pytest.mark.parametrize(
+    "value", [2.5, float("nan"), float("inf"), True, np.True_, -0.5, *NOT_NUMBERS]
+)
 def test_keep_k_rejects_a_value_that_is_not_an_integer(value):
     w = forward(np.arange(6.0), random_dendrogram(6, 100))
     with pytest.raises(ValidationError, match="keep-k needs an integer"):
         hard_threshold(w, "keep-k", value)
+
+
+@pytest.mark.parametrize("value", NOT_NUMBERS)
+@pytest.mark.parametrize("rule", ["absolute", "cluster-norm"])
+def test_a_threshold_that_is_not_a_number_is_refused(rule, value):
+    w = forward(np.arange(6.0), random_dendrogram(6, 100))
+    with pytest.raises(ValidationError) as exc:
+        hard_threshold(w, rule, value)
+    assert str(exc.value) == f"threshold must be a real number, got {value!r}"
+
+
+@pytest.mark.parametrize("rule, text", [("absolute", "0.5"), ("cluster-norm", "1.5"), ("keep-k", "2")])
+def test_a_threshold_held_as_text_is_read_as_its_number(rule, text):
+    w = forward(np.arange(12.0).reshape(6, 2) ** 2, random_dendrogram(6, 100))
+    want = hard_threshold(w, rule, float(text))
+    assert np.array_equal(hard_threshold(w, rule, text).details, want.details)
 
 
 def test_keep_k_out_of_range_is_still_located():
