@@ -44,11 +44,11 @@ from .padic import (
 from .tree import (
     Dendrogram,
     ValidationError,
+    _json_document,
+    _parse,
     branch_signs,
     cluster,
     load_json,
-    open_text,
-    read_text,
     save_json,
     terminal,
 )
@@ -77,15 +77,6 @@ def _outdir(args) -> Path:
 
 
 # ----------------------------------------------------------------------- CSV
-
-def _parse(path, parse, *args):
-    """``parse`` on the UTF-8 file's handle, or its str if it cannot seek; errors name the file."""
-    with open_text(path) as fh:
-        try:
-            return parse(fh if fh.seekable() else fh.read(), *args)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}: {exc}") from exc
-
 
 def _write_csv(path: Path, header: list[str], values, labels=None) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -164,12 +155,7 @@ def load_bundle(bundle_dir: str) -> tuple[WaveletDecomposition, list[str]]:
     """
     base = Path(bundle_dir)
     meta_path = base / "meta.json"
-    try:
-        meta = json.loads(read_text(meta_path))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{meta_path}: not valid JSON: {exc}") from exc
-    if not isinstance(meta, dict) or meta.get("format") != "decomposition":
-        raise ValidationError(f"{meta_path}: expected a decomposition bundle")
+    meta = _parse(meta_path, _json_document, "decomposition")
     tree = load_json(base / "dendrogram.json")
     c_path = base / "C.csv"
     C, _ = _parse(c_path, _read_signs)

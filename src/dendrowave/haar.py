@@ -27,7 +27,7 @@ from itertools import groupby
 import numpy as np
 
 from .tree import Dendrogram, ValidationError, branch_signs, canonical_orient
-from .ultrametric import _real_array
+from .ultrametric import _data_matrix
 
 MODE_ULTRAMETRIC = "ultrametric"
 MODE_INDICATOR = "indicator"
@@ -81,15 +81,11 @@ class WaveletDecomposition:
 
 
 def _checked_data(X, d: Dendrogram) -> np.ndarray:
-    X = np.asarray(_real_array(X, "data"), dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.ndim != 2 or X.shape[0] != d.n_terminals:
+    X = _data_matrix(X)
+    if X.shape[0] != d.n_terminals:
         raise ValidationError(
             f"data must have one row per terminal ({d.n_terminals}), got shape {X.shape}"
         )
-    if not np.isfinite(X).all():
-        raise ValidationError("data contains non-finite entries")
     return X
 
 

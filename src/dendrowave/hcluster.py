@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .tree import Dendrogram, ValidationError, _labels, _row_blocks
-from .ultrametric import _checked_matrix, _real_array
+from .ultrametric import _checked_matrix, _data_matrix
 
 # coefficient table: (size_a, size_b, size_other) -> (alpha_a, alpha_b, beta, gamma)
 _Coeffs = Callable[[int, int, int], tuple[float, float, float, float]]
@@ -56,13 +56,7 @@ LINKAGES: dict[str, _Coeffs] = {
 
 def pairwise_euclidean(X) -> np.ndarray:
     """Euclidean distance matrix between the rows of X."""
-    X = np.asarray(_real_array(X, "data"), dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    if X.ndim != 2:
-        raise ValidationError(f"expected a 2-d data matrix, got shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise ValidationError("data contains non-finite entries")
+    X = _data_matrix(X)
     n, m = X.shape
     # squares of data past 2**500 could overflow, so such data are scaled down
     # below it by a power of two, exactly but for underflow, and back up after

@@ -74,10 +74,7 @@ class PAdicCode:
         base = _int_at_least(base, "base")
         digits = coeffs if isinstance(coeffs, bytes) else _pack(coeffs)
         if digits.translate(None, _DIGIT_BYTES):
-            # only reached on bad bytes, to name the offending power
-            for j, c in enumerate(_array(digits).tolist(), start=1):
-                if c not in (-1, 0, 1):
-                    raise ValidationError(f"coefficient of p^{j} must be -1, 0 or +1, got {c}")
+            _pack(_array(digits).tolist())  # names the first bad power
         object.__setattr__(self, "digits", digits)
         object.__setattr__(self, "base", base)
 

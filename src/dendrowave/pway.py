@@ -154,8 +154,8 @@ def to_json(t: PWayTree, indent: int | None = 2) -> str:
     return _to_json(t, indent)
 
 
-def from_json(text: str) -> PWayTree:
-    doc, labels = _document(text, PWayTree._format)
+def from_json(source) -> PWayTree:
+    doc, labels = _document(source, PWayTree._format)
     arity = doc.get("arity")
     if not isinstance(arity, int) or arity < 2:
         raise ValidationError(f"arity: expected an integer >= 2, got {arity!r}")

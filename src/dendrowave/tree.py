@@ -636,18 +636,24 @@ def to_json(d: _IdTree, indent: int | None = 2) -> str:
     return block(fields, 0, "{}")
 
 
-def _document(text: str, fmt: str) -> tuple[dict, list[str]]:
-    """The JSON document of format ``fmt`` and its terminal labels.
+def _json_document(source, fmt: str) -> dict:
+    """The JSON object in ``source``, a str or a text file, whose ``"format"`` is ``fmt``."""
+    try:
+        doc = json.loads(source if isinstance(source, str) else source.read())
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or doc.get("format") != fmt:
+        raise ValidationError(f"expected a {fmt} document")
+    return doc
+
+
+def _document(source, fmt: str) -> tuple[dict, list[str]]:
+    """The tree document of format ``fmt`` and its terminal labels.
 
     The merges must be a list.  ``n_terminals`` must match the labels;
     only the binary format requires it.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != fmt:
-        raise ValidationError(f"expected a {fmt!r} document")
+    doc = _json_document(source, fmt)
     labels = doc.get("terminals")
     if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
         raise ValidationError("terminals: expected a list of strings")
@@ -691,9 +697,9 @@ def _table_from_json(raw: list, count: int, arity: int, n: int):
     return _table(flat[::2], flat[1::2], n, arity)
 
 
-def from_json(text: str) -> Dendrogram:
-    """Parse the JSON schema produced by `to_json`, with located errors."""
-    doc, labels = _document(text, Dendrogram._format)
+def from_json(source) -> Dendrogram:
+    """Parse the JSON schema of `to_json` from a str or a text file, with located errors."""
+    doc, labels = _document(source, Dendrogram._format)
     kids = _table_from_json(doc["merges"], len(labels) - 1, 2, len(labels))
     levels = doc.get("levels")
     if levels is not None:
@@ -726,14 +732,17 @@ def open_text(path):
         raise ValidationError(f"{path}: byte {exc.start}: not UTF-8 text") from exc
 
 
-def read_text(path) -> str:
-    """The whole file as UTF-8 text, with read and decode failures located."""
+def _parse(path, parse, *args):
+    """``parse`` on the UTF-8 file's handle, or its str if it cannot seek; errors name the file."""
     with open_text(path) as fh:
-        return fh.read()
+        try:
+            return parse(fh if fh.seekable() else fh.read(), *args)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
 
 
 def load_json(path) -> Dendrogram:
-    return from_json(read_text(path))
+    return _parse(path, from_json)
 
 
 # ------------------------------------------------------------------ generators

@@ -102,6 +102,18 @@ def _real_array(values, what: str) -> np.ndarray:
     return arr
 
 
+def _data_matrix(X) -> np.ndarray:
+    """X as a 2-d array of finite floats; a 1-d X is read as one column."""
+    X = np.asarray(_real_array(X, "data"), dtype=float)
+    if X.ndim == 1:
+        X = X[:, None]
+    if X.ndim != 2:
+        raise ValidationError(f"expected a 2-d data matrix, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValidationError("data contains non-finite entries")
+    return X
+
+
 def _checked_matrix(M, name: str = "distance", rtol: float = 0.0, atol: float = 0.0) -> np.ndarray:
     """M as a square, finite, symmetric, zero-diagonal, nonnegative real array.
 

@@ -1,4 +1,5 @@
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,18 @@ import pytest
 
 from dendrowave.demo import walkthrough_tree
 from dendrowave.tree import Dendrogram, random_dendrogram
+
+# Hypothesis's failure report imports libcst when it is installed, and that
+# import warns through mypy_extensions.TypedDict; under -W
+# error::DeprecationWarning the warning would end the run in an INTERNALERROR
+# instead of reporting the failed test.  Importing it once here, with its
+# warnings caught, leaves the report's import nothing to warn about.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import libcst  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture

@@ -374,7 +374,39 @@ def _swap(lines: list, a: int, b: int) -> list:
     return lines
 
 
+def _json_edit(change):
+    """An edit of a JSON file's bytes: ``change`` alters the parsed document in place."""
+
+    def edit(raw: bytes) -> bytes:
+        doc = json.loads(raw)
+        change(doc)
+        return json.dumps(doc).encode("utf-8")
+
+    return edit
+
+
+# a fault of a dendrogram JSON file, and the start of its located message
+JSON_FAULTS = {
+    "truncated": (lambda b: b[: len(b) // 2], "not valid JSON: "),
+    "format": (_json_edit(lambda d: d.update(format="pway_tree")), "expected a dendrogram document\n"),
+    "merges": (_json_edit(lambda d: d.update(merges={})), "merges: expected a list\n"),
+    "node": (
+        _json_edit(lambda d: d["merges"][3]["children"].__setitem__(0, {"terminal": 0})),
+        "merges[3]: terminal index must be >= 1, got 0\n",
+    ),
+}
+
 MALFORMED_BUNDLES = {
+    **{
+        f"tree-{fault}": ("dendrogram.json", edit, f"dendrogram.json: {message}")
+        for fault, (edit, message) in JSON_FAULTS.items()
+    },
+    "meta-truncated": ("meta.json", lambda b: b[: len(b) // 2], "meta.json: not valid JSON: "),
+    "meta-format": (
+        "meta.json",
+        _json_edit(lambda d: d.update(format="dendrogram")),
+        "meta.json: expected a decomposition document\n",
+    ),
     "smooth-header-only": (
         "smooth.csv", lambda b: b.split(b"\n")[0] + b"\n", "smooth.csv: expected one row"
     ),
@@ -388,7 +420,7 @@ MALFORMED_BUNDLES = {
         lambda b: _edit_cell(b.decode(), 1, 1, '"').encode(),
         "D.csv: expected 7 detail rows, one per merge, got 0",
     ),
-    "meta-list": ("meta.json", lambda b: b"[]\n", "meta.json: expected a decomposition"),
+    "meta-list": ("meta.json", lambda b: b"[]\n", "meta.json: expected a decomposition document\n"),
     "D-not-utf8": ("D.csv", lambda b: b.replace(b"\n", b"\n\xff", 1), "D.csv: byte "),
     "C-cell-300": (
         "C.csv",
@@ -410,6 +442,14 @@ MALFORMED_BUNDLES = {
         lambda b: _edit_cell(b.decode(), 2, 2, "inf").encode(),
         "D.csv: row 2, column 2: expected a finite number",
     ),
+    "C-header-only": (
+        "C.csv", lambda b: b.split(b"\n")[0] + b"\n", "C.csv: expected a header row plus terminal rows\n"
+    ),
+    "C-of-a-smaller-tree": (
+        "C.csv",
+        lambda b: b"\n".join(b",".join(line.split(b",")[:3]) for line in b.split(b"\n")[:4]) + b"\n",
+        "C.csv: rows do not match the dendrogram\n",
+    ),
     "C-one-column-too-wide": (
         "C.csv",
         lambda b: b.replace(b"\n", b",0\n"),
@@ -427,7 +467,29 @@ def test_malformed_bundles_exit_two(tmp_path, capsys, demo_json, case):
     for argv in (["--sweep"], ["--value", "2"]):
         assert main(["filter", str(out), *argv, "--out", str(tmp_path / "f")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err, err
+        assert err.startswith(f"error: {path}: ") and message in err, err
+
+
+JSON_READERS = {
+    "transform": lambda tree: ["transform", "-", tree, "--mode", "indicator"],
+    "padic-encode": lambda tree: ["padic", "encode", tree],
+    "padic-dist": lambda tree: ["padic", "dist", tree, "x1", "x2"],
+    "padic-norm": lambda tree: ["padic", "norm", tree, "q1"],
+    "padic-dilate": lambda tree: ["padic", "dilate", tree, "--all"],
+    "check": lambda tree: ["check", tree],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(JSON_FAULTS))
+@pytest.mark.parametrize("command", sorted(JSON_READERS))
+def test_json_tree_errors_name_the_file(tmp_path, capsys, demo_json, command, fault):
+    edit, message = JSON_FAULTS[fault]
+    path = tmp_path / "bad.json"
+    path.write_bytes(edit(Path(demo_json).read_bytes()))
+    assert main(JSON_READERS[command](str(path))) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {path}: {message}")
+    assert captured.err.count("\n") == 1, captured.err
 
 
 def _set_child_sizes(out, sizes):
@@ -478,7 +540,7 @@ def test_check_names_a_level_too_large_for_a_float(tmp_path, capsys, demo8):
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["check", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: rank 2: level {10**400} is too large for a float\n"
+    assert err == f"error: {path}: rank 2: level {10**400} is too large for a float\n"
 
 
 @pytest.mark.parametrize("command", ["cluster", "transform"])
@@ -541,6 +603,20 @@ def test_padic_decode_names_the_failing_column_by_its_header(tmp_path, capsys, d
     assert err == f"error: {c_path}: column cluster_1: both signs must appear\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["padic", "dilate", "{tree}"], "dilate needs a node name or --all"),
+        (["check", "{tree}.txt"], "cannot tell matrix CSV from dendrogram JSON: {tree}.txt"),
+    ],
+    ids=["dilate-nothing", "check-extension"],
+)
+def test_arguments_the_parser_passes_are_refused(capsys, demo_json, argv, message):
+    assert main([arg.format(tree=demo_json) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {message.format(tree=demo_json)}\n"
+
+
 @pytest.mark.parametrize("node, message", [
     ({"terminal": 0}, "merges[3]: terminal index must be >= 1, got 0"),
     ({"cluster": -3}, "merges[3]: cluster index must be >= 1, got -3"),
@@ -553,7 +629,7 @@ def test_padic_encode_locates_a_bad_node_index(tmp_path, capsys, demo_json, node
     bad.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["padic", "encode", str(bad)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert captured.out == "" and captured.err == f"error: {bad}: {message}\n"
 
 
 def test_main_calls_in_a_row_match_each_call_alone(tmp_path, capsys, demo_json):

@@ -160,8 +160,9 @@ def test_code_surface_is_unchanged():
     ],
 )
 def test_codes_name_the_power_of_a_bad_digit(coeffs, power, shown):
-    with pytest.raises(ValidationError, match=rf"coefficient of p\^{power} .* got {shown}$"):
+    with pytest.raises(ValidationError) as exc:
         PAdicCode(coeffs)
+    assert str(exc.value) == f"coefficient of p^{power} must be -1, 0 or +1, got {shown}"
 
 
 def test_bool_base_is_rejected():

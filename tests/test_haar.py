@@ -312,6 +312,10 @@ def test_decomposition_validation(demo8):
     C = branch_signs(demo8)
     with pytest.raises(ValidationError):
         WaveletDecomposition(demo8, np.zeros((6, 2)), np.zeros(2), MODE_ULTRAMETRIC)
+    with pytest.raises(ValidationError, match=r"^child sizes must be \(n-1\) x 2$"):
+        WaveletDecomposition(
+            demo8, np.zeros((7, 2)), np.zeros(2), MODE_ULTRAMETRIC, child_sizes=np.ones((6, 2))
+        )
     w = WaveletDecomposition(demo8, np.zeros((7, 2)), np.zeros(2), MODE_ULTRAMETRIC)
     assert w.order == (1, 2, 3, 4, 5, 6, 7)
     assert w.n_features == 2 and w.n_terminals == 8

@@ -356,6 +356,22 @@ def test_parse_code_errors():
         parse_code("+q^1", 8)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: parse_code("+p^1x+p^2", 4), "cannot parse code at 'x+p^2'"),
+        (lambda: code_from_decimal(10, 4, 5), "10 is not the value of any code in base 5"),
+        (lambda: decode(np.zeros(3)), "branch codes must form a 2-d matrix"),
+        (lambda: decode(np.zeros((3, 3))), "matrix must be n x (n-1), got 3 x 3"),
+    ],
+    ids=["parse-gap", "decimal-digit", "decode-1d", "decode-square"],
+)
+def test_refusals_name_their_fault(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 @settings(max_examples=100, deadline=None)
 @given(coeff_vectors(7))
 def test_decimal_roundtrip_base_three(coeffs):

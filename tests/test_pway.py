@@ -112,6 +112,8 @@ def test_pway_validation():
         )
     with pytest.raises(ValidationError, match="out of range"):
         build_pway(3, [(terminal(1), terminal(2), terminal(9))])
+    with pytest.raises(ValidationError, match="^terminal labels must be distinct$"):
+        build_pway(2, [(terminal(1), terminal(2))], labels=("a", "a"))
 
 
 def test_term_set_rejects_unknown_nodes():

@@ -12,6 +12,7 @@ from strategies import dendrograms
 
 from dendrowave.tree import (
     Dendrogram,
+    NodeRef,
     ValidationError,
     apply_swap,
     branch_signs,
@@ -342,6 +343,39 @@ def test_from_json_rejects_booleans_as_integers(doc, where):
         from_json(text)
     # the same document with 1 in place of true is valid
     from_json(text.replace("true", "1"))
+
+
+def _with_merges(d, merges):
+    return from_json(json.dumps({**json.loads(to_json(d)), "merges": merges}))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda d: NodeRef("leaf", 1), "unknown node kind 'leaf'"),
+        (lambda d: Dendrogram([], []), "need at least one terminal"),
+        (lambda d: Dendrogram(["a", "b"], []), "2 terminals require 1 merges, got 0"),
+        (lambda d: d.children(0), "no cluster of rank 0"),
+        (lambda d: build_from_merges(d.merges, levels=range(1, 8)).level_of(8), "no cluster of rank 8"),
+        (lambda d: d.label_of(9), "unknown node x9 for 8 terminals"),
+        (lambda d: apply_swap(d, [True]), "mask needs 7 bits, got 1"),
+        (lambda d: _with_merges(d, [1]), "merges[0]: expected an object"),
+        (
+            lambda d: _with_merges(
+                d, [{"rank": 1, "children": [{"terminal": 1, "cluster": 1}, {"terminal": 2}]}]
+            ),
+            "merges[0]: expected one-key node object, got {'terminal': 1, 'cluster': 1}",
+        ),
+    ],
+    ids=[
+        "node-kind", "no-terminals", "merge-count", "children", "level-of", "label-of",
+        "mask", "merge-not-an-object", "node-of-two-keys",
+    ],
+)
+def test_refusals_name_their_fault(demo8, call, message):
+    with pytest.raises(ValidationError) as exc:
+        call(demo8)
+    assert str(exc.value) == message
 
 
 def test_node_ref_rejects_booleans():

@@ -197,6 +197,8 @@ def test_matrix_csv_errors():
         matrix_from_csv("")
     with pytest.raises(ValidationError, match="expected 2 values"):
         matrix_from_csv("a,b\n0,1,2\n1,0\n")
+    with pytest.raises(ValidationError, match=r"^1 labels for a 2-row matrix$"):
+        matrix_to_csv(np.zeros((2, 2)), ["a"])
 
 
 def test_is_ultrametric_input_checks():

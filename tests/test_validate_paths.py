@@ -215,10 +215,25 @@ def test_malformed_data_raise_a_validation_error(check, bad):
 @pytest.mark.parametrize("check", sorted(DATA))
 def test_data_keep_their_shape_and_finiteness_messages(check):
     DATA[check]([["0", "1"], ["2", "3"], ["4", "5"]])  # numbers as text are read as floats
-    with pytest.raises(ValidationError, match="non-finite"):
-        DATA[check]([[0.0, 1.0], [np.inf, 1.0], [2.0, 3.0]])
-    with pytest.raises(ValidationError, match="shape"):
-        DATA[check](np.zeros((3, 2, 1)))
+    for bad, message in (
+        ([[0.0, 1.0], [np.inf, 1.0], [2.0, 3.0]], "data contains non-finite entries"),
+        ([[0.0, 1.0], [2.0, 3.0], [4.0, np.nan]], "data contains non-finite entries"),
+        (np.zeros((3, 2, 1)), "expected a 2-d data matrix, got shape (3, 2, 1)"),
+    ):
+        with pytest.raises(ValidationError) as exc:
+            DATA[check](bad)
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("transform", [forward, forward_weighted])
+def test_data_need_one_row_per_terminal(transform):
+    d = random_dendrogram(3, 1)
+    with pytest.raises(ValidationError) as exc:
+        transform(np.zeros((2, 2)), d)
+    assert str(exc.value) == "data must have one row per terminal (3), got shape (2, 2)"
+    with pytest.raises(ValidationError) as exc:  # a non-finite cell is named before the row count
+        transform([[np.nan, 0.0]], d)
+    assert str(exc.value) == "data contains non-finite entries"
 
 
 @pytest.mark.parametrize(
