@@ -31,7 +31,7 @@ from .haar import (
     inverse,
     reconstruct_matrix_form,
 )
-from .hcluster import LINKAGES, agglomerate, pairwise_euclidean
+from .hcluster import LINKAGES, _euclidean, _linkage_tree
 from .padic import (
     cluster_code,
     decode,
@@ -55,7 +55,7 @@ from .tree import (
 from .ultrametric import (
     _Distances,
     _layout_verdict,
-    cophenetic,
+    _write_cophenetic,
     is_ultrametric,
     matrix_from_csv,
     read_table,
@@ -195,19 +195,23 @@ def cmd_cluster(args) -> int:
     _, _, X = _parse(args.data, read_table)
     if X.shape[0] < 2:
         raise ValidationError(f"{args.data}: need n >= 2 observation rows")
-    diss = pairwise_euclidean(X)
+    diss = _euclidean(X, condensed=True)  # the pairs i < j only, which the core overwrites
     if args.squared:
         with np.errstate(over="ignore"):  # an infinite square is refused as non-finite
             np.square(diss, out=diss)
-    tree = agglomerate(diss, args.linkage)
-    del diss  # freed before the cophenetic matrix, so one n x n matrix is live at a time
+    if not np.isfinite(diss.max()):  # NaN propagates to the maximum, and no distance is -inf
+        raise ValidationError("dissimilarity matrix contains non-finite entries")
+    tree, note = _linkage_tree(diss, X.shape[0], args.linkage)
+    if note:
+        print(f"warning: {note}", file=sys.stderr)
+    del diss  # the core overwrote it; freed before the files are written
     outdir = _outdir(args)
     tree_path = outdir / "dendrogram.json"
     coph_path = outdir / "cophenetic.csv"
     save_json(tree, tree_path)
     use = "levels" if tree.levels is not None else "ranks"
-    M = cophenetic(tree, use=use)
-    _write_csv(coph_path, list(tree.labels), M)
+    with open(coph_path, "w", encoding="utf-8", newline="") as fh:
+        _write_cophenetic(fh, tree, use)
     print(f"clustered {X.shape[0]} observations with {args.linkage} linkage")
     print(f"wrote {tree_path}")
     print(f"wrote {coph_path} (cophenetic {use})")

@@ -15,10 +15,11 @@ squared Euclidean distances, which is the caller's choice to make.
 Ties are broken deterministically by the lexicographically smallest pair
 of original indices.  The core follows the generic algorithm of Muellner
 (arXiv:1109.2378): every step still merges the global minimum, found from
-a cached nearest neighbour per row of a square numpy matrix, so it holds
-for all six criteria (inversions included) and repeats the exact merge
-order and floating-point levels of a plain scan over all pairs.  Typical
-inputs take O(n^2) time; the matrix takes O(n^2) memory.
+a cached nearest neighbour per row of the condensed upper triangle (the
+n(n - 1)/2 pairs i < j in scipy's `pdist` order), so it holds for all six
+criteria (inversions included) and repeats the exact merge order and
+floating-point levels of a plain scan over all pairs.  Typical inputs take
+O(n^2) time; the condensed vector takes n(n - 1)/2 floats.
 """
 
 from __future__ import annotations
@@ -54,20 +55,36 @@ LINKAGES: dict[str, _Coeffs] = {
 }
 
 
-def pairwise_euclidean(X) -> np.ndarray:
-    """Euclidean distance matrix between the rows of X."""
+def _row_bases(n: int) -> np.ndarray:
+    """``base[i] + j`` is the index of d(i, j), i < j, in the condensed upper triangle."""
+    i = np.arange(n, dtype=np.int64)
+    return i * (2 * n - i - 3) // 2 - 1
+
+
+def _euclidean(X, condensed: bool = False) -> np.ndarray:
+    """Distances between the rows of X: the square matrix, or its pairs i < j condensed."""
     X = _data_matrix(X)
     n, m = X.shape
     # squares of data past 2**500 could overflow, so such data are scaled down
     # below it by a power of two, exactly but for underflow, and back up after
     unit = max(int(np.frexp(np.abs(X).max(initial=0.0))[1]) - 500, 0)
     X = np.ldexp(X, -unit)
-    out = np.empty((n, n))
+    out = np.empty(n * (n - 1) // 2 if condensed else (n, n))
+    base = _row_bases(n)
     for a, b in _row_blocks(n, n * m):  # a block's differences hold n * m floats per row
-        diffs = X[a:b, None, :] - X[None, :, :]
-        out[a:b] = np.sqrt((diffs**2).sum(axis=-1))
+        c = a + 1 if condensed else 0  # the pairs i < j of rows a..b-1 lie past column a
+        block = np.sqrt(((X[a:b, None, :] - X[None, c:, :]) ** 2).sum(axis=-1))
+        if condensed:  # rows a..b-1 are one run of the vector: the block's pairs i < j, row by row
+            out[base[a] + a + 1 : base[b - 1] + n] = block[np.arange(c, n) > np.arange(a, b)[:, None]]
+        else:
+            out[a:b] = block
     with np.errstate(over="ignore"):  # a distance past the float maximum is refused as non-finite
         return np.ldexp(out, unit, out=out) if unit else out
+
+
+def pairwise_euclidean(X) -> np.ndarray:
+    """Euclidean distance matrix between the rows of X."""
+    return _euclidean(X)
 
 
 def validate_dissimilarity(M) -> np.ndarray:
@@ -75,31 +92,43 @@ def validate_dissimilarity(M) -> np.ndarray:
     return np.asarray(_checked_matrix(M, "dissimilarity", 1e-9, 1e-12), dtype=float)
 
 
-def _clustering_input(diss, criterion: str) -> np.ndarray:
+def _clustering_input(diss, criterion: str) -> tuple[np.ndarray, int]:
+    """The checked matrix's upper triangle, condensed row by row into a copy, and its n."""
     if criterion not in LINKAGES:
         raise ValidationError(f"unknown linkage {criterion!r}; choose from {sorted(LINKAGES)}")
     M = validate_dissimilarity(diss)
-    if M.shape[0] < 2:
+    n = M.shape[0]
+    if n < 2:
         raise ValidationError("need n >= 2 observations to cluster")
-    return M
+    V = np.empty(n * (n - 1) // 2)
+    for i, start in enumerate(_row_bases(n)[:-1].tolist()):
+        V[start + i + 1 : start + n] = M[i, i + 1 :]
+    return V, n
 
 
-def _agglomerate_core(M: np.ndarray, criterion: str) -> tuple[list[tuple[int, int]], list[float]]:
+def _agglomerate_core(V, n: int, criterion: str) -> tuple[list[tuple[int, int]], list[float]]:
     """Merge the closest pair n - 1 times; ties go to the smallest index pair.
 
-    A cluster lives in the slot of its smallest member, so a merge keeps
-    the lower slot.  D holds the upper triangle of M (the entries a scan
-    over pairs i < j reads) and inf everywhere else, including the rows
-    and columns of retired slots.  rowmin[i] and rowarg[i] cache the
-    minimum of row i and its first column (-1 once i retires); the
+    V holds d(i, j) for i < j at ``base[i] + j`` (`_row_bases`) and is
+    overwritten: row i is one slice, column j one gather.  A cluster lives
+    in the slot of its smallest member, so a merge keeps the lower slot,
+    and the pairs of retired slots hold inf.  rowmin[i] and rowarg[i] cache
+    the minimum of row i and its first column (-1 once i retires); the
     first-occurrence argmin of rowmin then names the lexicographically
     smallest closest pair.
     """
     coeffs = LINKAGES[criterion]
-    n = M.shape[0]
-    D = np.where(np.tri(n, dtype=bool), np.inf, M)  # inf on and below the diagonal
-    rowmin = D.min(axis=1)
-    rowarg = D.argmin(axis=1)
+    base = _row_bases(n)
+    first = (base + np.arange(n) + 1).tolist()  # row i is V[first[i] : first[i] + n - i - 1]
+    rowmin, rowarg = np.full(n, np.inf), np.zeros(n, dtype=np.int64)
+
+    def rescan(rows) -> None:
+        for i in rows:
+            row = V[first[i] : first[i] + n - i - 1]
+            rowarg[i] = i + 1 + row.argmin()
+            rowmin[i] = row[rowarg[i] - i - 1]
+
+    rescan(range(n - 1))
     sizes = np.ones(n, dtype=np.int64)
     alive = np.ones(n, dtype=bool)
     node = list(range(n))  # the node id in each slot
@@ -109,39 +138,47 @@ def _agglomerate_core(M: np.ndarray, criterion: str) -> tuple[list[tuple[int, in
     for step in range(1, n):
         lo = int(np.argmin(rowmin))
         hi = int(rowarg[lo])
-        d_ab = D[lo, hi]
+        d_ab = V[base[lo] + hi]
         kids.append((node[lo], node[hi]))
         levels.append(float(d_ab))
 
-        alive[hi] = False
+        alive[lo] = alive[hi] = False
         ks = np.flatnonzero(alive)
-        ks = ks[ks != lo]
+        alive[lo] = True
         # every other cluster's distances to lo and hi, from the upper triangle
-        d_ka = np.where(ks < lo, D[ks, lo], D[lo, ks])
-        d_kb = np.where(ks < hi, D[ks, hi], D[hi, ks])
+        at_a = np.where(ks < lo, base[ks] + lo, base[lo] + ks)
+        at_b = np.where(ks < hi, base[ks] + hi, base[hi] + ks)
+        d_ka, d_kb = V[at_a], V[at_b]
         aa, ab, beta, gamma = coeffs(int(sizes[lo]), int(sizes[hi]), sizes[ks])
-        new = aa * d_ka + ab * d_kb + beta * d_ab + gamma * np.abs(d_ka - d_kb)
-
-        below = ks < lo
-        D[ks[below], lo] = new[below]
-        D[lo, ks[~below]] = new[~below]
-        D[:hi, hi] = np.inf
-        D[hi, hi + 1 :] = np.inf
+        V[at_a] = aa * d_ka + ab * d_kb + beta * d_ab + gamma * np.abs(d_ka - d_kb)
+        V[at_b] = np.inf
+        V[base[lo] + hi] = np.inf
         sizes[lo] += sizes[hi]
         node[lo] = n + step - 1
 
         # rows whose cached minimum sat in column lo or hi start over (row
         # lo among them); the other rows above lo only see column lo change
-        stale = np.flatnonzero((rowarg[:hi] == lo) | (rowarg[:hi] == hi))
-        col = D[:lo, lo]
+        stale = np.flatnonzero((rowarg[:hi] == lo) | (rowarg[:hi] == hi)).tolist()
+        col = V[base[:lo] + lo]
         take = (col < rowmin[:lo]) | ((col == rowmin[:lo]) & (lo < rowarg[:lo]))
         rowmin[:lo][take] = col[take]
         rowarg[:lo][take] = lo
-        rowmin[stale] = D[stale].min(axis=1)
-        rowarg[stale] = D[stale].argmin(axis=1)
+        rescan(stale)
         rowmin[hi] = np.inf
         rowarg[hi] = -1
     return kids, levels
+
+
+def _linkage_tree(V, n: int, criterion: str, labels=None) -> tuple[Dendrogram, str | None]:
+    """Cluster n points from their condensed distances V (overwritten); note any dropped levels."""
+    labels = _labels(labels, n)
+    if len(labels) != n:
+        raise ValidationError(f"{len(labels)} labels for a {n}-row matrix")
+    kids, levels = _agglomerate_core(V, n, criterion)
+    monotone = all(levels[k] < levels[k + 1] for k in range(n - 2))
+    note = None if monotone else (f"{criterion} produced merge levels that are not strictly "
+                                  "increasing; levels dropped, ranks keep the merge order")
+    return Dendrogram(labels, np.array(kids), levels if monotone else None), note
 
 
 def agglomerate(
@@ -154,19 +191,14 @@ def agglomerate(
     attached only when they come out strictly increasing; centroid and
     median linkage can invert (and exact ties can repeat), in which case
     the levels are dropped with a warning and the ranks remain the
-    authoritative order.
+    authoritative order.  The caller's matrix is never modified.
     """
-    kids, levels = _agglomerate_core(_clustering_input(diss, criterion), criterion)
-    monotone = all(levels[k] < levels[k + 1] for k in range(len(levels) - 1))
-    if not monotone:
-        warnings.warn(
-            f"{criterion} produced merge levels that are not strictly increasing; "
-            "levels dropped, ranks keep the merge order",
-            stacklevel=2,
-        )
-    return Dendrogram(_labels(labels, len(kids) + 1), np.array(kids), levels if monotone else None)
+    tree, note = _linkage_tree(*_clustering_input(diss, criterion), criterion, labels)
+    if note:
+        warnings.warn(note, stacklevel=2)
+    return tree
 
 
 def merge_levels(diss, criterion: str) -> list[float]:
     """Raw merge levels in rank order, inversions and ties included."""
-    return _agglomerate_core(_clustering_input(diss, criterion), criterion)[1]
+    return _agglomerate_core(*_clustering_input(diss, criterion), criterion)[1]

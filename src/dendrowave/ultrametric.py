@@ -70,24 +70,33 @@ def cophenetic(d: Dendrogram, use: str = "ranks") -> np.ndarray:
     ``use="ranks"`` gives exact integers (always available); ``use="levels"``
     requires the dendrogram to carry levels.
     """
+    table = _heights(d, use)
+    out = np.empty((d.n_terminals, d.n_terminals), dtype=table.dtype)
+    for out_row, ranks in zip(out, _lca_rows(d.layout)):
+        np.take(table, ranks, out=out_row)
+    return out
+
+
+def _heights(d: Dendrogram, use: str) -> np.ndarray:
     if use not in ("ranks", "levels"):
         raise ValidationError(f"use must be 'ranks' or 'levels', got {use!r}")
-    n = d.n_terminals
-    if use == "levels" and d.levels is None and n > 1:
+    if use == "levels" and d.levels is None and d.n_terminals > 1:
         raise ValidationError("this dendrogram carries no levels")
-    lay = d.layout
-    gaps = lay.gaps
-    # by leaf position, the LCA rank of p and q is the largest gap rank between
-    # them: a running maximum of the gaps rightwards from p and leftwards from p
-    table = np.arange(n) if use == "ranks" else np.array((0.0,) + (d.levels or ()))
-    out = np.empty((n, n), dtype=table.dtype)
-    row = np.empty(n, dtype=np.int64)
-    for p, t in enumerate(lay.order.tolist()):
-        np.maximum.accumulate(gaps[p:], out=row[p + 1 :])
-        np.maximum.accumulate(gaps[:p][::-1], out=row[:p][::-1])
+    return np.arange(d.n_terminals) if use == "ranks" else np.array((0.0,) + (d.levels or ()))
+
+
+def _lca_rows(lay):
+    """Each terminal's row of LCA ranks to terminals 1..n, in terminal order (one reused buffer).
+
+    By leaf position, the LCA rank of p and q is the largest gap rank between
+    them: a running maximum of the gaps rightwards from p and leftwards from p.
+    """
+    row, ranks = np.empty((2, len(lay.pos)), dtype=np.int64)
+    for p in lay.pos.tolist():
+        np.maximum.accumulate(lay.gaps[p:], out=row[p + 1 :])
+        np.maximum.accumulate(lay.gaps[:p][::-1], out=row[:p][::-1])
         row[p] = 0
-        np.take(table, row[lay.pos], out=out[t - 1])
-    return out
+        yield np.take(row, lay.pos, out=ranks)
 
 
 def _real_array(values, what: str) -> np.ndarray:
@@ -645,6 +654,12 @@ class _RowText:
     write = staticmethod(lambda text: text)
 
 
+def _texts(numbers: np.ndarray) -> np.ndarray:
+    """Each number's CSV text: integers exactly, floats with 12 significant digits."""
+    spec = "d" if np.issubdtype(numbers.dtype, np.integer) else ".12g"
+    return np.array([format(v, spec) for v in numbers.tolist()], dtype=object)
+
+
 def write_table(fh, header, values, labels=None) -> None:
     """Write a CSV table to ``fh``: the header row, then one row per row of ``values``.
 
@@ -659,8 +674,7 @@ def write_table(fh, header, values, labels=None) -> None:
     integral = np.issubdtype(values.dtype, np.integer)
     keys = values if integral else values.astype(float, copy=False).view(np.int64)
     distinct = np.unique(keys)
-    spec, numbers = ("d", distinct) if integral else (".12g", distinct.view(float))
-    text = np.array([format(v, spec) for v in numbers.tolist()], dtype=object)
+    text = _texts(distinct if integral else distinct.view(float))
     # the label as csv.writer starts its row (quoted for a comma, a quote or "\n"), then a comma
     row_text = csv.writer(_RowText(), lineterminator="\n").writerow
     leads = [""] * len(values) if labels is None else [
@@ -669,6 +683,16 @@ def write_table(fh, header, values, labels=None) -> None:
     for a, b in _row_blocks(*values.shape):
         rows = text[np.searchsorted(distinct, keys[a:b])].tolist()
         fh.writelines(f"{lead}{','.join(row)}\n" for lead, row in zip(leads[a:b], rows))
+
+
+def _write_cophenetic(fh, d: Dendrogram, use: str = "ranks") -> None:
+    """``write_table(fh, d.labels, cophenetic(d, use))`` without the n x n matrix.
+
+    The n heights are formatted once; each terminal's row of LCA ranks picks its cells' text.
+    """
+    text = _texts(_heights(d, use))
+    csv.writer(fh, lineterminator="\n").writerow(d.labels)
+    fh.writelines(",".join(text[ranks].tolist()) + "\n" for ranks in _lca_rows(d.layout))
 
 
 def read_table(text, labelled: bool = False) -> tuple[list[str], list[str] | None, np.ndarray]:

@@ -45,6 +45,9 @@ one accumulate per leaf position: a block of rows of U at a time, each a
 tiled copy of the gap levels with the gaps left of its row blanked.
 `dilation_steps_by_dilating` is `dilation_steps_to_null` as it ran before
 it read the code's highest power: one `dilate` and one new code per step.
+`agglomerate_square` is `hcluster._agglomerate_core` as it ran before it
+worked on the condensed upper triangle: the same cached row minima on a
+square working matrix with inf on and below the diagonal.
 """
 
 from __future__ import annotations
@@ -747,6 +750,62 @@ def agglomerate_core(
         mins[new_id] = min(mins[ia], mins[ib])
         active.add(new_id)
     return merges, levels
+
+
+def agglomerate_square(M: np.ndarray, criterion: str) -> tuple[list[tuple[int, int]], list[float]]:
+    """Merge the closest pair n - 1 times on a square copy of M's upper triangle.
+
+    A cluster lives in the slot of its smallest member, so a merge keeps
+    the lower slot.  D holds the upper triangle of M and inf everywhere
+    else, including the rows and columns of retired slots.  rowmin[i] and
+    rowarg[i] cache the minimum of row i and its first column (-1 once i
+    retires).  Returns the children as node ids (terminal i is i - 1,
+    cluster k is n + k - 1) and the levels.
+    """
+    coeffs = LINKAGES[criterion]
+    n = M.shape[0]
+    D = np.where(np.tri(n, dtype=bool), np.inf, M)  # inf on and below the diagonal
+    rowmin = D.min(axis=1)
+    rowarg = D.argmin(axis=1)
+    sizes = np.ones(n, dtype=np.int64)
+    alive = np.ones(n, dtype=bool)
+    node = list(range(n))  # the node id in each slot
+    kids: list[tuple[int, int]] = []
+    levels: list[float] = []
+
+    for step in range(1, n):
+        lo = int(np.argmin(rowmin))
+        hi = int(rowarg[lo])
+        d_ab = D[lo, hi]
+        kids.append((node[lo], node[hi]))
+        levels.append(float(d_ab))
+
+        alive[hi] = False
+        ks = np.flatnonzero(alive)
+        ks = ks[ks != lo]
+        d_ka = np.where(ks < lo, D[ks, lo], D[lo, ks])
+        d_kb = np.where(ks < hi, D[ks, hi], D[hi, ks])
+        aa, ab, beta, gamma = coeffs(int(sizes[lo]), int(sizes[hi]), sizes[ks])
+        new = aa * d_ka + ab * d_kb + beta * d_ab + gamma * np.abs(d_ka - d_kb)
+
+        below = ks < lo
+        D[ks[below], lo] = new[below]
+        D[lo, ks[~below]] = new[~below]
+        D[:hi, hi] = np.inf
+        D[hi, hi + 1 :] = np.inf
+        sizes[lo] += sizes[hi]
+        node[lo] = n + step - 1
+
+        stale = np.flatnonzero((rowarg[:hi] == lo) | (rowarg[:hi] == hi))
+        col = D[:lo, lo]
+        take = (col < rowmin[:lo]) | ((col == rowmin[:lo]) & (lo < rowarg[:lo]))
+        rowmin[:lo][take] = col[take]
+        rowarg[:lo][take] = lo
+        rowmin[stale] = D[stale].min(axis=1)
+        rowarg[stale] = D[stale].argmin(axis=1)
+        rowmin[hi] = np.inf
+        rowarg[hi] = -1
+    return kids, levels
 
 
 def is_ultrametric(M, tol: float = DEFAULT_TOL) -> Verdict:

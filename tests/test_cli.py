@@ -1,10 +1,12 @@
 import json
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dendrowave import cli
+from dendrowave import cli, hcluster, ultrametric
 from dendrowave.cli import load_bundle, main, save_bundle
 from dendrowave.haar import forward, forward_weighted, inverse
 from dendrowave.demo import load_demo
@@ -80,6 +82,41 @@ def test_cluster_squared_changes_levels(tmp_path, capsys):
     capsys.readouterr()
     tree = load_json(out / "dendrogram.json")
     assert tree.levels == (1.0, 9.0)
+
+
+def test_cluster_prints_dropped_levels_as_one_warning_line(tmp_path, capsys):
+    data = write_points(tmp_path, [0.0, 1.0, 2.0, 5.0])  # single linkage ties at level 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["cluster", data, "--linkage", "single", "--out", str(tmp_path / "o")]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "warning: single produced merge levels that are not strictly increasing; "
+        "levels dropped, ranks keep the merge order\n"
+    )
+    assert captured.out.endswith("cophenetic.csv (cophenetic ranks)\n")
+
+
+def test_cluster_builds_no_square_matrix(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cluster built an n x n matrix")
+
+    for module, name in ((hcluster, "pairwise_euclidean"), (hcluster, "validate_dissimilarity"),
+                         (ultrametric, "cophenetic"), (ultrametric, "write_table"),
+                         (cli, "write_table")):
+        monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr("dendrowave.tree._BLOCK_CELLS", 4096)  # blocks far smaller than the matrix
+    n = 1200
+    data = write_data(tmp_path, np.random.default_rng(92).normal(size=(n, 5)))
+    tracemalloc.start()
+    try:
+        assert main(["cluster", data, "--linkage", "average", "--out", str(tmp_path / "o")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    # the condensed distances are half a square matrix of floats
+    assert peak < 0.6 * n * n * 8
 
 
 def test_transform_indicator_writes_golden_branch_codes(tmp_path, capsys, demo_json):

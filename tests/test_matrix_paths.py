@@ -1,7 +1,10 @@
 """Differential tests: the numpy clustering and ultrametric paths against the
 pair and triple scans they replaced (kept in oracles.py), with exact equality."""
 
+import io
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,9 +15,22 @@ from conftest import random_trees
 from strategies import dissimilarities
 
 from dendrowave import hcluster, tree
-from dendrowave.hcluster import LINKAGES, _agglomerate_core, merge_levels, pairwise_euclidean
-from dendrowave.tree import _node_ref, cluster, terminal
-from dendrowave.ultrametric import cophenetic, is_ultrametric, matrix_to_csv, triangle_classify
+from dendrowave.hcluster import (
+    LINKAGES,
+    _agglomerate_core,
+    _euclidean,
+    agglomerate,
+    merge_levels,
+    pairwise_euclidean,
+)
+from dendrowave.tree import ValidationError, _node_ref, cluster, terminal
+from dendrowave.ultrametric import (
+    _write_cophenetic,
+    cophenetic,
+    is_ultrametric,
+    matrix_to_csv,
+    triangle_classify,
+)
 
 
 def sample_matrices(count: int, seed: int):
@@ -34,13 +50,26 @@ def sample_matrices(count: int, seed: int):
             yield np.abs(G[:, None] - G[None]).sum(axis=-1).astype(float)
 
 
+def condensed(M):
+    """The pairs i < j of M in scipy's `pdist` order: a fresh vector the core may overwrite."""
+    return M[np.triu_indices(len(M), 1)]
+
+
+def bits(levels):
+    return np.array(levels, dtype=float).view(np.int64)
+
+
 def assert_core_matches_oracle(M):
+    """The condensed core against the square core and the pair scan, levels bit for bit."""
     for name in LINKAGES:
-        kids, levels = _agglomerate_core(M, name)
+        kids, levels = _agglomerate_core(condensed(M), len(M), name)
+        square_kids, square_levels = oracles.agglomerate_square(M, name)
+        assert kids == square_kids, name
+        assert np.array_equal(bits(levels), bits(square_levels)), name
         merges = [(_node_ref(a, len(M)), _node_ref(b, len(M))) for a, b in kids]
         want_merges, want_levels = oracles.agglomerate_core(M, name)
         assert merges == want_merges, name
-        assert levels == want_levels, name
+        assert np.array_equal(bits(levels), bits(want_levels)), name
 
 
 def test_agglomerate_matches_pair_scan():
@@ -65,7 +94,7 @@ def test_tie_made_by_an_update_goes_to_the_lower_slot():
             [2.0, 1.0, 5.0, 0.0],
         ]
     )
-    kids, levels = _agglomerate_core(M, "median_wpgmc")
+    kids, levels = _agglomerate_core(condensed(M), 4, "median_wpgmc")
     assert tuple(_node_ref(i, 4) for i in kids[1]) == (terminal(1), cluster(1))
     assert levels[:2] == [1.0, 2.0]
     assert_core_matches_oracle(M)
@@ -191,3 +220,80 @@ def test_matrix_csv_matches_the_cell_writer():
     for d in random_trees(20, 30, seed=311, with_levels=True):
         for M in (cophenetic(d), cophenetic(d, use="levels")):
             assert matrix_to_csv(M, d.labels) == oracles.matrix_to_csv_cells(M, d.labels)
+
+
+def test_condensed_core_matches_the_square_core_on_larger_matrices():
+    rng = np.random.default_rng(312)
+    for n in (120, 257):
+        M = pairwise_euclidean(rng.normal(size=(n, 4)))
+        ties = np.triu(rng.integers(0, 5, size=(n, n)), 1).astype(float)
+        for D in (M, M**2, ties + ties.T):
+            for name in LINKAGES:
+                kids, levels = _agglomerate_core(condensed(D), len(D), name)
+                square_kids, square_levels = oracles.agglomerate_square(D, name)
+                assert kids == square_kids, name
+                assert np.array_equal(bits(levels), bits(square_levels)), name
+
+
+@pytest.mark.parametrize("block_cells", [37, tree._BLOCK_CELLS])
+def test_condensed_euclidean_is_the_upper_triangle(monkeypatch, block_cells):
+    monkeypatch.setattr(tree, "_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(313)
+    cases = [rng.normal(size=(n, m)) for n, m in ((2, 1), (3, 5), (40, 3), (61, 8))]
+    cases += [np.ldexp(rng.normal(size=(30, 4)), k) for k in (400, 600, 1000)]
+    cases.append(np.array([[2e200], [0.0], [5e199], [-1e308], [1e308]]))  # one distance overflows
+    for X in cases:
+        V = _euclidean(X, condensed=True)
+        assert V.shape == (len(X) * (len(X) - 1) // 2,)
+        assert np.array_equal(V, condensed(pairwise_euclidean(X)), equal_nan=True)
+
+
+def test_agglomerate_leaves_its_input_unchanged():
+    for M in sample_matrices(24, seed=314):
+        M[np.tril_indices(len(M), -1)] *= 1 + 1e-12  # only the upper triangle is read
+        before = M.copy()
+        for name in LINKAGES:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                agglomerate(M, name)
+            merge_levels(M, name)
+            assert np.array_equal(M, before), name
+
+
+def test_clustering_input_builds_no_square_index():
+    n = 2000
+    M = pairwise_euclidean(np.random.default_rng(315).normal(size=(n, 3)))
+    tracemalloc.start()
+    try:
+        V, _ = hcluster._clustering_input(M, "average")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(V, condensed(M))
+    # np.triu_indices alone would hold two int64 indices per pair, twice the vector
+    assert peak < 1.5 * V.nbytes
+
+
+def test_a_wrong_label_count_is_refused_before_clustering():
+    M = pairwise_euclidean([0.0, 1.0, 3.0, 7.0, 15.0])
+    with mock.patch.object(hcluster, "_agglomerate_core") as core:
+        with pytest.raises(ValidationError) as err:
+            agglomerate(M, "average", labels=["a", "b"])
+    assert str(err.value) == "2 labels for a 5-row matrix"
+    assert core.call_count == 0
+    assert agglomerate(M, "average", labels="abcde").labels == tuple("abcde")
+
+
+@pytest.mark.parametrize("block_cells", [37, tree._BLOCK_CELLS])
+def test_cophenetic_writer_matches_the_matrix_writer(monkeypatch, block_cells):
+    monkeypatch.setattr(tree, "_BLOCK_CELLS", block_cells)
+    trees = list(random_trees(30, 40, seed=316, with_levels=True))
+    trees.append(oracles.caterpillar(25, np.random.default_rng(317), with_levels=True))
+    trees.append(tree.build_from_merges([], labels=['a,"b"']))
+    pair = [(terminal(2), terminal(1))]
+    trees.append(tree.build_from_merges(pair, labels=[" x", "y,"], levels=[0.0]))
+    for d in trees:
+        for use in ("ranks", "levels"):
+            buf = io.StringIO()
+            _write_cophenetic(buf, d, use)
+            assert buf.getvalue() == matrix_to_csv(cophenetic(d, use), d.labels), use

@@ -358,7 +358,7 @@ def test_a_validated_tree_passes_as_its_cophenetic_ranks_do(tmp_path, capsys, mo
         assert verdict
         save_json(d, path)
         with monkeypatch.context() as patched:
-            patched.setattr(cli, "cophenetic", refuse)
+            patched.setattr(ultrametric, "cophenetic", refuse)
             patched.setattr(cli, "is_ultrametric", refuse)
             assert main(["check", str(path)]) == 0
         assert capsys.readouterr().out == (
