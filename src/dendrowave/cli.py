@@ -161,7 +161,7 @@ def load_bundle(bundle_dir: str) -> tuple[WaveletDecomposition, list[str]]:
     C, _ = _parse(c_path, _read_signs)
     if C.shape[0] != tree.n_terminals:
         raise ValidationError(f"{c_path}: rows do not match the dendrogram")
-    signs = branch_signs(tree)  # cached: the decomposition below holds the same matrix
+    signs = branch_signs(tree)  # cached on the tree: the decomposition below reads it
     if not np.array_equal(C, signs):
         i, j = np.argwhere(C != signs)[0].tolist()
         raise ValidationError(

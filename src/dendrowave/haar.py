@@ -21,7 +21,7 @@ matrix identity above only holds for the unweighted filters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import groupby
 
 import numpy as np
@@ -37,16 +37,14 @@ THRESHOLD_RULES = ("absolute", "keep-k", "cluster-norm")
 
 @dataclass(frozen=True, eq=False)
 class WaveletDecomposition:
-    """Transform output: tree, branch codes C, details D, final smooth.
+    """Transform output: tree, details D, final smooth.
 
-    ``details[k - 1]`` is the detail row of the cluster with rank k, and
-    ``branch_codes`` column k - 1 is nonzero exactly on the terminals of
-    that cluster: it is ``branch_signs(tree)``, set from the tree.
+    ``details[k - 1]`` is the detail row of the cluster with rank k.  C is
+    not stored: ``branch_codes`` reads ``branch_signs(tree)``, cached on the tree.
     ``child_sizes`` is populated by the weighted variant only.
     """
 
     tree: Dendrogram
-    branch_codes: np.ndarray = field(init=False)
     details: np.ndarray
     smooth: np.ndarray
     mode: str
@@ -60,7 +58,10 @@ class WaveletDecomposition:
             raise ValidationError("details must be (n-1) x m")
         if self.child_sizes is not None and self.child_sizes.shape != (n - 1, 2):
             raise ValidationError("child sizes must be (n-1) x 2")
-        object.__setattr__(self, "branch_codes", branch_signs(self.tree))
+
+    @property
+    def branch_codes(self) -> np.ndarray:
+        return branch_signs(self.tree)
 
     @property
     def n_terminals(self) -> int:

@@ -312,7 +312,6 @@ class Waves:
     sizes, slots)``: scalars for one cluster, else arrays and a slice.
     """
 
-    height: np.ndarray  # by row
     order: np.ndarray  # rank - 1 of the cluster in each slot
     slot: np.ndarray  # by rank - 1
     steps: tuple
@@ -403,7 +402,7 @@ class Dendrogram(_IdTree):
             else:
                 w = slice(lo, hi)
                 steps.append((kids[w, 0], kids[w, 1], sizes[w, :1], sizes[w, 1:], w))
-        return Waves(height, order, row[n:] - n, tuple(steps))
+        return Waves(order, row[n:] - n, tuple(steps))
 
     @cached_property
     def _signs(self) -> np.ndarray:

@@ -319,4 +319,4 @@ def test_decomposition_validation(demo8):
     w = WaveletDecomposition(demo8, np.zeros((7, 2)), np.zeros(2), MODE_ULTRAMETRIC)
     assert w.order == (1, 2, 3, 4, 5, 6, 7)
     assert w.n_features == 2 and w.n_terminals == 8
-    assert w.branch_codes is C and "branch_codes" in vars(w)
+    assert w.branch_codes is C and "branch_codes" not in vars(w)

@@ -7,6 +7,7 @@ sizes and reconstructions must be bit-identical, not merely close.
 """
 
 import itertools
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -28,6 +29,7 @@ from dendrowave.haar import (
     forward_weighted,
     hard_threshold,
     inverse,
+    inverse_weighted,
 )
 from dendrowave.padic import decode, encode
 from dendrowave.pway import random_pway_tree, unfold
@@ -146,17 +148,17 @@ def test_every_wave_sits_above_its_children():
         n, waves = d.n_terminals, d._waves
         # slots in (height, rank) order
         assert np.array_equal(waves.order, np.lexsort((np.arange(n - 1), heights(d))))
-        assert np.array_equal(heights(d)[waves.order], waves.height[n:])
+        height = np.append(np.zeros(n, dtype=np.int64), heights(d)[waves.order])  # by row
         assert np.array_equal(waves.order[waves.slot], np.arange(n - 1))
         size = np.append(np.ones(n), d.layout.size[waves.order])  # by row
         filled = []
         for a, b, na, nb, slots in waves.steps:
             rows = np.atleast_1d(n + np.arange(n - 1)[slots])
             filled.extend(rows.tolist())
-            level = np.unique(waves.height[rows])
+            level = np.unique(height[rows])
             assert level.size == 1  # one height per wave, a contiguous run of slots
             for kids, sizes in ((a, na), (b, nb)):
-                assert (waves.height[np.atleast_1d(kids)] < level).all()
+                assert (height[np.atleast_1d(kids)] < level).all()
                 assert np.array_equal(np.ravel(sizes), size[np.atleast_1d(kids)])
             assert np.array_equal(size[rows], size[np.atleast_1d(a)] + size[np.atleast_1d(b)])
         assert filled == list(range(n, 2 * n - 1))  # the waves fill the slots in order
@@ -192,6 +194,56 @@ def test_branch_signs_are_cached_read_only_and_shared():
     w, ww = forward(X, d), forward_weighted(X, d)
     _, C = encode(d)
     assert w.branch_codes is ww.branch_codes is C is branch_signs(canon)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_dendrogram(50, 103),
+        lambda: chain(40, cluster_first=False),
+        lambda: oracles.caterpillar(40, np.random.default_rng(104)),
+        lambda: random_dendrogram(1, 105),
+        lambda: random_dendrogram(2, 106),
+    ],
+    ids=["random", "chain", "caterpillar", "one-terminal", "two-terminals"],
+)
+def test_the_transforms_build_no_branch_codes(make):
+    d = make()
+    X = np.random.default_rng(107).normal(size=(d.n_terminals, 3))
+    w, ww = forward(X, d), forward_weighted(X, d)
+    forward_indicator(d)
+    inverse(w)
+    inverse_weighted(ww)
+    for rule, value in (("absolute", 0.5), ("keep-k", 0), ("cluster-norm", 1.0)):
+        inverse(hard_threshold(w, rule, value))
+    assert "_signs" not in vars(d) and "_signs" not in vars(d.canonical)
+    assert "branch_codes" not in vars(w) and "branch_codes" not in vars(ww)
+    C = w.branch_codes  # C is built on its first read, from the tree
+    assert C is ww.branch_codes is branch_signs(w.tree)
+    assert not C.flags.writeable
+    assert np.array_equal(C, oracles.branch_signs(w.tree))
+
+
+def test_the_transform_pass_holds_no_n_by_n_matrix():
+    n = 4096
+    d = random_dendrogram(n, 108)
+    X = np.random.default_rng(109).normal(size=(n, 4))
+    d.canonical._waves  # the layout and the waves are built once per tree, outside the pass
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        w = forward(X, d)
+        inverse(w)
+        inverse(forward_weighted(X, d))
+        hard_threshold(w, "keep-k", 10)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < n * n / 4, f"{peak} bytes at the peak, C would hold {n * n}"
 
 
 def test_decode_leaves_no_signs_on_the_tree_it_returns():
