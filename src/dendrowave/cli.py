@@ -443,8 +443,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_filter = sub.add_parser("filter", help="hard-threshold a decomposition bundle")
     p_filter.add_argument("bundle", help="directory written by transform")
     p_filter.add_argument("--rule", default="keep-k", choices=THRESHOLD_RULES)
-    p_filter.add_argument("--value", help="threshold t, or k for keep-k")
-    p_filter.add_argument(
+    one_run = p_filter.add_mutually_exclusive_group()
+    one_run.add_argument("--value", help="threshold t, or k for keep-k")
+    one_run.add_argument(
         "--sweep", action="store_true", help="print the full keep-k error table"
     )
     p_filter.add_argument("--out", help="output directory")
@@ -467,16 +468,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     pp_dilate = padic_sub.add_parser("dilate", help="multiply codes by 1/p")
     pp_dilate.add_argument("tree", help="dendrogram JSON")
-    pp_dilate.add_argument("node", nargs="?", help="terminal label or q<rank>")
-    pp_dilate.add_argument("--all", action="store_true", help="dilate every terminal")
+    which = pp_dilate.add_mutually_exclusive_group()
+    which.add_argument("node", nargs="?", help="terminal label or q<rank>")
+    which.add_argument("--all", action="store_true", help="dilate every terminal")
 
     pp_decode = padic_sub.add_parser("decode", help="rebuild a dendrogram from C.csv")
     pp_decode.add_argument("matrix", help="branch-code CSV written by transform")
     pp_decode.add_argument("--out", help="output directory")
 
     p_check = sub.add_parser("check", help="validate a matrix or dendrogram")
-    p_check.add_argument("input", nargs="?", help="matrix CSV or dendrogram JSON")
-    p_check.add_argument(
+    source = p_check.add_mutually_exclusive_group()
+    source.add_argument("input", nargs="?", help="matrix CSV or dendrogram JSON")
+    source.add_argument(
         "--demo",
         help=f"print a built-in walkthrough instead ({', '.join(demo_names())})",
     )

@@ -8,11 +8,11 @@ O(height) numpy calls, O(n m) work.  The details by rank give the identity
     X = C @ D + S
 
 with C the branch-code matrix (+1 / -1 / 0), D the (n-1) x m detail matrix
-and S the final smooth replicated over all n rows.  The transform is
-orthogonal-free but exactly invertible: descending the same waves
-recovers every terminal row.  Where a sum s_first + s_second overflows,
-`forward` ascends again halving each smooth first, so finite data are
-never refused; all other data keep the bits of the plain merge.
+and S the final smooth replicated over all n rows.  Only D and S are
+computed; C, which depends on the tree alone, is read from the tree.
+Descending the waves recovers every row exactly.  Where s_first + s_second
+overflows, `forward` ascends again halving each smooth first, so finite data
+are never refused; all other data keep the bits of the plain merge.
 
 The weighted variant replaces the plain average by the cardinality
 weighted mean and stores the child sizes so its inverse stays exact; the
@@ -27,7 +27,7 @@ from itertools import groupby
 import numpy as np
 
 from .tree import Dendrogram, ValidationError, branch_signs, canonical_orient
-from .ultrametric import _data_matrix
+from .ultrametric import _data_matrix, _real_array
 
 MODE_ULTRAMETRIC = "ultrametric"
 MODE_INDICATOR = "indicator"
@@ -51,13 +51,25 @@ class WaveletDecomposition:
     child_sizes: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.tree, Dendrogram):
+            raise ValidationError(f"tree must be a Dendrogram, got {type(self.tree).__name__}")
         if self.mode not in (MODE_ULTRAMETRIC, MODE_INDICATOR):
             raise ValidationError(f"unknown mode {self.mode!r}")
-        n = self.tree.n_terminals
+        for name in ("details", "smooth"):  # lists and text are read as `forward` reads data
+            values = np.asarray(_real_array(getattr(self, name), name), dtype=float)
+            if not np.isfinite(values).all():
+                raise ValidationError(f"{name} contains non-finite entries")
+            object.__setattr__(self, name, values)
+        n, sizes = self.tree.n_terminals, self.child_sizes
+        if self.smooth.ndim != 1:
+            raise ValidationError(f"smooth must be 1-d, got shape {self.smooth.shape}")
         if self.details.shape != (n - 1, self.smooth.shape[0]):
             raise ValidationError("details must be (n-1) x m")
-        if self.child_sizes is not None and self.child_sizes.shape != (n - 1, 2):
+        if sizes is not None and (sizes := np.asarray(sizes)).shape != (n - 1, 2):
             raise ValidationError("child sizes must be (n-1) x 2")
+        if sizes is not None and (sizes.dtype.kind not in "iu" or (sizes < 1).any()):
+            raise ValidationError("child sizes must be integers >= 1")
+        object.__setattr__(self, "child_sizes", sizes)
 
     @property
     def branch_codes(self) -> np.ndarray:

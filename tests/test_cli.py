@@ -654,6 +654,24 @@ def test_arguments_the_parser_passes_are_refused(capsys, demo_json, argv, messag
     assert captured.out == "" and captured.err == f"error: {message.format(tree=demo_json)}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "--demo", "fig2", "{tree}"], "argument input: not allowed with argument --demo"),
+        (["filter", "{bundle}", "--sweep", "--value", "3"],
+         "argument --value: not allowed with argument --sweep"),
+        (["padic", "dilate", "{tree}", "q2", "--all"],
+         "argument --all: not allowed with argument node"),
+    ],
+    ids=["check-demo-and-input", "filter-sweep-and-value", "dilate-node-and-all"],
+)
+def test_arguments_that_would_be_ignored_are_refused(tmp_path, capsys, demo_json, argv, message):
+    bundle = make_bundle(tmp_path, demo_json, capsys)
+    assert main([arg.format(tree=demo_json, bundle=bundle) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.endswith(f": error: {message}\n")
+
+
 @pytest.mark.parametrize("node, message", [
     ({"terminal": 0}, "merges[3]: terminal index must be >= 1, got 0"),
     ({"cluster": -3}, "merges[3]: cluster index must be >= 1, got -3"),

@@ -320,3 +320,38 @@ def test_decomposition_validation(demo8):
     assert w.order == (1, 2, 3, 4, 5, 6, 7)
     assert w.n_features == 2 and w.n_terminals == 8
     assert w.branch_codes is C and "branch_codes" not in vars(w)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"tree": "demo.json"}, r"tree must be a Dendrogram, got str"),
+        ({"details": np.full((7, 2), "x")}, r"details must be an array of real numbers"),
+        ({"details": np.full((7, 2), np.nan)}, r"details contains non-finite entries"),
+        ({"smooth": [0.0, np.inf]}, r"smooth contains non-finite entries"),
+        ({"details": np.zeros((7, 1)), "smooth": np.zeros((1, 1))},
+         r"smooth must be 1-d, got shape \(1, 1\)"),
+        ({"details": [[0.0, 0.0]] * 6}, r"details must be \(n-1\) x m"),
+        ({"child_sizes": [[1, 1]] * 6}, r"child sizes must be \(n-1\) x 2"),
+        ({"child_sizes": np.zeros((7, 2), dtype=np.int64)}, r"child sizes must be integers >= 1"),
+        ({"child_sizes": np.full((7, 2), 1.5)}, r"child sizes must be integers >= 1"),
+        ({"child_sizes": np.ones((7, 2), dtype=bool)}, r"child sizes must be integers >= 1"),
+    ],
+    ids=["tree-text", "details-text", "details-nan", "smooth-inf", "smooth-2d",
+         "details-list-short", "sizes-list-short", "sizes-zero", "sizes-float", "sizes-bool"],
+)
+def test_decomposition_arguments_are_refused(demo8, change, message):
+    args = dict(tree=demo8, details=np.zeros((7, 2)), smooth=np.zeros(2), mode=MODE_ULTRAMETRIC)
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        WaveletDecomposition(**{**args, **change})
+
+
+def test_decomposition_reads_lists_and_numbers_held_as_text(demo8):
+    w = forward_weighted(np.random.default_rng(5).normal(size=(8, 2)), demo8)
+    sizes = w.child_sizes.tolist()
+    listed = WaveletDecomposition(w.tree, w.details.tolist(), [str(v) for v in w.smooth],
+                                  w.mode, child_sizes=sizes)
+    assert listed.child_sizes.dtype == w.child_sizes.dtype
+    assert listed.details.dtype == listed.smooth.dtype == np.float64
+    assert np.array_equal(inverse_weighted(listed), inverse_weighted(w))
