@@ -125,7 +125,7 @@ def save_bundle(w: WaveletDecomposition, features: list[str], outdir: Path) -> l
         "n_terminals": w.n_terminals,
         "n_features": w.n_features,
         "features": features,
-        "child_sizes": None if w.child_sizes is None else w.child_sizes.astype(np.int64).tolist(),
+        "child_sizes": w.child_sizes.astype(np.int64).tolist() if w.is_weighted else None,
     }
     with open(paths["meta"], "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -133,29 +133,38 @@ def save_bundle(w: WaveletDecomposition, features: list[str], outdir: Path) -> l
     return list(paths.values())
 
 
-def _child_sizes(sizes, tree: Dendrogram, where: Path) -> np.ndarray:
-    """The bundle's child sizes, which must be the tree's own subtree sizes."""
-    lay = tree.layout
-    want = np.stack((lay.mid - lay.lo, lay.hi - lay.mid), axis=1)
-    if not isinstance(sizes, list) or len(sizes) != len(want):
-        raise ValidationError(f"{where}: child_sizes must list one pair per merge ({len(want)})")
-    for k, (got, pair) in enumerate(zip(sizes, want.tolist()), start=1):
-        if got != pair or any(isinstance(v, bool) for v in got):
+def _decomposition(text, tree: Dendrogram, D, smooth, features) -> WaveletDecomposition:
+    """The decomposition meta.json describes; each field present must match the tree and D.csv."""
+    meta = _json_document(text, "decomposition")
+    sizes = meta.get("child_sizes")
+    w = WaveletDecomposition(tree, D, smooth, meta.get("mode", "ultrametric"), sizes is not None)
+    facts = {"n_terminals": (w.n_terminals, "dendrogram.json"),
+             "n_features": (w.n_features, "D.csv"), "features": (features, "D.csv")}
+    for key, (want, source) in facts.items():
+        got = meta.get(key, want)  # D.csv's header reads each feature name stripped
+        read = [f.strip() if type(f) is str else f for f in got] if type(got) is list else got
+        if type(got) is not type(want) or read != want:
+            raise ValidationError(f"{key} says {got!r}, but {source} holds {want!r}")
+    want = [] if sizes is None else w.child_sizes.tolist()
+    if sizes is not None and (type(sizes) is not list or len(sizes) != len(want)):
+        raise ValidationError(f"child_sizes must list one pair per merge ({len(want)})")
+    for k, (got, pair) in enumerate(zip(sizes or [], want), start=1):
+        if got != pair or any(type(v) is not int for v in got):
             raise ValidationError(
-                f"{where}: child_sizes of rank {k} are {got!r}, but its subtrees hold {pair}"
+                f"child_sizes of rank {k} are {got!r}, but its subtrees hold {pair}"
             )
-    return want
+    return w
 
 
 def load_bundle(bundle_dir: str) -> tuple[WaveletDecomposition, list[str]]:
     """Read a bundle written by `save_bundle` and check it against its own tree.
 
-    C must be the tree's branch signs, smooth.csv must hold one row, and
-    child sizes, when present, must be the tree's subtree sizes.
+    C must be the tree's branch signs and smooth.csv must hold one row;
+    then `_decomposition` checks meta.json's fields against these files.
     """
     base = Path(bundle_dir)
     meta_path = base / "meta.json"
-    meta = _parse(meta_path, _json_document, "decomposition")
+    _parse(meta_path, _json_document, "decomposition")  # first: what is no bundle is refused
     tree = load_json(base / "dendrogram.json")
     c_path = base / "C.csv"
     C, _ = _parse(c_path, _read_signs)
@@ -181,12 +190,7 @@ def load_bundle(bundle_dir: str) -> tuple[WaveletDecomposition, list[str]]:
             f"{smooth_path}: expected one row of {D.shape[1]} smooth values, "
             f"one per feature, got {smooth.shape[0]} x {smooth.shape[1]}"
         )
-    sizes = meta.get("child_sizes")
-    child_sizes = None if sizes is None else _child_sizes(sizes, tree, meta_path)
-    w = WaveletDecomposition(
-        tree, D, smooth[0], meta.get("mode", "ultrametric"), child_sizes=child_sizes
-    )
-    return w, features
+    return _parse(meta_path, _decomposition, tree, D, smooth[0], features), features
 
 
 # ------------------------------------------------------------------- commands
@@ -340,9 +344,9 @@ def cmd_padic(args) -> int:
         print(power_repr(pnorm(tree, node, base), base))
         return 0
     # dilate
+    sym = str(base)
     if args.all:
         codes, _ = encode(tree, base)
-        sym = str(base)
         for i, code in enumerate(codes, start=1):
             print(
                 f"{tree.labels[i - 1]}: {code.to_string(sym)} -> "
@@ -353,7 +357,6 @@ def cmd_padic(args) -> int:
         raise ValidationError("dilate needs a node name or --all")
     node = _node_by_name(tree, args.node)
     code = cluster_code(tree, node, base)
-    sym = str(base)
     print(f"{code.to_string(sym)} -> {dilate(code).to_string(sym)}")
     return 0
 

@@ -15,8 +15,8 @@ overflows, `forward` ascends again halving each smooth first, so finite data
 are never refused; all other data keep the bits of the plain merge.
 
 The weighted variant replaces the plain average by the cardinality
-weighted mean and stores the child sizes so its inverse stays exact; the
-matrix identity above only holds for the unweighted filters.
+weighted mean and is marked ``is_weighted``; its inverse reads the child
+sizes from the tree.  The matrix identity above holds unweighted only.
 """
 
 from __future__ import annotations
@@ -41,39 +41,41 @@ class WaveletDecomposition:
 
     ``details[k - 1]`` is the detail row of the cluster with rank k.  C is
     not stored: ``branch_codes`` reads ``branch_signs(tree)``, cached on the tree.
-    ``child_sizes`` is populated by the weighted variant only.
+    ``is_weighted`` marks the weighted variant, whose ``child_sizes`` the tree gives.
     """
 
     tree: Dendrogram
     details: np.ndarray
     smooth: np.ndarray
     mode: str
-    child_sizes: np.ndarray | None = None
+    is_weighted: bool = False
 
     def __post_init__(self) -> None:
         if not isinstance(self.tree, Dendrogram):
             raise ValidationError(f"tree must be a Dendrogram, got {type(self.tree).__name__}")
         if self.mode not in (MODE_ULTRAMETRIC, MODE_INDICATOR):
             raise ValidationError(f"unknown mode {self.mode!r}")
+        if type(self.is_weighted) is not bool:
+            raise ValidationError(f"is_weighted must be a bool, got {self.is_weighted!r}")
         for name in ("details", "smooth"):  # lists and text are read as `forward` reads data
             values = np.asarray(_real_array(getattr(self, name), name), dtype=float)
             if not np.isfinite(values).all():
                 raise ValidationError(f"{name} contains non-finite entries")
             object.__setattr__(self, name, values)
-        n, sizes = self.tree.n_terminals, self.child_sizes
         if self.smooth.ndim != 1:
             raise ValidationError(f"smooth must be 1-d, got shape {self.smooth.shape}")
-        if self.details.shape != (n - 1, self.smooth.shape[0]):
+        if self.details.shape != (self.tree.n_terminals - 1, self.smooth.shape[0]):
             raise ValidationError("details must be (n-1) x m")
-        if sizes is not None and (sizes := np.asarray(sizes)).shape != (n - 1, 2):
-            raise ValidationError("child sizes must be (n-1) x 2")
-        if sizes is not None and (sizes.dtype.kind not in "iu" or (sizes < 1).any()):
-            raise ValidationError("child sizes must be integers >= 1")
-        object.__setattr__(self, "child_sizes", sizes)
 
     @property
     def branch_codes(self) -> np.ndarray:
         return branch_signs(self.tree)
+
+    @property
+    def child_sizes(self) -> np.ndarray | None:
+        """Each cluster's two subtree sizes, (n-1) x 2 by rank, if weighted; else None."""
+        lay = self.tree.layout
+        return np.stack((lay.mid - lay.lo, lay.hi - lay.mid), axis=1) if self.is_weighted else None
 
     @property
     def n_terminals(self) -> int:
@@ -87,10 +89,6 @@ class WaveletDecomposition:
     def order(self) -> tuple[int, ...]:
         """The clusters in the order of C's columns and D's rows: ranks ascending."""
         return tuple(range(1, self.tree.n_terminals))
-
-    @property
-    def is_weighted(self) -> bool:
-        return self.child_sizes is not None
 
 
 def _checked_data(X, d: Dendrogram) -> np.ndarray:
@@ -117,14 +115,13 @@ def _weighted_merge(sa, sb, na, nb):
     return merged, sa - merged
 
 
-def _ascend(X, tree: Dendrogram, merge) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _ascend(X, tree: Dendrogram, merge) -> tuple[np.ndarray, np.ndarray]:
     """Shared forward pass: smooth and detail of every cluster, one wave at a time.
 
     ``merge(s_first, s_second, n_first, n_second)`` returns the smooths and
-    details of a wave's clusters.  Also returns the (n-1) x 2 child sizes.
+    details of a wave's clusters.
     """
-    lay, n, waves = tree.layout, tree.n_terminals, tree._waves
-    sizes = np.stack((lay.mid - lay.lo, lay.hi - lay.mid), axis=1)
+    n, waves = tree.n_terminals, tree._waves
     smooth = np.empty((2 * n - 1, X.shape[1]))  # by `Waves` row: the terminals, then each slot
     smooth[:n], above, details = X, smooth[n:], np.empty((n - 1, X.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
@@ -132,7 +129,7 @@ def _ascend(X, tree: Dendrogram, merge) -> tuple[np.ndarray, np.ndarray, np.ndar
             above[out], details[out] = merge(smooth[a], smooth[b], na, nb)
     if not (np.isfinite(above).all() and np.isfinite(details).all()):
         raise ValidationError("data too large: a cluster's smooth or detail overflows a float")
-    return details[waves.slot], smooth[-1].copy(), sizes
+    return details[waves.slot], smooth[-1].copy()
 
 
 def forward(X, d: Dendrogram, orient: bool = True, mode: str = MODE_ULTRAMETRIC) -> WaveletDecomposition:
@@ -145,9 +142,9 @@ def forward(X, d: Dendrogram, orient: bool = True, mode: str = MODE_ULTRAMETRIC)
     tree = canonical_orient(d) if orient else d
     X = _checked_data(X, tree)
     try:
-        details, final, _ = _ascend(X, tree, _plain_merge)
+        details, final = _ascend(X, tree, _plain_merge)
     except ValidationError:  # a sum past the float maximum: again, halving first
-        details, final, _ = _ascend(X, tree, _halved_merge)
+        details, final = _ascend(X, tree, _halved_merge)
     return WaveletDecomposition(tree, details, final, mode)
 
 
@@ -165,13 +162,13 @@ def forward_weighted(X, d: Dendrogram, orient: bool = True) -> WaveletDecomposit
     """Cardinality-weighted variant of `forward`.
 
     Each merge stores s = (|a| s_a + |b| s_b) / (|a| + |b|) and the detail
-    d = s_a - s; the child cardinalities ride along in ``child_sizes`` so
-    `inverse` can undo the unequal split exactly.  For two singletons this
-    reduces to the plain transform.
+    d = s_a - s; `inverse` reads the child cardinalities from the tree
+    (``child_sizes``) to undo the unequal split exactly.  For two singletons
+    this reduces to the plain transform.
     """
     tree = canonical_orient(d) if orient else d
-    details, final, sizes = _ascend(_checked_data(X, tree), tree, _weighted_merge)
-    return WaveletDecomposition(tree, details, final, MODE_ULTRAMETRIC, child_sizes=sizes)
+    details, final = _ascend(_checked_data(X, tree), tree, _weighted_merge)
+    return WaveletDecomposition(tree, details, final, MODE_ULTRAMETRIC, is_weighted=True)
 
 
 def inverse(w: WaveletDecomposition) -> np.ndarray:
@@ -180,8 +177,8 @@ def inverse(w: WaveletDecomposition) -> np.ndarray:
     rows = np.empty((2 * n - 1, m))  # by `Waves` row
     rows[-1], above, details = w.smooth, rows[n:], w.details[waves.order]
     scaled = details  # what the second child subtracts: size ratio times detail if weighted
-    if w.child_sizes is not None:
-        scaled = (w.child_sizes[:, :1] / w.child_sizes[:, 1:])[waves.order] * details
+    if (sizes := w.child_sizes) is not None:
+        scaled = (sizes[:, :1] / sizes[:, 1:])[waves.order] * details
     for chain, group in groupby(reversed(waves.steps), key=lambda step: type(step[4]) is int):
         run = list(group)  # a long chain is worth its few fixed numpy calls
         for a, b, _, _, out in [(*map(np.array, zip(*run)),)] if chain and len(run) > 8 else run:
@@ -197,14 +194,14 @@ def inverse(w: WaveletDecomposition) -> np.ndarray:
 
 def inverse_weighted(w: WaveletDecomposition) -> np.ndarray:
     """Inverse for decompositions produced by `forward_weighted`."""
-    if w.child_sizes is None:
+    if not w.is_weighted:
         raise ValidationError("decomposition carries no child sizes; use inverse()")
     return inverse(w)
 
 
 def reconstruct_matrix_form(w: WaveletDecomposition) -> np.ndarray:
     """Evaluate C @ D + S directly (unweighted decompositions only)."""
-    if w.child_sizes is not None:
+    if w.is_weighted:
         raise ValidationError("the matrix identity does not hold for the weighted variant")
     return w.branch_codes.astype(float) @ w.details + w.smooth
 
@@ -248,4 +245,4 @@ def hard_threshold(w: WaveletDecomposition, rule: str, value) -> WaveletDecompos
             raise ValidationError(f"threshold must be >= 0, got {t!r}")
         size = np.abs(D) if rule == "absolute" else np.linalg.norm(D, axis=1)
         D[size < t] = 0.0
-    return WaveletDecomposition(w.tree, D, w.smooth.copy(), w.mode, child_sizes=w.child_sizes)
+    return WaveletDecomposition(w.tree, D, w.smooth.copy(), w.mode, w.is_weighted)

@@ -10,7 +10,7 @@ from dendrowave import cli, hcluster, ultrametric
 from dendrowave.cli import load_bundle, main, save_bundle
 from dendrowave.haar import forward, forward_weighted, inverse
 from dendrowave.demo import load_demo
-from dendrowave.tree import ValidationError, load_json, save_json, to_json
+from dendrowave.tree import ValidationError, load_json, random_dendrogram, save_json, to_json
 from dendrowave.ultrametric import cophenetic, matrix_to_csv
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -541,13 +541,79 @@ def test_bundle_child_sizes_must_be_the_subtree_sizes(tmp_path, capsys, demo_jso
     for sizes, message in (
         ([[0, 0]] * 7, "child_sizes of rank 1 are [0, 0], but its subtrees hold [1, 1]"),
         ([[True, True]] + [[0, 0]] * 6, "child_sizes of rank 1 are [True, True]"),
+        ([[1.0, 1.0]] + [[0, 0]] * 6, "child_sizes of rank 1 are [1.0, 1.0]"),
         ([[1, 1]] * 6, "one pair per merge (7)"),
         ("sizes", "one pair per merge (7)"),
     ):
         _set_child_sizes(out, sizes)
         assert main(["filter", str(out), "--sweep"]) == 2
         err = capsys.readouterr().err
-        assert "meta.json" in err and message in err, err
+        assert err.startswith(f"error: {out / 'meta.json'}: ") and message in err, err
+
+
+META_FAULTS = {
+    "n_terminals-wrong": ({"n_terminals": 99}, "n_terminals says 99, but dendrogram.json holds 8\n"),
+    "n_terminals-bool": ({"n_terminals": True}, "n_terminals says True, but dendrogram.json holds 8\n"),
+    "n_terminals-float": ({"n_terminals": 8.0}, "n_terminals says 8.0, but dendrogram.json holds 8\n"),
+    "n_features-wrong": ({"n_features": 7}, "n_features says 7, but D.csv holds 2\n"),
+    "n_features-text": ({"n_features": "2"}, "n_features says '2', but D.csv holds 2\n"),
+    "features-too-many": (
+        {"features": ["a", "b", "c"]},
+        "features says ['a', 'b', 'c'], but D.csv holds ['f1', 'f2']\n",
+    ),
+    "features-swapped": ({"features": ["f2", "f1"]}, "features says ['f2', 'f1'], but "),
+    "features-text": ({"features": "f1,f2"}, "features says 'f1,f2', but "),
+    "features-numbers": ({"features": [1, 2]}, "features says [1, 2], but "),
+    "features-null": ({"features": None}, "features says None, but "),
+    "mode-unknown": ({"mode": "x"}, "unknown mode 'x'\n"),
+    "mode-list": ({"mode": ["ultrametric"]}, "unknown mode ['ultrametric']\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(META_FAULTS))
+def test_bundle_meta_fields_must_say_what_the_bundle_holds(tmp_path, capsys, demo_json, case):
+    change, message = META_FAULTS[case]
+    out = make_bundle(tmp_path, demo_json, capsys)
+    path = out / "meta.json"
+    path.write_bytes(_json_edit(lambda doc: doc.update(change))(path.read_bytes()))
+    for argv in (["--sweep"], ["--value", "2", "--out", str(tmp_path / "f")]):
+        assert main(["filter", str(out), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {path}: {message}")
+        assert captured.err.count("\n") == 1, captured.err
+    assert not (tmp_path / "f").exists()
+
+
+def test_bundle_meta_count_may_not_be_a_bool(tmp_path, capsys, demo_json):
+    data = write_data(tmp_path, np.arange(8.0)[:, None])
+    out = tmp_path / "one-feature"
+    assert main(["transform", data, demo_json, "--out", str(out)]) == 0
+    assert main(["filter", str(out), "--sweep"]) == 0
+    path = out / "meta.json"
+    path.write_bytes(_json_edit(lambda doc: doc.update(n_features=True))(path.read_bytes()))
+    capsys.readouterr()
+    assert main(["filter", str(out), "--sweep"]) == 2
+    assert capsys.readouterr().err == f"error: {path}: n_features says True, but D.csv holds 1\n"
+
+
+def test_bundle_meta_may_leave_out_its_fields(tmp_path, capsys, demo_json):
+    out = make_bundle(tmp_path, demo_json, capsys)
+    assert main(["filter", str(out), "--sweep"]) == 0
+    want = capsys.readouterr().out
+    (out / "meta.json").write_text('{"format": "decomposition"}', encoding="utf-8")
+    assert main(["filter", str(out), "--sweep"]) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_indicator_bundle_of_padded_labels_loads(tmp_path, capsys):
+    """D.csv's header reads each name stripped, so meta.json's unstripped labels still match."""
+    tree = tmp_path / "padded.json"
+    save_json(random_dendrogram(4, 7, labels=[" a", "b\t", "c", '"d,e"']), tree)
+    out = tmp_path / "indicator"
+    assert main(["transform", "-", str(tree), "--mode", "indicator", "--out", str(out)]) == 0
+    assert json.loads((out / "meta.json").read_text(encoding="utf-8"))["features"][:2] == [" a", "b\t"]
+    assert main(["filter", str(out), "--value", "1", "--out", str(tmp_path / "f")]) == 0
+    capsys.readouterr()
 
 
 def test_weighted_bundle_with_its_child_sizes_loads(tmp_path, capsys, demo8):

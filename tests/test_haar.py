@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,19 @@ def test_weighted_rejects_matrix_form():
         reconstruct_matrix_form(w)
 
 
+def test_weighted_decomposition_reads_its_child_sizes_from_the_tree():
+    rng = np.random.default_rng(57)
+    for d in random_trees(20, 30, seed=58):
+        X = rng.normal(size=(d.n_terminals, 2))
+        w = forward_weighted(X, d)
+        assert [f.name for f in fields(w)] == ["tree", "details", "smooth", "mode", "is_weighted"]
+        assert "child_sizes" not in vars(w) and w.child_sizes.shape == (d.n_clusters, 2)
+        assert np.array_equal(w.child_sizes.sum(axis=1), w.tree.layout.size)
+        rewrapped = WaveletDecomposition(w.tree, w.details, w.smooth, w.mode, True)
+        assert np.array_equal(inverse(rewrapped), inverse(w))
+        assert forward(X, d).child_sizes is None
+
+
 def test_inverse_weighted_needs_sizes():
     rng = np.random.default_rng(56)
     d = random_dendrogram(6, rng)
@@ -312,10 +327,6 @@ def test_decomposition_validation(demo8):
     C = branch_signs(demo8)
     with pytest.raises(ValidationError):
         WaveletDecomposition(demo8, np.zeros((6, 2)), np.zeros(2), MODE_ULTRAMETRIC)
-    with pytest.raises(ValidationError, match=r"^child sizes must be \(n-1\) x 2$"):
-        WaveletDecomposition(
-            demo8, np.zeros((7, 2)), np.zeros(2), MODE_ULTRAMETRIC, child_sizes=np.ones((6, 2))
-        )
     w = WaveletDecomposition(demo8, np.zeros((7, 2)), np.zeros(2), MODE_ULTRAMETRIC)
     assert w.order == (1, 2, 3, 4, 5, 6, 7)
     assert w.n_features == 2 and w.n_terminals == 8
@@ -333,13 +344,11 @@ def test_decomposition_validation(demo8):
         ({"details": np.zeros((7, 1)), "smooth": np.zeros((1, 1))},
          r"smooth must be 1-d, got shape \(1, 1\)"),
         ({"details": [[0.0, 0.0]] * 6}, r"details must be \(n-1\) x m"),
-        ({"child_sizes": [[1, 1]] * 6}, r"child sizes must be \(n-1\) x 2"),
-        ({"child_sizes": np.zeros((7, 2), dtype=np.int64)}, r"child sizes must be integers >= 1"),
-        ({"child_sizes": np.full((7, 2), 1.5)}, r"child sizes must be integers >= 1"),
-        ({"child_sizes": np.ones((7, 2), dtype=bool)}, r"child sizes must be integers >= 1"),
+        ({"is_weighted": 1}, r"is_weighted must be a bool, got 1"),
+        ({"is_weighted": "yes"}, r"is_weighted must be a bool, got 'yes'"),
     ],
     ids=["tree-text", "details-text", "details-nan", "smooth-inf", "smooth-2d",
-         "details-list-short", "sizes-list-short", "sizes-zero", "sizes-float", "sizes-bool"],
+         "details-list-short", "weighted-int", "weighted-text"],
 )
 def test_decomposition_arguments_are_refused(demo8, change, message):
     args = dict(tree=demo8, details=np.zeros((7, 2)), smooth=np.zeros(2), mode=MODE_ULTRAMETRIC)
@@ -349,9 +358,8 @@ def test_decomposition_arguments_are_refused(demo8, change, message):
 
 def test_decomposition_reads_lists_and_numbers_held_as_text(demo8):
     w = forward_weighted(np.random.default_rng(5).normal(size=(8, 2)), demo8)
-    sizes = w.child_sizes.tolist()
     listed = WaveletDecomposition(w.tree, w.details.tolist(), [str(v) for v in w.smooth],
-                                  w.mode, child_sizes=sizes)
+                                  w.mode, is_weighted=True)
     assert listed.child_sizes.dtype == w.child_sizes.dtype
     assert listed.details.dtype == listed.smooth.dtype == np.float64
     assert np.array_equal(inverse_weighted(listed), inverse_weighted(w))
