@@ -33,6 +33,7 @@ from .haar import (
 )
 from .hcluster import LINKAGES, _euclidean, _linkage_tree
 from .padic import (
+    DEFAULT_BASE,
     cluster_code,
     decode,
     dilate,
@@ -41,6 +42,7 @@ from .padic import (
     pnorm,
     power_repr,
 )
+from .tables import _write_cophenetic, read_table, write_table
 from .tree import (
     Dendrogram,
     ValidationError,
@@ -55,13 +57,10 @@ from .tree import (
 from .ultrametric import (
     _Distances,
     _layout_verdict,
-    _write_cophenetic,
     is_ultrametric,
     matrix_from_csv,
-    read_table,
     subdominant,
     triangle_classify,
-    write_table,
 )
 
 
@@ -133,8 +132,8 @@ def save_bundle(w: WaveletDecomposition, features: list[str], outdir: Path) -> l
     return list(paths.values())
 
 
-def _decomposition(text, tree: Dendrogram, D, smooth, features) -> WaveletDecomposition:
-    """The decomposition meta.json describes; each field present must match the tree and D.csv."""
+def _decomposition(text, tree: Dendrogram, D, smooth, features) -> tuple[WaveletDecomposition, list[str]]:
+    """meta.json's decomposition and feature names; each field present must match the tree and D.csv."""
     meta = _json_document(text, "decomposition")
     sizes = meta.get("child_sizes")
     w = WaveletDecomposition(tree, D, smooth, meta.get("mode", "ultrametric"), sizes is not None)
@@ -153,7 +152,7 @@ def _decomposition(text, tree: Dendrogram, D, smooth, features) -> WaveletDecomp
             raise ValidationError(
                 f"child_sizes of rank {k} are {got!r}, but its subtrees hold {pair}"
             )
-    return w
+    return w, meta.get("features", features)  # checked above: D.csv's names, as written
 
 
 def load_bundle(bundle_dir: str) -> tuple[WaveletDecomposition, list[str]]:
@@ -161,6 +160,7 @@ def load_bundle(bundle_dir: str) -> tuple[WaveletDecomposition, list[str]]:
 
     C must be the tree's branch signs and smooth.csv must hold one row;
     then `_decomposition` checks meta.json's fields against these files.
+    The feature names are meta.json's, else D.csv's header, read stripped.
     """
     base = Path(bundle_dir)
     meta_path = base / "meta.json"
@@ -190,7 +190,7 @@ def load_bundle(bundle_dir: str) -> tuple[WaveletDecomposition, list[str]]:
             f"{smooth_path}: expected one row of {D.shape[1]} smooth values, "
             f"one per feature, got {smooth.shape[0]} x {smooth.shape[1]}"
         )
-    return _parse(meta_path, _decomposition, tree, D, smooth[0], features), features
+    return _parse(meta_path, _decomposition, tree, D, smooth[0], features)
 
 
 # ------------------------------------------------------------------- commands
@@ -311,14 +311,9 @@ def _node_by_name(tree: Dendrogram, name: str):
 
 
 def cmd_padic(args) -> int:
-    base = args.base
-    if base == 2:
-        print(
-            "warning: base 2 decimal values can collide; use base >= 3 "
-            "to keep codes distinct",
-            file=sys.stderr,
-        )
     if args.padic_cmd == "decode":
+        if args.base is not None:
+            raise ValidationError("argument --base: not allowed with decode, which reads no base")
         tree = _parse(args.matrix, lambda text: decode(*_read_signs(text)))
         outdir = _outdir(args)
         path = outdir / "dendrogram.json"
@@ -327,6 +322,13 @@ def cmd_padic(args) -> int:
         print(f"wrote {path}")
         return 0
 
+    base = DEFAULT_BASE if args.base is None else args.base
+    if base == 2:
+        print(
+            "warning: base 2 decimal values can collide; use base >= 3 "
+            "to keep codes distinct",
+            file=sys.stderr,
+        )
     tree = load_json(args.tree)
     if args.padic_cmd == "encode":
         codes, _ = encode(tree, base)
@@ -454,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_filter.add_argument("--out", help="output directory")
 
     p_padic = sub.add_parser("padic", help="codes, sums, distances, norms, dilation")
-    p_padic.add_argument("--base", type=int, default=3, help="the prime-like base p")
+    p_padic.add_argument("--base", type=int, help="the prime-like base p")
     padic_sub = p_padic.add_subparsers(dest="padic_cmd", required=True)
 
     pp_encode = padic_sub.add_parser("encode", help="print every terminal code")

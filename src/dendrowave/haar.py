@@ -180,8 +180,7 @@ def inverse(w: WaveletDecomposition) -> np.ndarray:
     if (sizes := w.child_sizes) is not None:
         scaled = (sizes[:, :1] / sizes[:, 1:])[waves.order] * details
     for chain, group in groupby(reversed(waves.steps), key=lambda step: type(step[4]) is int):
-        run = list(group)  # a long chain is worth its few fixed numpy calls
-        for a, b, _, _, out in [(*map(np.array, zip(*run)),)] if chain and len(run) > 8 else run:
+        for a, b, _, _, out in [(*map(np.array, zip(*group)),)] if chain else group:
             s = above[out]
             if type(out) is np.ndarray:  # one-cluster waves, each cluster a child of the one above
                 up, first = out[:-1], (a[:-1] == n + out[1:])[:, None]

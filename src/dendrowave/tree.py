@@ -515,6 +515,28 @@ def build_from_merges(
     return Dendrogram(_labels(labels, len(merge_tuple) + 1), merge_tuple, levels)
 
 
+def _heights(d: Dendrogram, use: str) -> np.ndarray:
+    if use not in ("ranks", "levels"):
+        raise ValidationError(f"use must be 'ranks' or 'levels', got {use!r}")
+    if use == "levels" and d.levels is None and d.n_terminals > 1:
+        raise ValidationError("this dendrogram carries no levels")
+    return np.arange(d.n_terminals) if use == "ranks" else np.array((0.0,) + (d.levels or ()))
+
+
+def _lca_rows(lay):
+    """Each terminal's row of LCA ranks to terminals 1..n, in terminal order (one reused buffer).
+
+    By leaf position, the LCA rank of p and q is the largest gap rank between
+    them: a running maximum of the gaps rightwards from p and leftwards from p.
+    """
+    row, ranks = np.empty((2, len(lay.pos)), dtype=np.int64)
+    for p in lay.pos.tolist():
+        np.maximum.accumulate(lay.gaps[p:], out=row[p + 1 :])
+        np.maximum.accumulate(lay.gaps[:p][::-1], out=row[:p][::-1])
+        row[p] = 0
+        yield np.take(row, lay.pos, out=ranks)
+
+
 # ---------------------------------------------------------------- reorientation
 
 SwapMask = tuple[bool, ...]

@@ -20,7 +20,6 @@ the layout scan and the ball-by-ball check, O(n^3) per radius.
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import numbers
@@ -29,7 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .tree import _BLOCK_CELLS, Dendrogram, ValidationError, _find, _row_blocks, default_labels
+from .tables import read_table, write_table
+from .tree import Dendrogram, ValidationError, _find, _heights, _lca_rows, _row_blocks, default_labels
 
 DEFAULT_TOL = 1e-9
 
@@ -75,28 +75,6 @@ def cophenetic(d: Dendrogram, use: str = "ranks") -> np.ndarray:
     for out_row, ranks in zip(out, _lca_rows(d.layout)):
         np.take(table, ranks, out=out_row)
     return out
-
-
-def _heights(d: Dendrogram, use: str) -> np.ndarray:
-    if use not in ("ranks", "levels"):
-        raise ValidationError(f"use must be 'ranks' or 'levels', got {use!r}")
-    if use == "levels" and d.levels is None and d.n_terminals > 1:
-        raise ValidationError("this dendrogram carries no levels")
-    return np.arange(d.n_terminals) if use == "ranks" else np.array((0.0,) + (d.levels or ()))
-
-
-def _lca_rows(lay):
-    """Each terminal's row of LCA ranks to terminals 1..n, in terminal order (one reused buffer).
-
-    By leaf position, the LCA rank of p and q is the largest gap rank between
-    them: a running maximum of the gaps rightwards from p and leftwards from p.
-    """
-    row, ranks = np.empty((2, len(lay.pos)), dtype=np.int64)
-    for p in lay.pos.tolist():
-        np.maximum.accumulate(lay.gaps[p:], out=row[p + 1 :])
-        np.maximum.accumulate(lay.gaps[:p][::-1], out=row[:p][::-1])
-        row[p] = 0
-        yield np.take(row, lay.pos, out=ranks)
 
 
 def _real_array(values, what: str) -> np.ndarray:
@@ -181,22 +159,10 @@ class Subdominant:
         return np.concatenate(([0.0], self.levels))[cophenetic(self.tree)]
 
     def _rows_above(self, A: np.ndarray, scale: float) -> np.ndarray:
-        """Mask of the points x with A[x, z] > U[x, z] * scale for some z.
-
-        In leaf order, U right of the diagonal is a running maximum of the
-        gap levels along each row: one accumulate per leaf position, and no
-        n x n matrix is built.
-        """
-        lay = self.tree.layout
-        order = lay.order - 1
-        # rounding is monotone, so scaling the gaps scales their maxima exactly
-        gap_caps = self.levels[lay.gaps - 1] * scale
-        above = np.zeros(len(order), dtype=bool)  # by leaf position
-        for p, x in enumerate(order[:-1].tolist()):
-            over = A[x, order[p + 1 :]] > np.maximum.accumulate(gap_caps[p:])
-            above[p] |= over.any()
-            above[p + 1 :] |= over
-        return above[lay.pos]
+        """Mask of the points x with A[x, z] > U[x, z] * scale for some z, row by row (`_lca_rows`)."""
+        # rounding is monotone, so scaling the levels scales U's entries exactly
+        caps = np.concatenate(([0.0], self.levels)) * scale
+        return np.array([(A[x] > caps[r]).any() for x, r in enumerate(_lca_rows(self.tree.layout))])
 
 
 def subdominant(M) -> Subdominant:
@@ -647,200 +613,6 @@ def matrix_to_csv(M, labels) -> str:
     buf = io.StringIO()
     write_table(buf, labels, M)
     return buf.getvalue()
-
-
-class _RowText:
-    """A `csv.writer` file whose ``write`` returns the text, so ``writerow`` returns the row."""
-    write = staticmethod(lambda text: text)
-
-
-def _texts(numbers: np.ndarray) -> np.ndarray:
-    """Each number's CSV text: integers exactly, floats with 12 significant digits."""
-    spec = "d" if np.issubdtype(numbers.dtype, np.integer) else ".12g"
-    return np.array([format(v, spec) for v in numbers.tolist()], dtype=object)
-
-
-def write_table(fh, header, values, labels=None) -> None:
-    """Write a CSV table to ``fh``: the header row, then one row per row of ``values``.
-
-    Integers print exactly and floats with 12 significant digits.  Each
-    distinct value is formatted once (floats keyed by bit pattern, so 0.0
-    and -0.0 keep their own text) and the rows are written one
-    `_row_blocks` block at a time.  With ``labels`` each row starts with
-    its label, quoted by `csv.writer` like the header.
-    """
-    values = np.asarray(values)
-    csv.writer(fh, lineterminator="\n").writerow(header)
-    integral = np.issubdtype(values.dtype, np.integer)
-    keys = values if integral else values.astype(float, copy=False).view(np.int64)
-    distinct = np.unique(keys)
-    text = _texts(distinct if integral else distinct.view(float))
-    # the label as csv.writer starts its row (quoted for a comma, a quote or "\n"), then a comma
-    row_text = csv.writer(_RowText(), lineterminator="\n").writerow
-    leads = [""] * len(values) if labels is None else [
-        row_text([label, ""] if values.shape[1] else [label])[:-1] for label in labels
-    ]
-    for a, b in _row_blocks(*values.shape):
-        rows = text[np.searchsorted(distinct, keys[a:b])].tolist()
-        fh.writelines(f"{lead}{','.join(row)}\n" for lead, row in zip(leads[a:b], rows))
-
-
-def _write_cophenetic(fh, d: Dendrogram, use: str = "ranks") -> None:
-    """``write_table(fh, d.labels, cophenetic(d, use))`` without the n x n matrix.
-
-    The n heights are formatted once; each terminal's row of LCA ranks picks its cells' text.
-    """
-    text = _texts(_heights(d, use))
-    csv.writer(fh, lineterminator="\n").writerow(d.labels)
-    fh.writelines(",".join(text[ranks].tolist()) + "\n" for ranks in _lca_rows(d.layout))
-
-
-def read_table(text, labelled: bool = False) -> tuple[list[str], list[str] | None, np.ndarray]:
-    """Parse a CSV table: a header row, then rows of finite numbers.
-
-    ``text`` is a str or a seekable text file opened with ``newline=""``.
-    Blank lines are skipped and every row must be as wide as the header.
-    With ``labelled`` the first column holds row labels, returned apart;
-    the header then names the value columns.  Both come back stripped.
-    Errors number rows from the header, row 1, skipping blank lines.
-
-    Lines are counted, to size the values, then read once in `_row_blocks`
-    blocks, by `np.loadtxt` while plain, then by `csv.reader`.  A csv error
-    is raised where met, any other fault at the end: the first row of the
-    wrong width, else the first cell that is not a finite number.
-    """
-    raw = getattr(text, "buffer", None)  # a file's bytes, counted a block at a time, not decoded
-    if raw is None:
-        count = sum(1 for _ in _lines(text))
-    else:  # one line for each "\n" and lone "\r", and one for a last line ending in neither
-        count = 1
-        raw.seek(0)  # from the start, wherever the file's text layer had read ahead to
-        for chunk in iter(lambda: raw.read(_BLOCK_CELLS), b""):
-            count += chunk.count(b"\n")
-            if b"\r" in chunk:
-                count += chunk.count(b"\r") - chunk.count(b"\r\n")
-    lines = _lines(text)
-    try:
-        header = next(filter(None, csv.reader(lines)), None)
-        if header is None:
-            raise ValidationError("empty file")
-        skip, size = int(labelled), len(header)
-        values = np.empty((count, size - skip))
-        labels, rows, fault, plain = [], 0, None, True
-        for a, b in _row_blocks(count, size):
-            block = list(itertools.islice(lines, b - a))
-            got = _plain_block(block, labelled, size - skip) if plain else None
-            if got is None:
-                if plain:  # every line so far was plain, so quote-free and a whole record
-                    lines, plain = filter(None, csv.reader(itertools.chain(block, lines))), False
-                    block = list(itertools.islice(lines, b - a))
-                got = _cell_block(block, rows + 2, size, labelled)
-            if isinstance(got[1], str):  # a fault: the first of the lowest rank is kept
-                fault = got if fault is None or got[0] < fault[0] else fault
-                rows += len(block)
-                continue
-            values[rows : rows + len(got[0])] = got[0]
-            rows += len(got[0])
-            labels += got[1]
-    except csv.Error as exc:
-        raise ValidationError(f"not a CSV table: {exc}") from exc
-    if fault is not None:
-        raise ValidationError(fault[1])
-    return [s.strip() for s in header[skip:]], labels if labelled else None, values[:rows]
-
-
-def _lines(text):
-    """The lines of ``text``, a str or a seekable text file, from its start.
-
-    A str is sliced one line at a time, each ending at its next ``\\n``,
-    ``\\r\\n`` or lone ``\\r``, as a file's opened with ``newline=""`` do; a
-    StringIO would copy it at 4 bytes a character.
-    """
-    if not isinstance(text, str):
-        text.seek(0)
-        yield from iter(text.readline, "")  # not the file itself, which closing this would close
-        return
-    size, start, nl, cr = len(text), 0, -1, -1
-    while start < size:
-        if nl < start:
-            nl = text.find("\n", start) % (size + 1)  # size, if there is none
-        if cr < start:
-            cr = text.find("\r", start) % (size + 1)
-        end = min(nl, cr) + 1 + (nl == cr + 1)  # past the text if neither is found
-        yield text[start:end]
-        start = end
-
-
-# the bytes of a line of value cells; over these `np.loadtxt` and `float`
-# accept the same cells and give the same bits
-_PLAIN_BYTES = b"0123456789+-.eE,"
-
-
-def _plain_block(lines: list[str], labelled: bool, width: int):
-    """The values and labels of one block of lines, or None if it is not plain.
-
-    Plain: no quote or NUL in a label, and finite values, as many as the
-    header names, in ASCII cells of `_PLAIN_BYTES` within csv's field size
-    limit.  Free of quotes, each line is then one whole csv record.
-    """
-    limit = csv.field_size_limit()
-    lines = [line for line in (line.rstrip("\r\n") for line in lines) if line]
-    labels = []
-    if not lines:
-        return np.empty((0, width)), labels
-    if labelled:
-        parts = [line.partition(",") for line in lines]
-        labels = [label for label, _, _ in parts]
-        # csv.reader reads a label as it stands unless it holds one of these
-        joined = "".join(labels)
-        if '"' in joined or "\0" in joined or max(map(len, labels)) > limit:
-            return None
-        labels = [label.strip() for label in labels]
-        lines = [cells for _, _, cells in parts]
-    # a row of one label has no cells; isascii first: a lone surrogate cannot be encoded
-    if not all(line and line.isascii() and not line.encode().translate(None, _PLAIN_BYTES)
-               for line in lines):
-        return None
-    if max(map(len, lines)) > limit:
-        # csv.reader refuses a cell longer than its field size limit
-        raw = "\n".join(lines).encode()
-        byte = np.frombuffer(raw, np.uint8)
-        bounds = np.flatnonzero((byte == ord(",")) | (byte == ord("\n")))
-        if np.diff(bounds, prepend=-1, append=len(raw)).max() > limit + 1:
-            return None
-    try:
-        block = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if block.shape != (len(lines), width) or not np.isfinite(block).all():
-        return None
-    return block, labels
-
-
-def _cell_block(rows: list[list[str]], row0: int, size: int, labelled: bool):
-    """The values and labels of a block of `csv.reader` rows, the first row ``row0``, or its fault.
-
-    A fault is (0, message) for the first row not ``size`` cells wide, else
-    (1, message) for the first cell that is not a finite number.
-    """
-    for i, row in enumerate(rows, start=row0):
-        if len(row) != size:
-            return 0, f"row {i}: expected {size} values, got {len(row)}"
-    skip = int(labelled)
-    cells = [row[skip:] for row in rows]
-    try:  # numpy reads a cell as `float` does, which names the first bad one below
-        values = np.array(cells, dtype=float).reshape(len(rows), size - skip)
-        if np.isfinite(values).all():
-            return values, [row[0].strip() for row in rows] if labelled else []
-    except ValueError:
-        pass
-    for i, row in enumerate(cells, start=row0):
-        for j, cell in enumerate(row, start=skip + 1):
-            try:
-                if not np.isfinite(float(cell)):
-                    return 1, f"row {i}, column {j}: expected a finite number, got {cell.strip()!r}"
-            except ValueError:
-                return 1, f"row {i}, column {j}: could not parse {cell.strip()!r}"
 
 
 def matrix_from_csv(text: str) -> tuple[list[str], np.ndarray]:

@@ -951,7 +951,10 @@ def matrix_to_csv_cells(M, labels) -> str:
 def read_table_cells(
     text: str, labelled: bool = False
 ) -> tuple[list[str], list[str] | None, np.ndarray]:
-    """The CSV table read through `csv.reader`, one Python string per cell."""
+    """The CSV table read through `csv.reader`, one Python string per cell.
+
+    Row labels come back as written and header names stripped.
+    """
     try:
         rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
     except csv.Error as exc:
@@ -981,7 +984,7 @@ def read_table_cells(
                     raise ValidationError(
                         f"row {i}, column {j}: expected a finite number, got {cell.strip()!r}"
                     )
-    labels = [row[0].strip() for row in body] if labelled else None
+    labels = [row[0] for row in body] if labelled else None
     return [s.strip() for s in header[skip:]], labels, values
 
 

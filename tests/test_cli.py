@@ -605,15 +605,41 @@ def test_bundle_meta_may_leave_out_its_fields(tmp_path, capsys, demo_json):
     assert capsys.readouterr().out == want
 
 
-def test_indicator_bundle_of_padded_labels_loads(tmp_path, capsys):
-    """D.csv's header reads each name stripped, so meta.json's unstripped labels still match."""
+def padded_indicator_bundle(tmp_path, capsys, labels):
+    """The indicator bundle of a random tree whose labels carry surrounding blanks."""
     tree = tmp_path / "padded.json"
-    save_json(random_dendrogram(4, 7, labels=[" a", "b\t", "c", '"d,e"']), tree)
+    save_json(random_dendrogram(len(labels), 7, labels=labels), tree)
     out = tmp_path / "indicator"
     assert main(["transform", "-", str(tree), "--mode", "indicator", "--out", str(out)]) == 0
-    assert json.loads((out / "meta.json").read_text(encoding="utf-8"))["features"][:2] == [" a", "b\t"]
-    assert main(["filter", str(out), "--value", "1", "--out", str(tmp_path / "f")]) == 0
     capsys.readouterr()
+    return out
+
+
+def test_indicator_bundle_of_padded_labels_loads(tmp_path, capsys):
+    """D.csv's header reads each name stripped, so meta.json's unstripped labels still
+    match, and filter writes the names as meta.json holds them."""
+    labels = [" a", "b\t", "c", '"d,e"']
+    out = padded_indicator_bundle(tmp_path, capsys, labels)
+    assert json.loads((out / "meta.json").read_text(encoding="utf-8"))["features"] == labels
+    dest = tmp_path / "f"
+    assert main(["filter", str(out), "--value", "1", "--out", str(dest)]) == 0
+    capsys.readouterr()
+    meta = json.loads((dest / "filtered" / "meta.json").read_text(encoding="utf-8"))
+    assert meta["features"] == labels
+    header = (out / "D.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert (dest / "filtered" / "D.csv").read_text(encoding="utf-8").splitlines()[0] == header
+    assert (dest / "reconstruction.csv").read_text(encoding="utf-8").splitlines()[0] == header[8:]
+    assert load_bundle(dest / "filtered")[1] == labels
+
+
+def test_padic_decode_keeps_the_terminal_labels_as_written(tmp_path, capsys):
+    out = padded_indicator_bundle(tmp_path, capsys, [" a", "b\t", "c"])
+    dest = tmp_path / "decoded"
+    assert main(["padic", "decode", str(out / "C.csv"), "--out", str(dest)]) == 0
+    capsys.readouterr()
+    decoded, written = (json.loads((d / "dendrogram.json").read_text(encoding="utf-8")) for d in (dest, out))
+    assert decoded["terminals"] == written["terminals"] == [" a", "b\t", "c"]
+    assert load_json(dest / "dendrogram.json") == load_json(out / "dendrogram.json")
 
 
 def test_weighted_bundle_with_its_child_sizes_loads(tmp_path, capsys, demo8):
@@ -711,8 +737,11 @@ def test_padic_decode_names_the_failing_column_by_its_header(tmp_path, capsys, d
     [
         (["padic", "dilate", "{tree}"], "dilate needs a node name or --all"),
         (["check", "{tree}.txt"], "cannot tell matrix CSV from dendrogram JSON: {tree}.txt"),
+        # decode reads no base, so it neither takes one nor warns of base 2
+        *[(["padic", "--base", base, "decode", "{tree}"],
+           "argument --base: not allowed with decode, which reads no base") for base in "23"],
     ],
-    ids=["dilate-nothing", "check-extension"],
+    ids=["dilate-nothing", "check-extension", "decode-base-2", "decode-base-3"],
 )
 def test_arguments_the_parser_passes_are_refused(capsys, demo_json, argv, message):
     assert main([arg.format(tree=demo_json) for arg in argv]) == 2

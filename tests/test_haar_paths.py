@@ -123,6 +123,23 @@ def test_waves_match_the_rank_loops_bit_for_bit():
         assert_same_as_rank_loop(X[:, 0], d)  # 1-D data is one feature
 
 
+def chain_runs(d) -> list[int]:
+    """Lengths of the runs of one-cluster waves that `inverse` descends in one step."""
+    one = (type(step[4]) is int for step in d._waves.steps)
+    return [len(list(run)) for single, run in itertools.groupby(one) if single]
+
+
+def test_runs_of_one_cluster_waves_of_any_length_match_the_rank_loop():
+    # balanced(2) ends in one run of one wave, its root; one more terminal makes it two
+    on_top = build_from_merges([*balanced(2).merges, (cluster(3), terminal(5))])
+    trees = {1: [chain(2, True), balanced(2)], 2: [chain(3, False), on_top], 11: [chain(12, True)]}
+    rng = np.random.default_rng(94)
+    for length, ds in trees.items():
+        for d in ds:
+            assert chain_runs(d) == chain_runs(d.canonical) == [length]
+            assert_same_as_rank_loop(rng.normal(size=(d.n_terminals, 3)), d)
+
+
 def test_indicator_transform_matches_the_rank_loop():
     for d in sample_trees():
         if d.n_terminals > 200:

@@ -23,9 +23,9 @@ from dendrowave.hcluster import (
     merge_levels,
     pairwise_euclidean,
 )
+from dendrowave.tables import _write_cophenetic
 from dendrowave.tree import ValidationError, _node_ref, cluster, terminal
 from dendrowave.ultrametric import (
-    _write_cophenetic,
     cophenetic,
     is_ultrametric,
     matrix_to_csv,

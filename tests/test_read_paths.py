@@ -22,17 +22,12 @@ from hypothesis import strategies as st
 import oracles
 from conftest import feed
 
-from dendrowave import tree, ultrametric
+from dendrowave import tables as table_io
+from dendrowave import tree
 from dendrowave.cli import main
+from dendrowave.tables import _PLAIN_BYTES, _lines, read_table, write_table
 from dendrowave.tree import ValidationError, _parse, load_json, random_dendrogram, to_json
-from dendrowave.ultrametric import (
-    _PLAIN_BYTES,
-    _lines,
-    matrix_from_csv,
-    matrix_to_csv,
-    read_table,
-    write_table,
-)
+from dendrowave.ultrametric import matrix_from_csv, matrix_to_csv
 
 # np.loadtxt warns on an empty input, which the block path must never give it
 pytestmark = pytest.mark.filterwarnings("error")
@@ -95,7 +90,7 @@ def same_as_cells(text: str, labelled: bool, source: str) -> bool:
 
 def is_plain(text: str, labelled: bool, source: str) -> bool:
     """Whether `read_table` reads the whole table by `np.loadtxt`: no error, and no `_cell_block`."""
-    with mock.patch.object(ultrametric, "_cell_block", wraps=ultrametric._cell_block) as spy:
+    with mock.patch.object(table_io, "_cell_block", wraps=table_io._cell_block) as spy:
         got = outcome(read_table, text, labelled, source)
     return got[0] != "error" and not spy.called
 
@@ -322,13 +317,24 @@ def test_a_quoted_label_switches_to_csv_mid_table():
     text = "\n".join(lines) + "\n"
     with mock.patch.object(tree, "_BLOCK_CELLS", 37):
         for source in SOURCES:
-            with mock.patch.object(ultrametric, "_plain_block", wraps=ultrametric._plain_block) as plain, \
-                    mock.patch.object(ultrametric, "_cell_block", wraps=ultrametric._cell_block) as cells:
+            with mock.patch.object(table_io, "_plain_block", wraps=table_io._plain_block) as plain, \
+                    mock.patch.object(table_io, "_cell_block", wraps=table_io._cell_block) as cells:
                 _, labels, shape, _ = outcome(read_table, text, True, source)
             assert plain.call_count == 4, source  # the fourth block is the first not plain
             assert [len(call.args[0]) for call in cells.call_args_list] == [12, 12, 0], source
             assert labels[39] == "r,39" and shape == (60, 2), source
             assert same_as_cells(text, True, source), source
+
+
+@pytest.mark.parametrize("tail", ["", '"q",1,2\n'], ids=["plain", "cells"])
+def test_row_labels_are_read_as_written_and_header_names_stripped(tail):
+    text = "l, a ,b\t\n a,1,2\nb\t,3,4\n" + tail
+    labels = [" a", "b\t", "q"][: 2 + bool(tail)]
+    for block_cells, source in WAYS:
+        with mock.patch.object(tree, "_BLOCK_CELLS", block_cells):
+            header, got, _, _ = outcome(read_table, text, True, source)
+        assert (header, got) == (["a", "b"], labels), (block_cells, source)
+        assert is_plain(text, True, source) == (not tail)
 
 
 @pytest.mark.parametrize(
