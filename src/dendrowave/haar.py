@@ -2,8 +2,9 @@
 
 Ascending the tree, each cluster gets a smooth s = (s_first + s_second) / 2
 and a detail d = (s_first - s_second) / 2, first/second being the canonical
-child order.  All clusters of one height (a wave) merge in one numpy step:
-O(height) numpy calls, O(n m) work.  The details by rank give the identity
+child order.  All clusters of one height (a wave) merge in one numpy step,
+and a run of one-cluster waves, as in a caterpillar, in one accumulate:
+at most O(height) numpy calls, O(n m) work.  The details by rank give the identity
 
     X = C @ D + S
 
@@ -15,14 +16,14 @@ overflows, `forward` ascends again halving each smooth first, so finite data
 are never refused; all other data keep the bits of the plain merge.
 
 The weighted variant replaces the plain average by the cardinality
-weighted mean and is marked ``is_weighted``; its inverse reads the child
-sizes from the tree.  The matrix identity above holds unweighted only.
+weighted mean, carried up the tree as each cluster's row sum, and is
+marked ``is_weighted``; its inverse reads the child sizes from the tree.
+The matrix identity above holds unweighted only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -110,23 +111,40 @@ def _halved_merge(sa, sb, na, nb):
     return sa + sb, sa - sb
 
 
-def _weighted_merge(sa, sb, na, nb):
-    merged = (na * sa + nb * sb) / (na + nb)
-    return merged, sa - merged
+def _weighted_merge(ta, tb, na, nb):
+    """Row sums add; the detail is the first child's mean less the cluster's."""
+    merged = ta + tb
+    return merged, ta / na - merged / (na + nb)
 
 
 def _ascend(X, tree: Dendrogram, merge) -> tuple[np.ndarray, np.ndarray]:
     """Shared forward pass: smooth and detail of every cluster, one wave at a time.
 
     ``merge(s_first, s_second, n_first, n_second)`` returns the smooths and
-    details of a wave's clusters.
+    details of a wave's clusters.  Up a run, s_k = (s_{k-1} + y_k) / 2 gives
+    U_k = 2**k s_k = U_{k-1} + 2**(k-1) y_k, exact for normal floats, so one
+    accumulate gives candidate smooths (sums need no scaling).  A run whose
+    one merge of them does not give them back bit for bit (past 2**511,
+    subnormals, `_halved_merge`) merges one cluster at a time.
     """
-    n, waves = tree.n_terminals, tree._waves
+    n, waves, e = tree.n_terminals, tree._waves, int(merge is not _weighted_merge)
     smooth = np.empty((2 * n - 1, X.shape[1]))  # by `Waves` row: the terminals, then each slot
     smooth[:n], above, details = X, smooth[n:], np.empty((n - 1, X.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for a, b, na, nb, out in waves.steps:
-            above[out], details[out] = merge(smooth[a], smooth[b], na, nb)
+        for a, b, na, nb, out, run in waves.steps:
+            if run is None:
+                above[out], details[out] = merge(smooth[a], smooth[b], na, nb)
+                continue
+            first, rows = run[0], smooth[run[1]]
+            k = e * np.arange(len(rows))[:, None]
+            cand = np.ldexp(np.add.accumulate(np.ldexp(rows, np.maximum(k - e, 0))), -k)
+            lower, other = cand[:-1], rows[1:]
+            merged, detail = merge(np.where(first, lower, other), np.where(first, other, lower), na, nb)
+            if merged.tobytes() == cand[1:].tobytes():
+                above[out], details[out] = merged, detail
+                continue
+            for j, s in enumerate(range(out.start, out.stop)):
+                above[s], details[s] = merge(smooth[a[j]], smooth[b[j]], na[j], nb[j])
     if not (np.isfinite(above).all() and np.isfinite(details).all()):
         raise ValidationError("data too large: a cluster's smooth or detail overflows a float")
     return details[waves.slot], smooth[-1].copy()
@@ -161,14 +179,15 @@ def forward_indicator(d: Dendrogram, orient: bool = True) -> WaveletDecompositio
 def forward_weighted(X, d: Dendrogram, orient: bool = True) -> WaveletDecomposition:
     """Cardinality-weighted variant of `forward`.
 
-    Each merge stores s = (|a| s_a + |b| s_b) / (|a| + |b|) and the detail
-    d = s_a - s; `inverse` reads the child cardinalities from the tree
+    Each cluster's smooth is the mean s = t / |c| of its rows, its detail
+    d = s_a - s; the pass carries the row sums t = t_a + t_b and divides
+    once per detail.  `inverse` reads the child cardinalities from the tree
     (``child_sizes``) to undo the unequal split exactly.  For two singletons
     this reduces to the plain transform.
     """
     tree = canonical_orient(d) if orient else d
-    details, final = _ascend(_checked_data(X, tree), tree, _weighted_merge)
-    return WaveletDecomposition(tree, details, final, MODE_ULTRAMETRIC, is_weighted=True)
+    details, total = _ascend(_checked_data(X, tree), tree, _weighted_merge)
+    return WaveletDecomposition(tree, details, total / tree.n_terminals, MODE_ULTRAMETRIC, is_weighted=True)
 
 
 def inverse(w: WaveletDecomposition) -> np.ndarray:
@@ -179,15 +198,14 @@ def inverse(w: WaveletDecomposition) -> np.ndarray:
     scaled = details  # what the second child subtracts: size ratio times detail if weighted
     if (sizes := w.child_sizes) is not None:
         scaled = (sizes[:, :1] / sizes[:, 1:])[waves.order] * details
-    for chain, group in groupby(reversed(waves.steps), key=lambda step: type(step[4]) is int):
-        for a, b, _, _, out in [(*map(np.array, zip(*group)),)] if chain else group:
-            s = above[out]
-            if type(out) is np.ndarray:  # one-cluster waves, each cluster a child of the one above
-                up, first = out[:-1], (a[:-1] == n + out[1:])[:, None]
-                down = np.where(first, details[up], -scaled[up])  # from each smooth to the next
-                s = np.add.accumulate(np.concatenate((s[:1], down)))
-            rows[a] = s + details[out]
-            rows[b] = s - scaled[out]
+    for a, b, _, _, out, run in reversed(waves.steps):
+        s = above[out]
+        if run is not None:  # from the top smooth down the run, each cluster's to the one below
+            up = slice(out.start + 1, out.stop)
+            down = np.where(run[0][1:], details[up], -scaled[up])[::-1]
+            s = np.add.accumulate(np.concatenate((s[-1:], down)))[::-1]
+        rows[a] = s + details[out]
+        rows[b] = s - scaled[out]
     return rows[:n].copy()
 
 

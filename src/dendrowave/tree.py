@@ -196,6 +196,7 @@ def _row_blocks(n_rows: int, width: int) -> list[tuple[int, int]]:
 # 4096, so the cutoff sits just below the crossover.  A random tree has mean
 # depth 14-17 at these sizes and a caterpillar about n / 2.
 _SCATTER_DEPTH = 100
+_RUN_STEP = 512  # waves of a run in one `Waves` step: a transform scales the k-th by 2**k
 
 
 def _scattered_signs(lay: TreeLayout, n: int, m: int) -> np.ndarray:
@@ -308,8 +309,12 @@ class Waves:
     """Clusters in slots by (height, rank); a wave is all slots of one height.
 
     Row j of a (2n - 1)-row array is terminal j + 1 or slot j - n.  Each
-    step is one wave's ``(first rows, second rows, first sizes, second
-    sizes, slots)``: scalars for one cluster, else arrays and a slice.
+    step is ``(first rows, second rows, first sizes, second sizes, slots,
+    run)``: scalars for a lone one-cluster wave, else arrays and a slice.
+    A run of one-cluster waves, each cluster a child of the next, takes a
+    step per `_RUN_STEP` waves, its ``run`` a column marking each cluster
+    whose first child is the one below (True for the lowest) and the rows
+    merged in: the lowest's first child, then each other child.  Else None.
     """
 
     order: np.ndarray  # rank - 1 of the cluster in each slot
@@ -395,13 +400,21 @@ class Dendrogram(_IdTree):
         row[n + order] = row[n:].copy()
         kids, sizes = row[lay.kids[order]], np.append(np.ones(n), lay.size)[lay.kids[order]]
         bounds = np.searchsorted(height[n:], np.arange(1, height[-1] + 2))
+        single, keep = np.diff(bounds) == 1, np.ones(len(bounds), dtype=bool)
+        # a run of one-cluster waves is one step, cut where the wave count is a multiple of `_RUN_STEP`
+        keep[1:-1] = ~(single[:-1] & single[1:]) | (np.arange(1, len(bounds) - 1) % _RUN_STEP == 0)
         flat_kids, flat_sizes, steps = kids.ravel().tolist(), sizes.ravel().tolist(), []
-        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        bounds = bounds[keep].tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            w, run = slice(lo, hi), None
             if hi - lo == 1:
-                steps.append((*flat_kids[2 * lo : 2 * hi], *flat_sizes[2 * lo : 2 * hi], lo))
-            else:
-                w = slice(lo, hi)
-                steps.append((kids[w, 0], kids[w, 1], sizes[w, :1], sizes[w, 1:], w))
+                steps.append((*flat_kids[2 * lo : 2 * hi], *flat_sizes[2 * lo : 2 * hi], lo, None))
+                continue
+            if height[n + lo] < height[n + hi - 1]:
+                first = kids[w, :1] == np.arange(n + lo - 1, n + hi - 1)[:, None]
+                first[0] = True
+                run = first, np.append(kids[lo, 0], np.where(first[:, 0], kids[w, 1], kids[w, 0]))
+            steps.append((kids[w, 0], kids[w, 1], sizes[w, :1], sizes[w, 1:], w, run))
         return Waves(order, row[n:] - n, tuple(steps))
 
     @cached_property
@@ -523,18 +536,21 @@ def _heights(d: Dendrogram, use: str) -> np.ndarray:
     return np.arange(d.n_terminals) if use == "ranks" else np.array((0.0,) + (d.levels or ()))
 
 
-def _lca_rows(lay):
+def _lca_rows(lay, right: bool = False):
     """Each terminal's row of LCA ranks to terminals 1..n, in terminal order (one reused buffer).
 
     By leaf position, the LCA rank of p and q is the largest gap rank between
     them: a running maximum of the gaps rightwards from p and leftwards from p.
+    With ``right``, each leaf position p < n - 1 instead gets the ranks to the
+    positions right of it, in leaf order: every pair once.
     """
     row, ranks = np.empty((2, len(lay.pos)), dtype=np.int64)
-    for p in lay.pos.tolist():
+    for p in range(len(lay.pos) - 1) if right else lay.pos.tolist():
         np.maximum.accumulate(lay.gaps[p:], out=row[p + 1 :])
-        np.maximum.accumulate(lay.gaps[:p][::-1], out=row[:p][::-1])
-        row[p] = 0
-        yield np.take(row, lay.pos, out=ranks)
+        if not right:
+            np.maximum.accumulate(lay.gaps[:p][::-1], out=row[:p][::-1])
+            row[p] = 0
+        yield row[p + 1 :] if right else np.take(row, lay.pos, out=ranks)
 
 
 # ---------------------------------------------------------------- reorientation

@@ -159,10 +159,17 @@ class Subdominant:
         return np.concatenate(([0.0], self.levels))[cophenetic(self.tree)]
 
     def _rows_above(self, A: np.ndarray, scale: float) -> np.ndarray:
-        """Mask of the points x with A[x, z] > U[x, z] * scale for some z, row by row (`_lca_rows`)."""
+        """Mask of the points x with A[x, z] > U[x, z] * scale for some z, each pair once (`_lca_rows`)."""
+        lay = self.tree.layout
+        order = lay.order - 1
         # rounding is monotone, so scaling the levels scales U's entries exactly
         caps = np.concatenate(([0.0], self.levels)) * scale
-        return np.array([(A[x] > caps[r]).any() for x, r in enumerate(_lca_rows(self.tree.layout))])
+        above = np.zeros(len(order), dtype=bool)  # by leaf position
+        for p, ranks in enumerate(_lca_rows(lay, right=True)):
+            over = A[order[p], order[p + 1 :]] > caps[ranks]
+            above[p] |= over.any()
+            above[p + 1 :] |= over
+        return above[lay.pos]
 
 
 def subdominant(M) -> Subdominant:

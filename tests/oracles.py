@@ -27,7 +27,9 @@ tables were parsed in row blocks by `np.loadtxt`: one Python string per
 cell from `csv.reader`, then one `np.array` call.  `pway_to_json_dumps` is the p-way document as it
 was serialized before both formats shared one writer.  `ascend_ranks` and `inverse_ranks` are the Haar
 transform as it ran before it worked in waves of equal-height clusters:
-one numpy step per rank.  `check_merges`, `pway_term_set`,
+one numpy step per rank.  `weighted_mean_merge` is the weighted merge as it
+ran before `forward_weighted` carried row sums: a rounded mean at every
+cluster, within a stated tolerance of the sums.  `check_merges`, `pway_term_set`,
 `random_dendrogram` and `random_pway_merges` are p-way trees as they ran
 on their own code beside `Dendrogram`: a set of seen NodeRefs, every
 cluster's set rebuilt per call, and a random loop for each arity.
@@ -600,12 +602,25 @@ def inverse_dict(w: WaveletDecomposition) -> np.ndarray:
     return X
 
 
+def weighted_sum_merge(ta, tb, na, nb):
+    """`forward_weighted`'s merge on row sums: t = t_a + t_b, detail t_a / |a| - t / (|a| + |b|)."""
+    total = ta + tb
+    return total, ta / na - total / (na + nb)
+
+
+def weighted_mean_merge(sa, sb, na, nb):
+    """`forward_weighted`'s merge before it carried row sums: the weighted mean of the child means."""
+    merged = (na * sa + nb * sb) / (na + nb)
+    return merged, sa - merged
+
+
 def ascend_ranks(X, tree: Dendrogram, merge) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Haar forward pass one rank at a time over rows indexed by node id.
 
-    ``merge`` is `haar._plain_merge` or `haar._weighted_merge`; ``X`` is the
-    checked n x m data.  Returns the details by rank, the final smooth and
-    the (n-1) x 2 child sizes.
+    ``merge`` is `haar._plain_merge`, `weighted_sum_merge` or
+    `weighted_mean_merge`; ``X`` is the checked n x m data.  Returns the
+    details by rank, the final smooth (the root's sum over n for
+    `weighted_sum_merge`) and the (n-1) x 2 child sizes.
     """
     lay = tree.layout
     sizes = np.stack((lay.mid - lay.lo, lay.hi - lay.mid), axis=1)
@@ -615,6 +630,8 @@ def ascend_ranks(X, tree: Dendrogram, merge) -> tuple[np.ndarray, np.ndarray, np
         merged, details[k] = merge(smooth[a], smooth[b], na, nb)
         smooth.append(merged)
     final = smooth[-1] if tree.n_clusters else X[0].copy()
+    if merge is weighted_sum_merge:
+        final = final / tree.n_terminals
     return details, final, sizes
 
 

@@ -133,6 +133,22 @@ def test_rows_above_matches_the_blocked_oracle(blocks):
     assert masks == {True, False}
 
 
+def test_rows_above_compares_each_pair_once(monkeypatch):
+    compared, real = [], ultrametric._lca_rows
+
+    def lca_rows(*args, **kwargs):
+        for ranks in real(*args, **kwargs):
+            compared.append(ranks.size)
+            yield ranks
+
+    monkeypatch.setattr(ultrametric, "_lca_rows", lca_rows)
+    for M in check_matrices(24, seed=620):
+        A, sub, n = M.astype(float), subdominant(M), M.shape[0]
+        compared.clear()
+        assert np.array_equal(sub._rows_above(A, 1.0), oracles.rows_above_blocks(sub, A, 1.0))
+        assert sum(compared) == n * (n - 1) // 2  # the cells right of each leaf position
+
+
 CENSUS_TOLS = (0, 1e-9, 0.05, 0.5)
 
 

@@ -20,10 +20,10 @@ from conftest import random_trees
 from strategies import dendrograms
 
 import dendrowave.tree
+from dendrowave import haar
 from dendrowave.haar import (
     _checked_data,
     _plain_merge,
-    _weighted_merge,
     forward,
     forward_indicator,
     forward_weighted,
@@ -34,6 +34,7 @@ from dendrowave.haar import (
 from dendrowave.padic import decode, encode
 from dendrowave.pway import random_pway_tree, unfold
 from dendrowave.tree import (
+    _RUN_STEP,
     ValidationError,
     branch_signs,
     build_from_merges,
@@ -80,6 +81,23 @@ def sample_trees():
     for arity in (3, 5):
         for internal in (1, 4, 60):
             yield unfold(random_pway_tree(internal, arity, rng))
+    yield chain(_RUN_STEP + 2, cluster_first=False)  # a run of two steps, the second of one cluster
+    yield oracles.caterpillar(2 * _RUN_STEP + 40, rng)
+    yield spine([3, 1, 2, 1, 1, 4, 1, 1, 1, 2, 1, 1, 1, 1, 1], rng)
+
+
+def spine(sides, rng):
+    """A chain of clusters, each merging the one below with a random subtree of the next size."""
+    merges, top, n = [], None, 0
+    for size in sides:
+        base = len(merges)
+        for pair in random_dendrogram(size, rng).merges:
+            merges.append(tuple(terminal(c.index + n) if c.is_terminal else cluster(c.index + base) for c in pair))
+        side, n = cluster(len(merges)) if size > 1 else terminal(n + 1), n + size
+        if top is not None:
+            merges.append((top, side) if rng.integers(2) else (side, top))
+        top = cluster(len(merges)) if merges else side
+    return build_from_merges(merges)
 
 
 def heights(d):
@@ -93,7 +111,7 @@ def heights(d):
 def assert_same_as_rank_loop(X, d, orient=True):
     tree = d.canonical if orient else d
     data = _checked_data(X, tree)
-    for transform, merge in ((forward, _plain_merge), (forward_weighted, _weighted_merge)):
+    for transform, merge in ((forward, _plain_merge), (forward_weighted, oracles.weighted_sum_merge)):
         w = transform(X, d, orient=orient)
         details, final, sizes = oracles.ascend_ranks(data, tree, merge)
         assert np.array_equal(w.details, details)
@@ -123,10 +141,16 @@ def test_waves_match_the_rank_loops_bit_for_bit():
         assert_same_as_rank_loop(X[:, 0], d)  # 1-D data is one feature
 
 
+def run_length(step) -> int:
+    """The number of one-cluster waves in a step: 1 alone, the run's length, 0 for a wider wave."""
+    *_, slots, run = step
+    return 1 if type(slots) is int else 0 if run is None else len(run[0])
+
+
 def chain_runs(d) -> list[int]:
-    """Lengths of the runs of one-cluster waves that `inverse` descends in one step."""
-    one = (type(step[4]) is int for step in d._waves.steps)
-    return [len(list(run)) for single, run in itertools.groupby(one) if single]
+    """Lengths of the maximal runs of one-cluster waves, a run's steps taken together."""
+    lengths = (run_length(step) for step in d._waves.steps)
+    return [sum(run) for single, run in itertools.groupby(lengths, key=bool) if single]
 
 
 def test_runs_of_one_cluster_waves_of_any_length_match_the_rank_loop():
@@ -160,6 +184,108 @@ def test_waves_match_the_rank_loops_on_hypothesis_trees(d, m, seed):
     assert_same_as_rank_loop(X, d, orient=False)
 
 
+RUN_TREES = {
+    "chain": lambda n, rng: chain(n, cluster_first=bool(rng.integers(2))),
+    "caterpillar": lambda n, rng: oracles.caterpillar(n, rng),
+    "spine": lambda n, rng: spine(rng.integers(1, 5, size=max(1, n // 2)).tolist(), rng),
+    "unfolded": lambda n, rng: unfold(random_pway_tree(max(1, n // 3), int(rng.integers(3, 6)), rng)),
+}
+
+# `forward` ascends every run of the first three in one accumulate; a long enough run of
+# FALLBACK_DATA fails the bit check and merges one cluster at a time
+RUN_DATA = {
+    "integers": lambda rng, shape: rng.integers(-99, 100, size=shape).astype(float),
+    "signed-zeros": lambda rng, shape: rng.choice([0.0, -0.0], size=shape),
+    "normal": lambda rng, shape: rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4),
+    "subnormal": lambda rng, shape: rng.integers(-9, 10, size=shape) * 5e-324,
+    "past-2**512": lambda rng, shape: rng.normal(size=shape) * 2.0 ** rng.integers(600, 1000),
+    "near-max": lambda rng, shape: rng.normal(size=shape) * 2.0**1021,
+}
+FALLBACK_DATA = {"subnormal", "past-2**512", "near-max"}
+
+
+def same_bits(x, y) -> bool:
+    return x.shape == y.shape and x.tobytes() == y.tobytes()  # -0.0 and 0.0 differ too
+
+
+def assert_runs_match_the_rank_loops(X, d, orient):
+    tree = d.canonical if orient else d
+    with np.errstate(over="ignore", invalid="ignore"):
+        details, final, _ = oracles.ascend_ranks(X, tree, _plain_merge)
+        if not (np.isfinite(details).all() and np.isfinite(final).all()):  # `forward` halves first
+            details, final, _ = oracles.ascend_ranks(X, tree, haar._halved_merge)
+        w = forward(X, d, orient=orient)
+        assert same_bits(w.details, details) and same_bits(w.smooth, final)
+        assert same_bits(inverse(w), oracles.inverse_ranks(w))
+        details, final, _ = oracles.ascend_ranks(X, tree, oracles.weighted_sum_merge)
+    if not (np.isfinite(details).all() and np.isfinite(final).all()):
+        with pytest.raises(ValidationError, match="overflows a float"):
+            forward_weighted(X, d, orient=orient)
+        return
+    w = forward_weighted(X, d, orient=orient)
+    assert same_bits(w.details, details) and same_bits(w.smooth, final)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert same_bits(inverse(w), oracles.inverse_ranks(w))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(RUN_TREES)),
+    st.integers(2, 700),
+    st.sampled_from(sorted(RUN_DATA)),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+)
+def test_runs_match_the_rank_loops_bit_for_bit_on_any_data(kind, n, family, m, seed):
+    rng = np.random.default_rng(seed)
+    d = RUN_TREES[kind](n, rng)
+    X = RUN_DATA[family](rng, (d.n_terminals, m))
+    for orient in (True, False):
+        assert_runs_match_the_rank_loops(X, d, orient)
+
+
+@pytest.mark.parametrize("name", ["_plain_merge", "_weighted_merge"])
+def test_a_run_merges_one_cluster_at_a_time_only_for_data_it_cannot_scale(monkeypatch, name):
+    real, merged_rows = getattr(haar, name), []
+
+    def spy(sa, sb, na, nb):
+        merged_rows.append(np.ndim(sa))  # 1: one cluster's row, 2: a whole run
+        return real(sa, sb, na, nb)
+
+    monkeypatch.setattr(haar, name, spy)
+    transform = forward if name == "_plain_merge" else forward_weighted
+    rng = np.random.default_rng(112)
+    for family, make in RUN_DATA.items():
+        for d in (chain(_RUN_STEP + 90, cluster_first=True), oracles.caterpillar(600, rng)):
+            merged_rows.clear()
+            X = make(rng, (d.n_terminals, 2))
+            try:
+                transform(X, d)
+            except ValidationError:  # the weighted sums of near-max data overflow
+                assert (name, family) == ("_weighted_merge", "near-max")
+            assert merged_rows.count(2) >= 1  # every step of these trees is a run
+            assert (1 in merged_rows) == (name == "_plain_merge" and family in FALLBACK_DATA), family
+
+
+def test_the_weighted_sums_stay_within_the_tolerance_of_the_weighted_means():
+    rng = np.random.default_rng(110)
+    trees = [
+        *random_trees(20, 300, seed=111),
+        oracles.caterpillar(3000, rng),
+        chain(2 * _RUN_STEP + 7, cluster_first=False),
+        balanced(9),
+        unfold(random_pway_tree(300, 4, rng)),
+    ]
+    for d in trees:
+        for scale in (1e-6, 1.0, 1e6):
+            X = rng.normal(size=(d.n_terminals, 3)) * scale
+            w = forward_weighted(X, d)
+            details, final, _ = oracles.ascend_ranks(X, w.tree, oracles.weighted_mean_merge)
+            tol = 1e-12 * max(1.0, np.abs(X).max())  # the two differ by a few ulps of the largest row
+            assert np.abs(w.details - details).max() <= tol
+            assert np.abs(w.smooth - final).max() <= tol
+
+
 def test_every_wave_sits_above_its_children():
     for d in sample_trees():
         n, waves = d.n_terminals, d._waves
@@ -168,34 +294,58 @@ def test_every_wave_sits_above_its_children():
         height = np.append(np.zeros(n, dtype=np.int64), heights(d)[waves.order])  # by row
         assert np.array_equal(waves.order[waves.slot], np.arange(n - 1))
         size = np.append(np.ones(n), d.layout.size[waves.order])  # by row
-        filled = []
-        for a, b, na, nb, slots in waves.steps:
+        filled, lengths = [], []
+        for a, b, na, nb, slots, run in waves.steps:
             rows = np.atleast_1d(n + np.arange(n - 1)[slots])
             filled.extend(rows.tolist())
-            level = np.unique(height[rows])
-            assert level.size == 1  # one height per wave, a contiguous run of slots
+            level, lengths = height[rows], lengths + [run_length((a, b, na, nb, slots, run))]
+            if lengths[-1]:  # one-cluster waves: each the only cluster of its height, a child of the next
+                assert (np.bincount(height)[level] == 1).all() and (np.diff(level) == 1).all()
+            else:
+                assert np.unique(level).size == 1  # one height per wave, a contiguous run of slots
+            if run is not None:
+                first, merged_in = run
+                assert first.shape == (rows.size, 1) and first.dtype == bool and first[0, 0]
+                assert np.array_equal(np.where(first[:, 0], a, b)[1:], rows[:-1])
+                assert np.array_equal(merged_in, np.append(a[0], np.where(first[:, 0], b, a)))
             for kids, sizes in ((a, na), (b, nb)):
                 assert (height[np.atleast_1d(kids)] < level).all()
                 assert np.array_equal(np.ravel(sizes), size[np.atleast_1d(kids)])
             assert np.array_equal(size[rows], size[np.atleast_1d(a)] + size[np.atleast_1d(b)])
         assert filled == list(range(n, 2 * n - 1))  # the waves fill the slots in order
+        # runs are maximal, cut into steps only where the wave count is a multiple of `_RUN_STEP`
+        waves_below = np.cumsum([length or 1 for length in lengths])
+        for this, following, at in zip(lengths, lengths[1:], waves_below):
+            assert not (this and following) or at % _RUN_STEP == 0
+        assert max(lengths, default=0) <= _RUN_STEP
+
+
+def wave_count(d) -> int:
+    """The number of waves the steps hold: one per wider wave, one per cluster of a run."""
+    return sum(run_length(step) or 1 for step in d._waves.steps)
 
 
 def test_wave_counts_are_the_tree_height():
-    for n in (2, 3, 50, 257):
+    for n in (2, 3, 50, 257, 2 * _RUN_STEP + 2):
         for cluster_first in (True, False):
-            assert len(chain(n, cluster_first)._waves.steps) == n - 1
+            d = chain(n, cluster_first)
+            assert wave_count(d) == n - 1
+            assert len(d._waves.steps) == -(-(n - 1) // _RUN_STEP)  # a run in steps of `_RUN_STEP`
     for levels in range(1, 9):
-        assert len(balanced(levels)._waves.steps) == levels
+        assert wave_count(balanced(levels)) == len(balanced(levels)._waves.steps) == levels
     assert random_dendrogram(1, 1)._waves.steps == ()
 
 
 def test_single_cluster_waves_hold_python_scalars():
-    steps = chain(6, cluster_first=False)._waves.steps
-    for step in steps:
-        assert [type(v) for v in step] == [int, int, float, float, int]
+    root = balanced(3)._waves.steps[-1]  # a lone one-cluster wave
+    assert [type(v) for v in root] == [int, int, float, float, int, type(None)]
     wide = balanced(3)._waves.steps[0]
-    assert isinstance(wide[4], slice) and wide[2].shape == (4, 1)
+    assert isinstance(wide[4], slice) and wide[2].shape == (4, 1) and wide[5] is None
+    (step,) = chain(6, cluster_first=False)._waves.steps  # the growing cluster always second
+    a, b, na, nb, slots, (first, merged_in) = step
+    assert slots == slice(0, 5) and na.shape == nb.shape == first.shape == (5, 1)
+    assert first.ravel().tolist() == [True, False, False, False, False]
+    assert merged_in.tolist() == [a[0], b[0], *a[1:].tolist()]
 
 
 def test_branch_signs_are_cached_read_only_and_shared():
@@ -243,24 +393,24 @@ def test_the_transforms_build_no_branch_codes(make):
 
 def test_the_transform_pass_holds_no_n_by_n_matrix():
     n = 4096
-    d = random_dendrogram(n, 108)
     X = np.random.default_rng(109).normal(size=(n, 4))
-    d.canonical._waves  # the layout and the waves are built once per tree, outside the pass
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        w = forward(X, d)
-        inverse(w)
-        inverse(forward_weighted(X, d))
-        hard_threshold(w, "keep-k", 10)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
+    for d in (random_dendrogram(n, 108), oracles.caterpillar(n, np.random.default_rng(113))):
+        d.canonical._waves  # the layout and the waves are built once per tree, outside the pass
+        tracing = tracemalloc.is_tracing()
         if not tracing:
-            tracemalloc.stop()
-    assert peak < n * n / 4, f"{peak} bytes at the peak, C would hold {n * n}"
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            w = forward(X, d)
+            inverse(w)
+            inverse(forward_weighted(X, d))
+            hard_threshold(w, "keep-k", 10)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < n * n / 4, f"{peak} bytes at the peak, C would hold {n * n}"
 
 
 def test_decode_leaves_no_signs_on_the_tree_it_returns():
