@@ -48,6 +48,7 @@ from .tree import (
     ValidationError,
     _json_document,
     _parse,
+    _row_blocks,
     branch_signs,
     cluster,
     load_json,
@@ -92,13 +93,18 @@ def _read_signs(text) -> tuple[np.ndarray, list[str]]:
         raise ValidationError(
             f"row 1: expected {n} columns for {n} terminals, got {len(header) + 1}"
         )
-    bad = np.argwhere((C != -1) & (C != 0) & (C != 1))
-    if bad.size:
-        i, j = bad[0].tolist()
-        raise ValidationError(
-            f"row {i + 2}, column {j + 2}: expected -1, 0 or +1, got {format(C[i, j], 'g')!r}"
-        )
-    return C.astype(np.int8), labels
+    signs = np.empty(C.shape, dtype=np.int8)
+    for a, b in _row_blocks(*C.shape):  # checked and converted a block of rows at a time
+        blk = C[a:b]
+        bad = np.argwhere((blk != -1) & (blk != 0) & (blk != 1))
+        if bad.size:
+            i, j = bad[0].tolist()
+            raise ValidationError(
+                f"row {a + i + 2}, column {j + 2}: expected -1, 0 or +1, "
+                f"got {format(blk[i, j], 'g')!r}"
+            )
+        signs[a:b] = blk
+    return signs, labels
 
 
 # -------------------------------------------------------------------- bundles

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -51,64 +51,88 @@ def _pack(coeffs: Iterable[int]) -> bytes:
     return bytes(out)
 
 
-def _array(digits: bytes) -> np.ndarray:
-    """A read-only int8 view of stored digits."""
-    return np.frombuffer(digits, dtype=np.int8)
+def _frozen(row: np.ndarray) -> np.ndarray:
+    """``row``, an int8 array the caller owns, made read-only."""
+    row.flags.writeable = False
+    return row
 
 
-@dataclass(frozen=True, init=False, repr=False)
 class PAdicCode:
     """Coefficients in {-1, 0, +1} for powers p^1..p^(n-1) of the base.
 
-    The digits are stored once, as immutable int8 ``bytes`` with one byte
-    per power (-1 is 0xFF), and ``coeffs`` reads them back as a tuple of
-    ints.  Equality and hashing use the digits and the base.  ``coeffs``
-    may be given as any sequence of digits or as such bytes, and the base
-    as any integer >= 2; it is stored as a Python int.
+    The digits are held as a read-only int8 row, one entry per power.  A
+    code from `encode` holds a view of its row of the tree's cached sign
+    matrix, so it keeps that whole matrix alive; a code built from digits
+    holds its own row.  ``digits`` reads the row as int8 ``bytes`` (-1 is
+    0xFF) and ``coeffs`` as a tuple of ints.  Equality and hashing use the
+    digits and the base, and pickling or copying a code writes only those.
+    ``coeffs`` may be given as any sequence of digits or as such bytes,
+    and the base as any integer >= 2; it is stored as a Python int.
     """
 
-    digits: bytes
-    base: int
+    __slots__ = ("_row", "base")  # the row and the base, never reassigned
 
     def __init__(self, coeffs: Iterable[int] | bytes, base: int = DEFAULT_BASE) -> None:
         base = _int_at_least(base, "base")
         digits = coeffs if isinstance(coeffs, bytes) else _pack(coeffs)
+        row = np.frombuffer(digits, dtype=np.int8)
         if digits.translate(None, _DIGIT_BYTES):
-            _pack(_array(digits).tolist())  # names the first bad power
-        object.__setattr__(self, "digits", digits)
+            _pack(row.tolist())  # names the first bad power
+        object.__setattr__(self, "_row", row)
         object.__setattr__(self, "base", base)
 
     @classmethod
-    def _of(cls, digits: bytes, base: int) -> PAdicCode:
-        """The code of digits and a base that the caller has already checked."""
+    def _of(cls, row: np.ndarray, base: int) -> PAdicCode:
+        """The code of a read-only int8 row and a base that the caller has already checked."""
         code = object.__new__(cls)
-        code.__dict__.update(digits=digits, base=base)
+        object.__setattr__(code, "_row", row)
+        object.__setattr__(code, "base", base)
         return code
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not PAdicCode:
+            return NotImplemented
+        return self.base == other.base and self._row.tobytes() == other._row.tobytes()
+
+    def __hash__(self) -> int:
+        return hash((self.digits, self.base))
+
+    def __reduce__(self):
+        return PAdicCode, (self.digits, self.base)
 
     def __repr__(self) -> str:
         return f"PAdicCode(coeffs={self.coeffs!r}, base={self.base!r})"
 
     @property
+    def digits(self) -> bytes:
+        return self._row.tobytes()
+
+    @property
     def coeffs(self) -> tuple[int, ...]:
-        return tuple(_array(self.digits).tolist())
+        return tuple(self._row.tolist())
 
     @property
     def n_terminals(self) -> int:
-        return len(self.digits) + 1
+        return self._row.size + 1
 
     @property
     def is_null(self) -> bool:
-        return not _array(self.digits).any()
+        return not self._row.any()
 
     def _terms(self) -> list[tuple[int, int]]:
         """``(level, coefficient)`` of every nonzero coefficient, ascending."""
-        digits = _array(self.digits)
-        levels = np.flatnonzero(digits)
-        return list(zip((levels + 1).tolist(), digits[levels].tolist()))
+        levels = np.flatnonzero(self._row)
+        return list(zip((levels + 1).tolist(), self._row[levels].tolist()))
 
     def support(self) -> tuple[int, ...]:
         """Levels whose coefficient is nonzero, ascending."""
-        return tuple((np.flatnonzero(_array(self.digits)) + 1).tolist())
+        return tuple((np.flatnonzero(self._row) + 1).tolist())
 
     def decimal(self, base: int | None = None) -> int:
         """Exact integer value sum(c_j * p**j)."""
@@ -187,16 +211,13 @@ def code_from_decimal(value: int, n_terminals: int, base: int = DEFAULT_BASE) ->
 def encode(d: Dendrogram, base: int = DEFAULT_BASE) -> tuple[list[PAdicCode], np.ndarray]:
     """Codes for all terminals plus the branch-code matrix, canonically oriented.
 
-    Row i - 1 of the matrix holds the coefficients of terminal i's code.
+    Row i - 1 of the matrix holds the coefficients of terminal i's code, and
+    that code holds a view of the row, so the codes share the one matrix.
     """
     base = _int_at_least(base, "base")
     signs = branch_signs(canonical_orient(d))
-    n, width = signs.shape
-    # the tree's own signs hold only -1, 0, +1, so each row's bytes are a code's
-    # digits as they stand, copied once out of the matrix
-    rows = memoryview(signs.reshape(-1))
-    codes = [PAdicCode._of(bytes(rows[i * width : (i + 1) * width]), base) for i in range(n)]
-    return codes, signs
+    # the tree's own signs hold only -1, 0 and +1, so no row needs the digit check
+    return [PAdicCode._of(row, base) for row in signs], signs
 
 
 def decimal_value(code: PAdicCode, base: int | None = None) -> int:
@@ -204,7 +225,7 @@ def decimal_value(code: PAdicCode, base: int | None = None) -> int:
 
 
 def _require_same_context(a: PAdicCode, b: PAdicCode) -> None:
-    if len(a.digits) != len(b.digits) or a.base != b.base:
+    if a._row.size != b._row.size or a.base != b.base:
         raise ValidationError("codes come from different contexts (length or base differ)")
 
 
@@ -215,8 +236,8 @@ def padd(a: PAdicCode, b: PAdicCode) -> PAdicCode:
     stays 0.  The operation is commutative, associative and idempotent.
     """
     _require_same_context(a, b)
-    da, db = _array(a.digits), _array(b.digits)
-    return PAdicCode(np.where(da == db, da, np.int8(0)).tobytes(), a.base)
+    da, db = a._row, b._row
+    return PAdicCode._of(_frozen(np.where(da == db, da, np.int8(0))), a.base)
 
 
 def cluster_code(d: Dendrogram, node: NodeRef, base: int = DEFAULT_BASE) -> PAdicCode:
@@ -233,7 +254,7 @@ def cluster_code(d: Dendrogram, node: NodeRef, base: int = DEFAULT_BASE) -> PAdi
     lay = oriented.layout
     above = (lay.lo <= start) & (end <= lay.hi) & (lay.size > end - start)
     digits = np.where(above, np.where(start < lay.mid, 1, -1), 0).astype(np.int8)
-    return PAdicCode(digits.tobytes(), base)
+    return PAdicCode._of(_frozen(digits), base)
 
 
 # ----------------------------------------------------------------- polynomials
@@ -266,7 +287,7 @@ def dilate(code: PAdicCode) -> PAdicCode:
     The top coefficient becomes 0, so n - 1 applications send any code to
     the null code.
     """
-    return PAdicCode(code.digits[1:] + b"\x00", code.base)
+    return PAdicCode._of(_frozen(np.append(code._row[1:], np.int8(0))), code.base)
 
 
 def dilation_steps_to_null(code: PAdicCode) -> int:
@@ -343,10 +364,10 @@ def pdistance(
         if isinstance(b, NodeRef):
             b = cluster_code(d, b, base)
     _require_same_context(a, b)
-    if a == b:
+    if a._row.tobytes() == b._row.tobytes():  # `==` less the method call: the bases match
         return Fraction(0)
     # codes that differ have at least one digit, so the argmax is a level
-    common = np.logical_and(_array(a.digits), _array(b.digits))
+    common = np.logical_and(a._row, b._row)
     first = int(common.argmax())
     r = first + 1 if common[first] else a.n_terminals - 1
     return Fraction(1, a.base**r)
@@ -401,9 +422,9 @@ def decode(
             raise ValidationError("need at least one code")
         n = len(codes)
         for code in codes:
-            if len(code.digits) != n - 1:
-                raise ValidationError(f"{n} codes need length {n - 1}, got {len(code.digits)}")
-        mat = _array(b"".join(code.digits for code in codes)).reshape(n, n - 1)
+            if code._row.size != n - 1:
+                raise ValidationError(f"{n} codes need length {n - 1}, got {code._row.size}")
+        mat = np.concatenate([code._row for code in codes]).reshape(n, n - 1)
     if mat.ndim != 2:
         raise ValidationError("branch codes must form a 2-d matrix")
     n, m = mat.shape

@@ -197,6 +197,11 @@ def _row_blocks(n_rows: int, width: int) -> list[tuple[int, int]]:
 # depth 14-17 at these sizes and a caterpillar about n / 2.
 _SCATTER_DEPTH = 100
 _RUN_STEP = 512  # waves of a run in one `Waves` step: a transform scales the k-th by 2**k
+# Waves a run needs to be one step.  A run step costs about 34 us in `forward`
+# and 13 us in `inverse` whatever its length, a lone wave 3-4 us and 2-3 us more
+# per wave: on chains of 8 features (median of 5, 2-CPU VM) the two cost the
+# same at 5 waves, and runs of 2-4 waves take 25-31 us and 7-10 us as lone waves.
+_RUN_MIN = 5
 
 
 def _scattered_signs(lay: TreeLayout, n: int, m: int) -> np.ndarray:
@@ -315,6 +320,7 @@ class Waves:
     step per `_RUN_STEP` waves, its ``run`` a column marking each cluster
     whose first child is the one below (True for the lowest) and the rows
     merged in: the lowest's first child, then each other child.  Else None.
+    A step of fewer than `_RUN_MIN` such waves is taken as lone waves.
     """
 
     order: np.ndarray  # rank - 1 of the cluster in each slot
@@ -406,11 +412,14 @@ class Dendrogram(_IdTree):
         flat_kids, flat_sizes, steps = kids.ravel().tolist(), sizes.ravel().tolist(), []
         bounds = bounds[keep].tolist()
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            w, run = slice(lo, hi), None
-            if hi - lo == 1:
-                steps.append((*flat_kids[2 * lo : 2 * hi], *flat_sizes[2 * lo : 2 * hi], lo, None))
+            w, run, chained = slice(lo, hi), None, height[n + lo] < height[n + hi - 1]
+            if hi - lo == 1 or chained and hi - lo < _RUN_MIN:  # each a lone one-cluster wave
+                steps.extend(
+                    (*flat_kids[2 * j : 2 * j + 2], *flat_sizes[2 * j : 2 * j + 2], j, None)
+                    for j in range(lo, hi)
+                )
                 continue
-            if height[n + lo] < height[n + hi - 1]:
+            if chained:
                 first = kids[w, :1] == np.arange(n + lo - 1, n + hi - 1)[:, None]
                 first[0] = True
                 run = first, np.append(kids[lo, 0], np.where(first[:, 0], kids[w, 1], kids[w, 0]))
@@ -425,16 +434,19 @@ class Dendrogram(_IdTree):
             signs = _scattered_signs(lay, n, m)
         else:
             # In leaf order column k is +1 on [lo, mid) and -1 on [mid, hi): mark
-            # the three boundaries and let a running sum down the columns fill both,
-            # adding one contiguous row at a time.
-            cols = np.arange(m)
-            by_pos = np.zeros((n + 1, m), dtype=np.int8)
-            by_pos[lay.lo, cols] = 1
-            by_pos[lay.mid, cols] = -2
-            by_pos[lay.hi, cols] = 1
-            for p in range(1, n):
-                np.add(by_pos[p - 1], by_pos[p], out=by_pos[p])
-            signs = by_pos[lay.pos]
+            # the three boundaries on the rows of the terminals there (none past
+            # the last leaf) and let a running sum down the leaf order fill both,
+            # adding one contiguous row onto the next.
+            cols, row = np.arange(m), lay.order - 1
+            signs = np.zeros((n, m), dtype=np.int8)
+            signs[row[lay.lo], cols] = 1
+            signs[row[lay.mid], cols] = -2
+            inside = lay.hi < n
+            signs[row[lay.hi[inside]], cols[inside]] = 1
+            rows = list(signs)
+            by_pos = [rows[i] for i in row.tolist()]
+            for above, below in zip(by_pos, by_pos[1:]):
+                np.add(above, below, out=below)
         signs.flags.writeable = False
         return signs
 

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -44,3 +45,19 @@ def feed(path: Path, raw: bytes) -> threading.Thread:
     writer = threading.Thread(target=write, daemon=True)
     writer.start()
     return writer
+
+
+def traced_peak(call):
+    """``call()`` and the most bytes it held at once beyond what was held before, by tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return result, peak

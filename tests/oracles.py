@@ -66,7 +66,7 @@ import numpy as np
 from dendrowave import ultrametric
 from dendrowave.hcluster import LINKAGES
 from dendrowave.haar import WaveletDecomposition
-from dendrowave.padic import PAdicCode, _array, dilate, padd
+from dendrowave.padic import PAdicCode, dilate, padd
 from dendrowave.tree import (
     Dendrogram,
     NodeRef,
@@ -470,8 +470,8 @@ def decode_columns(codes_or_matrix, labels=None) -> Dendrogram:
         for code in codes:
             if len(code.digits) != n - 1:
                 raise ValidationError(f"{n} codes need length {n - 1}, got {len(code.digits)}")
-        rows = b"".join(code.digits for code in codes)
-        mat = _array(rows).reshape(n, n - 1) if codes else np.zeros((1, 0), dtype=np.int8)
+        rows = np.frombuffer(b"".join(code.digits for code in codes), dtype=np.int8)
+        mat = rows.reshape(n, n - 1) if codes else np.zeros((1, 0), dtype=np.int8)
     if mat.ndim != 2:
         raise ValidationError("branch codes must form a 2-d matrix")
     n, m = mat.shape

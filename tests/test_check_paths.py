@@ -3,14 +3,13 @@ ultrametric, against the row, anchor and loop scans they replaced (kept in
 oracles.py), with exact equality of verdicts, witnesses and censuses."""
 
 import os
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import oracles
-from conftest import feed, random_trees
+from conftest import feed, random_trees, traced_peak
 
 from dendrowave import cli, tree, ultrametric
 from dendrowave.cli import main
@@ -228,17 +227,7 @@ def test_tie_heavy_matrices_fall_back_to_the_anchor_loop(monkeypatch):
 
 def test_the_census_of_data_builds_no_square_temporary():
     M = pairwise_euclidean(np.random.default_rng(617).normal(size=(2000, 5)))
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        c = triangle_classify(M)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    c, peak = traced_peak(lambda: triangle_classify(M))
     assert c.violating > 0.99 * c.total
     assert peak < M.nbytes / 4, f"{peak} bytes at the peak, the matrix has {M.nbytes}"
 
@@ -383,17 +372,8 @@ def test_check_builds_no_permuted_copy(tmp_path, capsys, monkeypatch):
 def test_is_ultrametric_builds_no_square_temporary():
     d = random_dendrogram(1000, np.random.default_rng(612), with_levels=True)
     M = cophenetic(d, use="levels")
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        assert is_ultrametric(M).ok
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
+    verdict, peak = traced_peak(lambda: is_ultrametric(M))
+    assert verdict.ok
     assert peak < M.nbytes, f"{peak} bytes at the peak, the matrix has {M.nbytes}"
 
 

@@ -715,6 +715,29 @@ def test_padic_decode_rejects_a_header_wider_than_its_rows(tmp_path, capsys, dem
     assert capsys.readouterr().err == f"error: {c_path}: row 2: expected 9 values, got 8\n"
 
 
+@pytest.mark.parametrize("cell", ["300", "0.5", "-2", "1e-300"])
+def test_padic_decode_names_a_bad_sign_past_the_first_row_block(
+    tmp_path, capsys, monkeypatch, cell
+):
+    monkeypatch.setattr("dendrowave.tree._BLOCK_CELLS", 64)  # one row of the 40 x 39 C a block
+    tree = tmp_path / "tree.json"
+    save_json(random_dendrogram(40, 5), tree)
+    out = tmp_path / "w"
+    assert main(["transform", "-", str(tree), "--mode", "indicator", "--out", str(out)]) == 0
+    c_path = out / "C.csv"
+    assert main(["padic", "decode", str(c_path), "--out", str(tmp_path / "d")]) == 0
+    assert load_json(tmp_path / "d" / "dendrogram.json") == load_json(out / "dendrogram.json")
+    capsys.readouterr()
+    rows = [line.split(",") for line in c_path.read_text(encoding="utf-8").splitlines()]
+    # file row 30 holds the first bad cell in row order; later ones, in any column, come second
+    for i, j in ((29, 6), (29, 9), (30, 1), (39, 39)):
+        rows[i][j] = cell
+    c_path.write_text("\n".join(",".join(row) for row in rows) + "\n", encoding="utf-8")
+    assert main(["padic", "decode", str(c_path), "--out", str(tmp_path / "e")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {c_path}: row 30, column 7: expected -1, 0 or +1, got {cell!r}\n"
+
+
 def test_padic_decode_names_the_failing_column_by_its_header(tmp_path, capsys, demo_json):
     out = tmp_path / "w"
     assert main(["transform", "-", demo_json, "--mode", "indicator", "--out", str(out)]) == 0

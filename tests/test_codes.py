@@ -1,6 +1,7 @@
-"""Differential tests: byte-backed p-adic codes and the cached canonical tree
-against the dense-tuple codes and per-call orientation they replaced."""
+"""Differential tests: p-adic codes held as int8 rows and the cached canonical
+tree against the dense-tuple codes and per-call orientation they replaced."""
 
+import copy
 import itertools
 import pickle
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_trees
+from conftest import random_trees, traced_peak
 from strategies import coeff_vectors, dendrograms
 
 from dendrowave.padic import (
@@ -144,6 +145,37 @@ def test_code_surface_is_unchanged():
         code.base = 5
     with pytest.raises(AttributeError):
         code.extra = 1
+
+
+def test_codes_from_encode_are_rows_of_the_sign_matrix():
+    rng = np.random.default_rng(4050)
+    trees = (random_dendrogram(2, rng), random_dendrogram(200, rng), oracles.caterpillar(200, rng))
+    for d in trees:
+        codes, C = encode(d, 5)
+        for row, code in zip(C, codes):
+            assert np.shares_memory(code._row, row)
+            alike = PAdicCode(row.tolist(), 5)
+            assert code == alike and hash(code) == hash(alike)
+            # a copy or a pickle carries the digits alone, never the matrix
+            for twin in (pickle.loads(pickle.dumps(code)), copy.copy(code), copy.deepcopy(code)):
+                assert twin == code and hash(twin) == hash(code)
+                assert not np.shares_memory(twin._row, C)
+
+
+def test_a_pickled_code_holds_its_digits_and_base_only():
+    n = 2048
+    codes, C = encode(random_dendrogram(n, 4051))
+    for code in codes[:3]:
+        assert len(pickle.dumps(code)) < n + 200, f"C has {C.nbytes} bytes"
+
+
+def test_encode_of_a_tree_whose_signs_are_built_copies_no_row():
+    n = 2048
+    d = random_dendrogram(n, 4052)
+    C = branch_signs(canonical_orient(d))
+    (codes, same), peak = traced_peak(lambda: encode(d))
+    assert same is C and len(codes) == n
+    assert peak < n * (n - 1) / 8, f"{peak} bytes at the peak, C has {C.nbytes}"
 
 
 @pytest.mark.parametrize(

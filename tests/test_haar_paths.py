@@ -7,7 +7,6 @@ sizes and reconstructions must be bit-identical, not merely close.
 """
 
 import itertools
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import random_trees
+from conftest import random_trees, traced_peak
 from strategies import dendrograms
 
 import dendrowave.tree
@@ -34,6 +33,7 @@ from dendrowave.haar import (
 from dendrowave.padic import decode, encode
 from dendrowave.pway import random_pway_tree, unfold
 from dendrowave.tree import (
+    _RUN_MIN,
     _RUN_STEP,
     ValidationError,
     branch_signs,
@@ -156,7 +156,13 @@ def chain_runs(d) -> list[int]:
 def test_runs_of_one_cluster_waves_of_any_length_match_the_rank_loop():
     # balanced(2) ends in one run of one wave, its root; one more terminal makes it two
     on_top = build_from_merges([*balanced(2).merges, (cluster(3), terminal(5))])
-    trees = {1: [chain(2, True), balanced(2)], 2: [chain(3, False), on_top], 11: [chain(12, True)]}
+    trees = {
+        1: [chain(2, True), balanced(2)],
+        2: [chain(3, False), on_top],
+        _RUN_MIN - 1: [chain(_RUN_MIN, False)],  # the longest run taken as lone waves
+        _RUN_MIN: [chain(_RUN_MIN + 1, True)],  # the shortest taken as one step
+        11: [chain(12, True)],
+    }
     rng = np.random.default_rng(94)
     for length, ds in trees.items():
         for d in ds:
@@ -313,10 +319,18 @@ def test_every_wave_sits_above_its_children():
                 assert np.array_equal(np.ravel(sizes), size[np.atleast_1d(kids)])
             assert np.array_equal(size[rows], size[np.atleast_1d(a)] + size[np.atleast_1d(b)])
         assert filled == list(range(n, 2 * n - 1))  # the waves fill the slots in order
-        # runs are maximal, cut into steps only where the wave count is a multiple of `_RUN_STEP`
-        waves_below = np.cumsum([length or 1 for length in lengths])
-        for this, following, at in zip(lengths, lengths[1:], waves_below):
-            assert not (this and following) or at % _RUN_STEP == 0
+        # runs are maximal, cut into pieces only where the wave count is a multiple of `_RUN_STEP`,
+        # and a piece is one step from `_RUN_MIN` waves on, else that many lone waves
+        pieces, waves_below = [[]], 0
+        for length in lengths:
+            waves_below += length or 1
+            if length:
+                pieces[-1].append(length)
+            if not length or waves_below % _RUN_STEP == 0:
+                pieces.append([])
+        for piece in pieces:
+            waves = sum(piece)
+            assert piece == ([waves] if waves >= _RUN_MIN else [1] * waves)
         assert max(lengths, default=0) <= _RUN_STEP
 
 
@@ -326,14 +340,24 @@ def wave_count(d) -> int:
 
 
 def test_wave_counts_are_the_tree_height():
-    for n in (2, 3, 50, 257, 2 * _RUN_STEP + 2):
+    for n in (2, 3, 50, 257, _RUN_STEP + _RUN_MIN, 2 * _RUN_STEP + 2):
+        # a run in pieces of `_RUN_STEP` waves, each one step or, if short, lone waves
+        pieces = [min(_RUN_STEP, n - 1 - at) for at in range(0, n - 1, _RUN_STEP)]
         for cluster_first in (True, False):
             d = chain(n, cluster_first)
             assert wave_count(d) == n - 1
-            assert len(d._waves.steps) == -(-(n - 1) // _RUN_STEP)  # a run in steps of `_RUN_STEP`
+            assert len(d._waves.steps) == sum(1 if p >= _RUN_MIN else p for p in pieces)
     for levels in range(1, 9):
         assert wave_count(balanced(levels)) == len(balanced(levels)._waves.steps) == levels
     assert random_dendrogram(1, 1)._waves.steps == ()
+
+
+def test_short_runs_are_lone_waves():
+    for n in (3, 4):
+        for cluster_first in (True, False):
+            steps = chain(n, cluster_first)._waves.steps
+            assert len(steps) == n - 1
+            assert all(type(slots) is int and run is None for *_, slots, run in steps)
 
 
 def test_single_cluster_waves_hold_python_scalars():
@@ -396,20 +420,14 @@ def test_the_transform_pass_holds_no_n_by_n_matrix():
     X = np.random.default_rng(109).normal(size=(n, 4))
     for d in (random_dendrogram(n, 108), oracles.caterpillar(n, np.random.default_rng(113))):
         d.canonical._waves  # the layout and the waves are built once per tree, outside the pass
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
+
+        def transform_pass():
             w = forward(X, d)
             inverse(w)
             inverse(forward_weighted(X, d))
             hard_threshold(w, "keep-k", 10)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+
+        _, peak = traced_peak(transform_pass)
         assert peak < n * n / 4, f"{peak} bytes at the peak, C would hold {n * n}"
 
 
@@ -482,6 +500,15 @@ def test_the_same_tree_gives_the_same_signs_down_both_builds():
         summed, scattered = signs_built_with(d, 0), signs_built_with(d, 10**9)
         assert np.array_equal(summed, scattered)
         assert np.array_equal(summed, oracles.branch_signs(d))
+
+
+def test_the_summed_sign_build_holds_one_matrix():
+    n = 1024
+    d = oracles.caterpillar(n, np.random.default_rng(114))
+    assert d.layout.size.sum() > dendrowave.tree._SCATTER_DEPTH * n  # summed, not scattered
+    signs, peak = traced_peak(lambda: branch_signs(d))
+    assert signs.shape == (n, n - 1)
+    assert peak < 1.5 * n * (n - 1), f"{peak} bytes at the peak, the signs have {signs.nbytes}"
 
 
 def test_a_tree_at_the_depth_cutoff_is_scattered_and_one_above_is_summed():
