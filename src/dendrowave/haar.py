@@ -101,27 +101,26 @@ def _checked_data(X, d: Dendrogram) -> np.ndarray:
     return X
 
 
-def _plain_merge(sa, sb, na, nb):
+def _plain_merge(sa, sb):
     return (sa + sb) / 2.0, (sa - sb) / 2.0
 
 
-def _halved_merge(sa, sb, na, nb):
+def _halved_merge(sa, sb):
     """`_plain_merge` halving first: no finite smooths overflow, but subnormals round apart."""
     sa, sb = sa / 2.0, sb / 2.0
     return sa + sb, sa - sb
 
 
-def _weighted_merge(ta, tb, na, nb):
-    """Row sums add; the detail is the first child's mean less the cluster's."""
-    merged = ta + tb
-    return merged, ta / na - merged / (na + nb)
+def _weighted_merge(ta, tb):
+    """Row sums add, and the first child's sum is kept in place of a detail."""
+    return ta + tb, ta
 
 
 def _ascend(X, tree: Dendrogram, merge) -> tuple[np.ndarray, np.ndarray]:
-    """Shared forward pass: smooth and detail of every cluster, one wave at a time.
+    """Shared forward pass: details by rank and smooths by `Waves` row, one wave at a time.
 
-    ``merge(s_first, s_second, n_first, n_second)`` returns the smooths and
-    details of a wave's clusters.  Up a run, s_k = (s_{k-1} + y_k) / 2 gives
+    ``merge(s_first, s_second)`` returns the smooths and details of a
+    wave's clusters.  Up a run, s_k = (s_{k-1} + y_k) / 2 gives
     U_k = 2**k s_k = U_{k-1} + 2**(k-1) y_k, exact for normal floats, so one
     accumulate gives candidate smooths (sums need no scaling).  A run whose
     one merge of them does not give them back bit for bit (past 2**511,
@@ -131,23 +130,23 @@ def _ascend(X, tree: Dendrogram, merge) -> tuple[np.ndarray, np.ndarray]:
     smooth = np.empty((2 * n - 1, X.shape[1]))  # by `Waves` row: the terminals, then each slot
     smooth[:n], above, details = X, smooth[n:], np.empty((n - 1, X.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):  # refused below
-        for a, b, na, nb, out, run in waves.steps:
+        for a, b, out, run in waves.steps:
             if run is None:
-                above[out], details[out] = merge(smooth[a], smooth[b], na, nb)
+                above[out], details[out] = merge(smooth[a], smooth[b])
                 continue
             first, rows = run[0], smooth[run[1]]
             k = e * np.arange(len(rows))[:, None]
             cand = np.ldexp(np.add.accumulate(np.ldexp(rows, np.maximum(k - e, 0))), -k)
             lower, other = cand[:-1], rows[1:]
-            merged, detail = merge(np.where(first, lower, other), np.where(first, other, lower), na, nb)
+            merged, detail = merge(np.where(first, lower, other), np.where(first, other, lower))
             if merged.tobytes() == cand[1:].tobytes():
                 above[out], details[out] = merged, detail
                 continue
             for j, s in enumerate(range(out.start, out.stop)):
-                above[s], details[s] = merge(smooth[a[j]], smooth[b[j]], na[j], nb[j])
+                above[s], details[s] = merge(smooth[a[j]], smooth[b[j]])
     if not (np.isfinite(above).all() and np.isfinite(details).all()):
         raise ValidationError("data too large: a cluster's smooth or detail overflows a float")
-    return details[waves.slot], smooth[-1].copy()
+    return details[waves.slot], smooth
 
 
 def forward(X, d: Dendrogram, orient: bool = True, mode: str = MODE_ULTRAMETRIC) -> WaveletDecomposition:
@@ -160,10 +159,10 @@ def forward(X, d: Dendrogram, orient: bool = True, mode: str = MODE_ULTRAMETRIC)
     tree = canonical_orient(d) if orient else d
     X = _checked_data(X, tree)
     try:
-        details, final = _ascend(X, tree, _plain_merge)
+        details, smooth = _ascend(X, tree, _plain_merge)
     except ValidationError:  # a sum past the float maximum: again, halving first
-        details, final = _ascend(X, tree, _halved_merge)
-    return WaveletDecomposition(tree, details, final, mode)
+        details, smooth = _ascend(X, tree, _halved_merge)
+    return WaveletDecomposition(tree, details, smooth[-1].copy(), mode)
 
 
 def forward_indicator(d: Dendrogram, orient: bool = True) -> WaveletDecomposition:
@@ -180,14 +179,16 @@ def forward_weighted(X, d: Dendrogram, orient: bool = True) -> WaveletDecomposit
     """Cardinality-weighted variant of `forward`.
 
     Each cluster's smooth is the mean s = t / |c| of its rows, its detail
-    d = s_a - s; the pass carries the row sums t = t_a + t_b and divides
-    once per detail.  `inverse` reads the child cardinalities from the tree
-    (``child_sizes``) to undo the unequal split exactly.  For two singletons
-    this reduces to the plain transform.
+    d = s_a - s; the pass adds the row sums t = t_a + t_b, then takes every
+    detail at once as t_a / |a| - t / |c|.  `inverse` reads the child
+    cardinalities from the tree (``child_sizes``) to undo the unequal split
+    exactly.  For two singletons this reduces to the plain transform.
     """
     tree = canonical_orient(d) if orient else d
-    details, total = _ascend(_checked_data(X, tree), tree, _weighted_merge)
-    return WaveletDecomposition(tree, details, total / tree.n_terminals, MODE_ULTRAMETRIC, is_weighted=True)
+    firsts, sums = _ascend(_checked_data(X, tree), tree, _weighted_merge)
+    lay, n = tree.layout, tree.n_terminals
+    details = firsts / (lay.mid - lay.lo)[:, None] - sums[n:][tree._waves.slot] / lay.size[:, None]
+    return WaveletDecomposition(tree, details, sums[-1] / n, MODE_ULTRAMETRIC, is_weighted=True)
 
 
 def inverse(w: WaveletDecomposition) -> np.ndarray:
@@ -198,7 +199,7 @@ def inverse(w: WaveletDecomposition) -> np.ndarray:
     scaled = details  # what the second child subtracts: size ratio times detail if weighted
     if (sizes := w.child_sizes) is not None:
         scaled = (sizes[:, :1] / sizes[:, 1:])[waves.order] * details
-    for a, b, _, _, out, run in reversed(waves.steps):
+    for a, b, out, run in reversed(waves.steps):
         s = above[out]
         if run is not None:  # from the top smooth down the run, each cluster's to the one below
             up = slice(out.start + 1, out.stop)

@@ -96,6 +96,7 @@ class TreeLayout:
     hi: np.ndarray
     size: np.ndarray  # hi - lo, the number of terminals under each cluster
     low: np.ndarray  # smallest terminal index under each cluster
+    height: np.ndarray  # longest path down to a terminal: 1 for a pair of terminals
     gaps: np.ndarray  # gaps[mid[k - 1] - 1] == k
     kids: np.ndarray  # node ids of the first and second child of each cluster
 
@@ -151,16 +152,18 @@ def _check_ids(ids: np.ndarray, n: int, arity: int, complete: bool = True) -> No
 
 
 def _build_layout(kids: np.ndarray, n: int, like: TreeLayout | None = None) -> TreeLayout:
-    """The `TreeLayout` of ``kids``, its sizes and lows shared with ``like``'s if given."""
+    """The `TreeLayout` of ``kids``, its sizes, lows and heights shared with ``like``'s if given."""
     pairs = kids.tolist()
-    if like is None:
-        size, low = [1] * n, list(range(1, n + 1))  # by node id, each cluster appended as it merges
+    if like is None:  # by node id, each cluster appended as it merges
+        size, low, height = [1] * n, list(range(1, n + 1)), [0] * n
         for a, b in pairs:
             size.append(size[a] + size[b])
             low.append(low[a] if low[a] < low[b] else low[b])
-        size_arr, low_arr = (np.array(v[n:], dtype=np.int64) for v in (size, low))
+            height.append((height[a] if height[a] > height[b] else height[b]) + 1)
+        size_arr, low_arr, height_arr = (np.array(v[n:], dtype=np.int64) for v in (size, low, height))
     else:
-        size_arr, low_arr, size = like.size, like.low, [1] * n + like.size.tolist()
+        size_arr, low_arr, height_arr = like.size, like.low, like.height
+        size = [1] * n + size_arr.tolist()
     # descend from the root: the first child starts where its parent does
     start = [0] * (2 * n - 1)
     for node, (a, b) in zip(range(2 * n - 2, n - 1, -1), reversed(pairs)):
@@ -172,7 +175,7 @@ def _build_layout(kids: np.ndarray, n: int, like: TreeLayout | None = None) -> T
     order[pos] = np.arange(1, n + 1)
     gaps = np.empty(n - 1, dtype=np.int64)
     gaps[mid - 1] = np.arange(1, n)
-    layout = TreeLayout(order, pos, lo, mid, lo + size_arr, size_arr, low_arr, gaps, kids)
+    layout = TreeLayout(order, pos, lo, mid, lo + size_arr, size_arr, low_arr, height_arr, gaps, kids)
     for arr in vars(layout).values():
         arr.flags.writeable = False
     return layout
@@ -314,8 +317,8 @@ class Waves:
     """Clusters in slots by (height, rank); a wave is all slots of one height.
 
     Row j of a (2n - 1)-row array is terminal j + 1 or slot j - n.  Each
-    step is ``(first rows, second rows, first sizes, second sizes, slots,
-    run)``: scalars for a lone one-cluster wave, else arrays and a slice.
+    step is ``(first rows, second rows, slots, run)``: ints for a lone
+    one-cluster wave, else two arrays and a slice.
     A run of one-cluster waves, each cluster a child of the next, takes a
     step per `_RUN_STEP` waves, its ``run`` a column marking each cluster
     whose first child is the one below (True for the lowest) and the rows
@@ -396,34 +399,26 @@ class Dendrogram(_IdTree):
     def _waves(self) -> Waves:
         """The clusters by height, built once for trees that get transformed."""
         lay, n = self.layout, self.n_terminals
-        height, ids = [0] * n, iter(lay.kids.ravel().tolist())  # by node id
-        for a, b in zip(ids, ids):
-            ha, hb = height[a], height[b]
-            height.append((ha if ha > hb else hb) + 1)
-        height = np.array(height, dtype=np.int64)
-        order = np.argsort(height[n:], kind="stable")
-        row, height[n:] = np.arange(2 * n - 1), height[n:][order]  # row by node id
+        order = np.argsort(lay.height, kind="stable")
+        height, row = lay.height[order], np.arange(2 * n - 1)  # height by slot, row by node id
         row[n + order] = row[n:].copy()
-        kids, sizes = row[lay.kids[order]], np.append(np.ones(n), lay.size)[lay.kids[order]]
-        bounds = np.searchsorted(height[n:], np.arange(1, height[-1] + 2))
+        kids = row[lay.kids[order]]
+        bounds = np.searchsorted(height, np.arange(1, height.max(initial=0) + 2))
         single, keep = np.diff(bounds) == 1, np.ones(len(bounds), dtype=bool)
         # a run of one-cluster waves is one step, cut where the wave count is a multiple of `_RUN_STEP`
         keep[1:-1] = ~(single[:-1] & single[1:]) | (np.arange(1, len(bounds) - 1) % _RUN_STEP == 0)
-        flat_kids, flat_sizes, steps = kids.ravel().tolist(), sizes.ravel().tolist(), []
+        flat_kids, steps = kids.ravel().tolist(), []
         bounds = bounds[keep].tolist()
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            w, run, chained = slice(lo, hi), None, height[n + lo] < height[n + hi - 1]
+            w, run, chained = slice(lo, hi), None, height[lo] < height[hi - 1]
             if hi - lo == 1 or chained and hi - lo < _RUN_MIN:  # each a lone one-cluster wave
-                steps.extend(
-                    (*flat_kids[2 * j : 2 * j + 2], *flat_sizes[2 * j : 2 * j + 2], j, None)
-                    for j in range(lo, hi)
-                )
+                steps.extend((*flat_kids[2 * j : 2 * j + 2], j, None) for j in range(lo, hi))
                 continue
             if chained:
                 first = kids[w, :1] == np.arange(n + lo - 1, n + hi - 1)[:, None]
                 first[0] = True
                 run = first, np.append(kids[lo, 0], np.where(first[:, 0], kids[w, 1], kids[w, 0]))
-            steps.append((kids[w, 0], kids[w, 1], sizes[w, :1], sizes[w, 1:], w, run))
+            steps.append((kids[w, 0], kids[w, 1], w, run))
         return Waves(order, row[n:] - n, tuple(steps))
 
     @cached_property

@@ -37,6 +37,8 @@ cluster's set rebuilt per call, and a random loop for each arity.
 tree builders as they ran before a tree was stored as its table of child
 node ids: a byte per node id marked while walking the NodeRefs, a layout
 read from NodeRef pairs, and merges remapped one NodeRef at a time.
+`cluster_heights` is the layout's heights as `Dendrogram._waves` walked
+them before the layout's one walk recorded them.
 `checked_matrix_whole` and `validate_dissimilarity_whole` are the two
 square-matrix validators as they ran before they became one row-block
 function: each rule checked over the whole matrix, with n x n temporaries.
@@ -167,7 +169,15 @@ def build_layout(merges, n: int) -> dict[str, np.ndarray]:
     gaps[mid - 1] = np.arange(1, n)
     hi, low_arr = lo + size_arr, low_arr[n:]
     return dict(order=order, pos=pos, lo=lo, mid=mid, hi=hi, size=size_arr, low=low_arr,
-                gaps=gaps, kids=kids_arr)
+                height=cluster_heights(merges), gaps=gaps, kids=kids_arr)
+
+
+def cluster_heights(merges) -> np.ndarray:
+    """Each cluster's longest path down to a terminal, by rank - 1, read from NodeRef pairs."""
+    height: list[int] = []
+    for a, b in merges:
+        height.append(1 + max(0 if c.is_terminal else height[c.index - 1] for c in (a, b)))
+    return np.array(height, dtype=np.int64)
 
 
 def dilate_tree(d: Dendrogram) -> Dendrogram:
@@ -602,6 +612,16 @@ def inverse_dict(w: WaveletDecomposition) -> np.ndarray:
     return X
 
 
+def plain_merge(sa, sb, na, nb):
+    """The plain merge as `forward` computes it whenever no sum overflows."""
+    return (sa + sb) / 2.0, (sa - sb) / 2.0
+
+
+def halved_merge(sa, sb, na, nb):
+    """The plain merge with both smooths halved first."""
+    return sa / 2.0 + sb / 2.0, sa / 2.0 - sb / 2.0
+
+
 def weighted_sum_merge(ta, tb, na, nb):
     """`forward_weighted`'s merge on row sums: t = t_a + t_b, detail t_a / |a| - t / (|a| + |b|)."""
     total = ta + tb
@@ -617,8 +637,8 @@ def weighted_mean_merge(sa, sb, na, nb):
 def ascend_ranks(X, tree: Dendrogram, merge) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The Haar forward pass one rank at a time over rows indexed by node id.
 
-    ``merge`` is `haar._plain_merge`, `weighted_sum_merge` or
-    `weighted_mean_merge`; ``X`` is the checked n x m data.  Returns the
+    ``merge`` is `plain_merge`, `halved_merge`, `weighted_sum_merge` or
+    `weighted_mean_merge`, each given both child sizes; ``X`` is the checked n x m data.  Returns the
     details by rank, the final smooth (the root's sum over n for
     `weighted_sum_merge`) and the (n-1) x 2 child sizes.
     """

@@ -65,16 +65,6 @@ def three_leaves(tmp_path) -> str:
     return str(path)
 
 
-def plain_merge(sa, sb, na, nb):
-    """The plain merge as `forward` computes it whenever no sum overflows."""
-    return (sa + sb) / 2.0, (sa - sb) / 2.0
-
-
-def halved_merge(sa, sb, na, nb):
-    """The plain merge with both smooths halved first."""
-    return sa / 2.0 + sb / 2.0, sa / 2.0 - sb / 2.0
-
-
 def test_a_transform_whose_sums_overflow_is_refused():
     # the weighted merge sums |a| s_a + |b| s_b, which has no halved form
     with pytest.raises(ValidationError, match="overflows a float"):
@@ -83,7 +73,7 @@ def test_a_transform_whose_sums_overflow_is_refused():
 
 def test_the_plain_transform_halves_first_only_where_a_sum_overflows(tmp_path, capsys):
     w = forward(HUGE, TREE)
-    details, final, _ = oracles.ascend_ranks(HUGE, w.tree, halved_merge)
+    details, final, _ = oracles.ascend_ranks(HUGE, w.tree, oracles.halved_merge)
     assert np.array_equal(w.details, details) and np.array_equal(w.smooth, final)
     assert np.isfinite(w.details).all() and np.allclose(inverse(w), HUGE, rtol=1e-15, atol=0)
     data = tmp_path / "huge.csv"
@@ -99,9 +89,9 @@ def test_accepted_data_keep_the_bits_of_the_plain_merge(unit):
     for d in random_trees(40, 30, seed=12):
         X = rng.integers(-99, 100, size=(d.n_terminals, 3)) * unit
         w = forward(X, d)
-        details, final, _ = oracles.ascend_ranks(X, w.tree, plain_merge)
+        details, final, _ = oracles.ascend_ranks(X, w.tree, oracles.plain_merge)
         assert np.array_equal(w.details, details) and np.array_equal(w.smooth, final)
-        differs |= not np.array_equal(oracles.ascend_ranks(X, w.tree, halved_merge)[0], details)
+        differs |= not np.array_equal(oracles.ascend_ranks(X, w.tree, oracles.halved_merge)[0], details)
     assert differs == (unit == 5e-324)
 
 

@@ -22,7 +22,6 @@ import dendrowave.tree
 from dendrowave import haar
 from dendrowave.haar import (
     _checked_data,
-    _plain_merge,
     forward,
     forward_indicator,
     forward_weighted,
@@ -100,18 +99,10 @@ def spine(sides, rng):
     return build_from_merges(merges)
 
 
-def heights(d):
-    """Each cluster's longest path down to a terminal, by rank - 1, from the merges."""
-    height = {}
-    for k, (a, b) in enumerate(d.merges, start=1):
-        height[k] = 1 + max(0 if c.is_terminal else height[c.index] for c in (a, b))
-    return np.array([height[k] for k in range(1, d.n_terminals)], dtype=np.int64)
-
-
 def assert_same_as_rank_loop(X, d, orient=True):
     tree = d.canonical if orient else d
     data = _checked_data(X, tree)
-    for transform, merge in ((forward, _plain_merge), (forward_weighted, oracles.weighted_sum_merge)):
+    for transform, merge in ((forward, oracles.plain_merge), (forward_weighted, oracles.weighted_sum_merge)):
         w = transform(X, d, orient=orient)
         details, final, sizes = oracles.ascend_ranks(data, tree, merge)
         assert np.array_equal(w.details, details)
@@ -177,7 +168,7 @@ def test_indicator_transform_matches_the_rank_loop():
         for orient in (True, False):
             w = forward_indicator(d, orient=orient)
             tree = d.canonical if orient else d
-            details, final, _ = oracles.ascend_ranks(np.eye(d.n_terminals), tree, _plain_merge)
+            details, final, _ = oracles.ascend_ranks(np.eye(d.n_terminals), tree, oracles.plain_merge)
             assert np.array_equal(w.details, details) and np.array_equal(w.smooth, final)
             assert_inverse_same(w)
 
@@ -217,9 +208,9 @@ def same_bits(x, y) -> bool:
 def assert_runs_match_the_rank_loops(X, d, orient):
     tree = d.canonical if orient else d
     with np.errstate(over="ignore", invalid="ignore"):
-        details, final, _ = oracles.ascend_ranks(X, tree, _plain_merge)
+        details, final, _ = oracles.ascend_ranks(X, tree, oracles.plain_merge)
         if not (np.isfinite(details).all() and np.isfinite(final).all()):  # `forward` halves first
-            details, final, _ = oracles.ascend_ranks(X, tree, haar._halved_merge)
+            details, final, _ = oracles.ascend_ranks(X, tree, oracles.halved_merge)
         w = forward(X, d, orient=orient)
         assert same_bits(w.details, details) and same_bits(w.smooth, final)
         assert same_bits(inverse(w), oracles.inverse_ranks(w))
@@ -254,9 +245,9 @@ def test_runs_match_the_rank_loops_bit_for_bit_on_any_data(kind, n, family, m, s
 def test_a_run_merges_one_cluster_at_a_time_only_for_data_it_cannot_scale(monkeypatch, name):
     real, merged_rows = getattr(haar, name), []
 
-    def spy(sa, sb, na, nb):
+    def spy(sa, sb):
         merged_rows.append(np.ndim(sa))  # 1: one cluster's row, 2: a whole run
-        return real(sa, sb, na, nb)
+        return real(sa, sb)
 
     monkeypatch.setattr(haar, name, spy)
     transform = forward if name == "_plain_merge" else forward_weighted
@@ -296,15 +287,16 @@ def test_every_wave_sits_above_its_children():
     for d in sample_trees():
         n, waves = d.n_terminals, d._waves
         # slots in (height, rank) order
-        assert np.array_equal(waves.order, np.lexsort((np.arange(n - 1), heights(d))))
-        height = np.append(np.zeros(n, dtype=np.int64), heights(d)[waves.order])  # by row
+        assert np.array_equal(waves.order, np.lexsort((np.arange(n - 1), oracles.cluster_heights(d.merges))))
+        height = np.append(np.zeros(n, dtype=np.int64), oracles.cluster_heights(d.merges)[waves.order])  # by row
         assert np.array_equal(waves.order[waves.slot], np.arange(n - 1))
         size = np.append(np.ones(n), d.layout.size[waves.order])  # by row
         filled, lengths = [], []
-        for a, b, na, nb, slots, run in waves.steps:
+        for step in waves.steps:
+            a, b, slots, run = step
             rows = np.atleast_1d(n + np.arange(n - 1)[slots])
             filled.extend(rows.tolist())
-            level, lengths = height[rows], lengths + [run_length((a, b, na, nb, slots, run))]
+            level, lengths = height[rows], lengths + [run_length(step)]
             if lengths[-1]:  # one-cluster waves: each the only cluster of its height, a child of the next
                 assert (np.bincount(height)[level] == 1).all() and (np.diff(level) == 1).all()
             else:
@@ -314,9 +306,8 @@ def test_every_wave_sits_above_its_children():
                 assert first.shape == (rows.size, 1) and first.dtype == bool and first[0, 0]
                 assert np.array_equal(np.where(first[:, 0], a, b)[1:], rows[:-1])
                 assert np.array_equal(merged_in, np.append(a[0], np.where(first[:, 0], b, a)))
-            for kids, sizes in ((a, na), (b, nb)):
+            for kids in (a, b):
                 assert (height[np.atleast_1d(kids)] < level).all()
-                assert np.array_equal(np.ravel(sizes), size[np.atleast_1d(kids)])
             assert np.array_equal(size[rows], size[np.atleast_1d(a)] + size[np.atleast_1d(b)])
         assert filled == list(range(n, 2 * n - 1))  # the waves fill the slots in order
         # runs are maximal, cut into pieces only where the wave count is a multiple of `_RUN_STEP`,
@@ -362,12 +353,12 @@ def test_short_runs_are_lone_waves():
 
 def test_single_cluster_waves_hold_python_scalars():
     root = balanced(3)._waves.steps[-1]  # a lone one-cluster wave
-    assert [type(v) for v in root] == [int, int, float, float, int, type(None)]
+    assert [type(v) for v in root] == [int, int, int, type(None)]
     wide = balanced(3)._waves.steps[0]
-    assert isinstance(wide[4], slice) and wide[2].shape == (4, 1) and wide[5] is None
+    assert isinstance(wide[2], slice) and wide[0].shape == wide[1].shape == (4,) and wide[3] is None
     (step,) = chain(6, cluster_first=False)._waves.steps  # the growing cluster always second
-    a, b, na, nb, slots, (first, merged_in) = step
-    assert slots == slice(0, 5) and na.shape == nb.shape == first.shape == (5, 1)
+    a, b, slots, (first, merged_in) = step
+    assert slots == slice(0, 5) and a.shape == b.shape == (5,) and first.shape == (5, 1)
     assert first.ravel().tolist() == [True, False, False, False, False]
     assert merged_in.tolist() == [a[0], b[0], *a[1:].tolist()]
 

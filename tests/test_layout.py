@@ -5,12 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import random_trees
 from strategies import dendrograms
 
 from dendrowave.padic import cluster_code, decode, encode
+from dendrowave.pway import random_pway_tree, unfold
 from dendrowave.tree import (
     ValidationError,
     branch_signs,
@@ -111,7 +113,32 @@ def test_canonical_layout_shares_sizes_and_lows_with_its_source():
         if c is not d:
             swapped += 1
             assert c.layout.size is d.layout.size and c.layout.low is d.layout.low
+            assert c.layout.height is d.layout.height
     assert swapped > 20
+
+
+HEIGHT_TREES = {
+    "random": lambda n, rng: random_dendrogram(n, rng),
+    "caterpillar": lambda n, rng: oracles.caterpillar(n, rng),
+    "unfolded": lambda n, rng: unfold(random_pway_tree(max(1, n // 3), int(rng.integers(3, 6)), rng)),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(HEIGHT_TREES)), st.integers(1, 60), st.integers(0, 2**32 - 1))
+def test_layout_heights_are_the_longest_paths_down(kind, n, seed):
+    d = HEIGHT_TREES[kind](n, np.random.default_rng(seed))
+    height = d.layout.height
+    assert height.dtype == np.int64 and not height.flags.writeable
+    assert np.array_equal(height, oracles.cluster_heights(d.merges))
+    c = d.canonical
+    assert np.array_equal(c.layout.height, oracles.cluster_heights(c.merges))
+    if c is not d:  # a child swap changes no height, so the canonical layout shares the array
+        assert c.layout.height is height
+
+
+def test_a_one_terminal_tree_has_no_heights():
+    assert random_dendrogram(1, 0).layout.height.shape == (0,)
 
 
 @settings(max_examples=60, deadline=None)
