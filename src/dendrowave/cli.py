@@ -31,7 +31,7 @@ from .haar import (
     inverse,
     reconstruct_matrix_form,
 )
-from .hcluster import LINKAGES, _euclidean, _linkage_tree
+from .hcluster import LINKAGES, _euclidean, _linkage_tree, _row_bases
 from .padic import (
     DEFAULT_BASE,
     cluster_code,
@@ -210,7 +210,10 @@ def cmd_cluster(args) -> int:
         with np.errstate(over="ignore"):  # an infinite square is refused as non-finite
             np.square(diss, out=diss)
     if not np.isfinite(diss.max()):  # NaN propagates to the maximum, and no distance is -inf
-        raise ValidationError("dissimilarity matrix contains non-finite entries")
+        k, base = int(np.argmin(np.isfinite(diss))), _row_bases(len(X))  # the first such pair i < j
+        i = int(np.searchsorted(base + np.arange(len(X)), k)) - 1
+        what, j = "squared distance" if args.squared else "distance", k - base[i]
+        raise ValidationError(f"{args.data}: the {what} between rows {i + 2} and {j + 2} is not finite")
     tree, note = _linkage_tree(diss, X.shape[0], args.linkage)
     if note:
         print(f"warning: {note}", file=sys.stderr)

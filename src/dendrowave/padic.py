@@ -158,7 +158,7 @@ _TERM_RE = re.compile(r"([+-])([A-Za-z0-9]+)\^(\d+)")
 
 def parse_code(text: str, n_terminals: int, base: int = DEFAULT_BASE) -> PAdicCode:
     """Parse a signed-power string back into a code (inverse of `to_string`)."""
-    text = text.strip()
+    text, n_terminals = text.strip(), _int_at_least(n_terminals, "n_terminals", 1)
     coeffs = [0] * (n_terminals - 1)
     if text == "0":
         return PAdicCode(tuple(coeffs), base)
@@ -186,7 +186,8 @@ def code_from_decimal(value: int, n_terminals: int, base: int = DEFAULT_BASE) ->
     Unique for base >= 3 (the balanced digit set); base 2 is ambiguous and
     rejected here.
     """
-    base = _int_at_least(base, "base")
+    base, value = _int_at_least(base, "base"), _int_at_least(value, "value", None)
+    n_terminals = _int_at_least(n_terminals, "n_terminals", 1)
     if base < 3:
         raise ValidationError("decimal round-trip needs base >= 3 (base 2 collides)")
     coeffs = []
@@ -287,7 +288,9 @@ def dilate(code: PAdicCode) -> PAdicCode:
     The top coefficient becomes 0, so n - 1 applications send any code to
     the null code.
     """
-    return PAdicCode._of(_frozen(np.append(code._row[1:], np.int8(0))), code.base)
+    row = np.zeros_like(code._row)  # as long as the code's, empty too
+    row[:-1] = code._row[1:]
+    return PAdicCode._of(_frozen(row), code.base)
 
 
 def dilation_steps_to_null(code: PAdicCode) -> int:
@@ -376,7 +379,10 @@ def pdistance(
 def power_repr(value: Fraction, base: int) -> str:
     """Render an exact p-power value symbolically: ``0``, ``1``, ``p^-2``, ``p^1``."""
     base = _int_at_least(base, "base")
-    value = Fraction(value)
+    try:
+        value = Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ValidationError(f"value must be a rational number, got {value!r}") from None
     if value == 0:
         return "0"
     if value == 1:

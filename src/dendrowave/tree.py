@@ -238,8 +238,8 @@ def _float_levels(levels: Sequence) -> tuple[float, ...]:
         raise
 
 
-def _int_at_least(value, name: str, low: int = 2) -> int:
-    """``value`` as a Python int: any integer >= ``low``, numpy integers included, but no bool.
+def _int_at_least(value, name: str, low: int | None = 2) -> int:
+    """``value`` as a Python int: any integer >= ``low`` (None: any), numpy integers included, but no bool.
 
     A numpy integer would overflow in arithmetic such as ``p**r``, so it is converted here.
     """
@@ -247,8 +247,9 @@ def _int_at_least(value, name: str, low: int = 2) -> int:
         p = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         p = None
-    if p is None or p < low:
-        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+    if p is None or low is not None and p < low:
+        bound = "" if low is None else f" >= {low}"
+        raise ValidationError(f"{name} must be an integer{bound}, got {value!r}")
     return p
 
 

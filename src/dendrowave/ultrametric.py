@@ -126,7 +126,7 @@ def _checked_matrix(M, name: str = "distance", rtol: float = 0.0, atol: float = 
 
 
 def _scale(tol: float) -> float:
-    if not isinstance(tol, numbers.Real) or not 0 <= tol < np.inf:
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0 <= tol < np.inf:
         raise ValidationError(f"tol must be a finite nonnegative number, got {tol!r}")
     return 1.0 + tol
 
@@ -542,7 +542,7 @@ def _ball(A: np.ndarray, center: int, r) -> frozenset[int]:
 
 
 def _check_radius(r) -> None:
-    if not isinstance(r, numbers.Real) or r != r:
+    if isinstance(r, bool) or not isinstance(r, numbers.Real) or r != r:
         raise ValidationError(f"radius must be a real number other than NaN, got {r!r}")
     if r < 0:
         raise ValidationError("radius must be nonnegative")

@@ -416,7 +416,8 @@ def padd_tuples(a: TupleCode, b: TupleCode) -> TupleCode:
 
 
 def dilate_tuples(code: TupleCode) -> TupleCode:
-    return TupleCode(code.coeffs[1:] + (0,), code.base)
+    """Shift down one power into a zero; the code keeps its length, an empty one too."""
+    return TupleCode(code.coeffs[1:] + (0,) * bool(code.coeffs), code.base)
 
 
 def dilation_steps_by_dilating(code: PAdicCode) -> int:

@@ -75,6 +75,22 @@ def test_cluster_reports_bad_cell(tmp_path, capsys):
     assert "row 3, column 1" in err and "'xyz'" in err
 
 
+@pytest.mark.parametrize(
+    "values, squared, pair",
+    [
+        ([0.0, 1e308, -1e308, 1.0], False, "distance between rows 3 and 4"),
+        ([0.0, 1.0, 1e308, 2.0, -1e308], False, "distance between rows 4 and 6"),
+        ([1.0, 2.0, 3.0, 1e200], True, "squared distance between rows 2 and 5"),
+    ],
+)
+def test_cluster_names_the_first_rows_whose_distance_is_not_finite(tmp_path, capsys, values, squared, pair):
+    data = write_points(tmp_path, values)
+    argv = ["cluster", data, "--out", str(tmp_path / "o")] + ["--squared"] * squared
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {data}: the {pair} is not finite\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_cluster_squared_changes_levels(tmp_path, capsys):
     data = write_points(tmp_path, [0.0, 3.0, 4.0])
     out = tmp_path / "sq"

@@ -150,4 +150,4 @@ def test_cluster_huge_points(tmp_path, capsys):
     assert (tmp_path / "run" / "cophenetic.csv").read_text().splitlines()[1] == "0,1.5e+200,1.5e+200"
     # squared, the distance 2e200 is past the float maximum
     assert main(["cluster", str(data), "--squared", "--out", str(tmp_path / "sq")]) == 2
-    assert capsys.readouterr().err == "error: dissimilarity matrix contains non-finite entries\n"
+    assert capsys.readouterr().err == f"error: {data}: the squared distance between rows 2 and 3 is not finite\n"

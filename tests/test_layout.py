@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -126,6 +126,8 @@ HEIGHT_TREES = {
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(sorted(HEIGHT_TREES)), st.integers(1, 60), st.integers(0, 2**32 - 1))
+@example("random", 1, 0)  # one terminal: no clusters, no heights
+@example("caterpillar", 1, 0)
 def test_layout_heights_are_the_longest_paths_down(kind, n, seed):
     d = HEIGHT_TREES[kind](n, np.random.default_rng(seed))
     height = d.layout.height
@@ -136,9 +138,6 @@ def test_layout_heights_are_the_longest_paths_down(kind, n, seed):
     if c is not d:  # a child swap changes no height, so the canonical layout shares the array
         assert c.layout.height is height
 
-
-def test_a_one_terminal_tree_has_no_heights():
-    assert random_dendrogram(1, 0).layout.height.shape == (0,)
 
 
 @settings(max_examples=60, deadline=None)

@@ -227,6 +227,15 @@ def test_dilation_drains_every_demo_code(demo8):
     assert dilate(null) == null
 
 
+def test_dilate_keeps_a_code_of_one_terminal_empty():
+    assert dilate(PAdicCode(())) == PAdicCode(())
+    (code,), _ = encode(random_dendrogram(1, 0))
+    assert dilate(code).n_terminals == code.n_terminals == 1
+    for d in random_trees(10, 12, seed=29):  # every dilation keeps the code's length
+        for code in encode(d)[0]:
+            assert dilate(code).n_terminals == d.n_terminals
+
+
 def test_steps_to_null_is_highest_power():
     for d in random_trees(20, 12, seed=24):
         codes, _ = encode(d)
@@ -370,6 +379,41 @@ def test_refusals_name_their_fault(call, message):
     with pytest.raises(ValidationError) as exc:
         call()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: parse_code("0", -1), "n_terminals must be an integer >= 1, got -1"),
+        (lambda: parse_code("0", 0), "n_terminals must be an integer >= 1, got 0"),
+        (lambda: parse_code("+p^1", 2.0), "n_terminals must be an integer >= 1, got 2.0"),
+        (lambda: parse_code("0", True), "n_terminals must be an integer >= 1, got True"),
+        (lambda: code_from_decimal(0, -2), "n_terminals must be an integer >= 1, got -2"),
+        (lambda: code_from_decimal(0, 4.0), "n_terminals must be an integer >= 1, got 4.0"),
+        (lambda: code_from_decimal(3.0, 3), "value must be an integer, got 3.0"),
+        (lambda: code_from_decimal(True, 3), "value must be an integer, got True"),
+        (lambda: code_from_decimal("3", 3), "value must be an integer, got '3'"),
+        (lambda: power_repr(float("nan"), 3), "value must be a rational number, got nan"),
+        (lambda: power_repr(float("inf"), 3), "value must be a rational number, got inf"),
+        (lambda: power_repr(float("-inf"), 3), "value must be a rational number, got -inf"),
+        (lambda: power_repr("abc", 3), "value must be a rational number, got 'abc'"),
+        (lambda: power_repr("1/0", 3), "value must be a rational number, got '1/0'"),
+        (lambda: power_repr(None, 3), "value must be a rational number, got None"),
+    ],
+    ids=["parse-negative", "parse-zero", "parse-float", "parse-bool", "decimal-negative", "decimal-float-count",
+         "decimal-float", "decimal-bool", "decimal-text", "power-nan", "power-inf", "power-minus-inf",
+         "power-text", "power-zero-denominator", "power-none"],
+)
+def test_the_code_builders_refuse_bad_arguments(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_the_code_builders_take_numpy_integers_and_one_terminal():
+    assert code_from_decimal(np.int64(-3), np.int64(3)) == PAdicCode((-1, 0))
+    assert parse_code("0", 1) == code_from_decimal(0, 1) == PAdicCode(())
+    assert power_repr(np.int64(9), 3) == "p^2" and power_repr(0.25, 2) == "p^-2"
 
 
 @settings(max_examples=100, deadline=None)

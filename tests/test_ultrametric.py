@@ -153,6 +153,24 @@ def test_ball_rejections(demo8):
         ball(M, 0, -1)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda M: is_ultrametric(M, tol=True), "tol must be a finite nonnegative number, got True"),
+        (lambda M: triangle_classify(M, tol=False), "tol must be a finite nonnegative number, got False"),
+        (lambda M: canonical_form(M, range(8), tol=True), "tol must be a finite nonnegative number, got True"),
+        (lambda M: ball(M, 0, True), "radius must be a real number other than NaN, got True"),
+        (lambda M: check_ball_axioms(M, radii=[True]), "radius must be a real number other than NaN, got True"),
+        (lambda M: check_ball_axioms(M, radii=[1, False]), "radius must be a real number other than NaN, got False"),
+    ],
+    ids=["is_ultrametric", "triangle_classify", "canonical_form", "ball", "ball-axioms", "ball-axioms-later"],
+)
+def test_a_bool_is_no_tolerance_or_radius(demo8, call, message):
+    with pytest.raises(ValidationError) as exc:
+        call(cophenetic(demo8))
+    assert str(exc.value) == message
+
+
 def test_ball_axioms_random_trees():
     for d in random_trees(15, 12, seed=77):
         assert check_ball_axioms(cophenetic(d)).ok
