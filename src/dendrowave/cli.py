@@ -11,10 +11,12 @@ matrix that is not ultrametric), 2 usage or parse errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
 import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -42,13 +44,13 @@ from .padic import (
     pnorm,
     power_repr,
 )
-from .tables import _write_cophenetic, read_table, write_table
+from .tables import _write_cophenetic, read_signs, read_table, write_table
 from .tree import (
     Dendrogram,
     ValidationError,
     _json_document,
+    _first_wrong_column,
     _parse,
-    _row_blocks,
     branch_signs,
     cluster,
     load_json,
@@ -83,34 +85,13 @@ def _write_csv(path: Path, header: list[str], values, labels=None) -> None:
         write_table(fh, header, values, labels)
 
 
-def _read_signs(text) -> tuple[np.ndarray, list[str]]:
-    """Branch-code CSV as written by transform: a label column, then n - 1 sign columns."""
-    header, labels, C = read_table(text, labelled=True)
-    n = len(labels)
-    if n < 1:
-        raise ValidationError("expected a header row plus terminal rows")
-    if len(header) != n - 1:
-        raise ValidationError(
-            f"row 1: expected {n} columns for {n} terminals, got {len(header) + 1}"
-        )
-    signs = np.empty(C.shape, dtype=np.int8)
-    for a, b in _row_blocks(*C.shape):  # checked and converted a block of rows at a time
-        blk = C[a:b]
-        bad = np.argwhere((blk != -1) & (blk != 0) & (blk != 1))
-        if bad.size:
-            i, j = bad[0].tolist()
-            raise ValidationError(
-                f"row {a + i + 2}, column {j + 2}: expected -1, 0 or +1, "
-                f"got {format(blk[i, j], 'g')!r}"
-            )
-        signs[a:b] = blk
-    return signs, labels
-
-
 # -------------------------------------------------------------------- bundles
 
-def save_bundle(w: WaveletDecomposition, features: list[str], outdir: Path) -> list[Path]:
-    """Write C.csv, D.csv, smooth.csv, dendrogram.json and meta.json."""
+def save_bundle(w: WaveletDecomposition, features: list[str], outdir: Path, c_from=None) -> list[Path]:
+    """Write C.csv, D.csv, smooth.csv, dendrogram.json and meta.json.
+
+    C.csv is copied from ``c_from`` when given: a file of the bytes it would hold.
+    """
     outdir.mkdir(parents=True, exist_ok=True)
     paths = {
         "C": outdir / "C.csv",
@@ -120,7 +101,11 @@ def save_bundle(w: WaveletDecomposition, features: list[str], outdir: Path) -> l
         "meta": outdir / "meta.json",
     }
     clusters = [f"cluster_{k}" for k in w.order]  # C's columns and D's rows
-    _write_csv(paths["C"], ["terminal"] + clusters, w.branch_codes, w.tree.labels)
+    if c_from is None:
+        _write_csv(paths["C"], ["terminal"] + clusters, w.branch_codes, w.tree.labels)
+    else:
+        with contextlib.suppress(shutil.SameFileError):  # written into the bundle it was read from
+            shutil.copyfile(c_from, paths["C"])
     _write_csv(paths["D"], ["cluster"] + features, w.details, clusters)
     _write_csv(paths["smooth"], features, w.smooth[None])
     save_json(w.tree, paths["tree"])
@@ -168,16 +153,21 @@ def load_bundle(bundle_dir: str) -> tuple[WaveletDecomposition, list[str]]:
     then `_decomposition` checks meta.json's fields against these files.
     The feature names are meta.json's, else D.csv's header, read stripped.
     """
+    return _load_bundle(bundle_dir)[:2]
+
+
+def _load_bundle(bundle_dir: str) -> tuple[WaveletDecomposition, list[str], Path | None]:
+    """`load_bundle`, and C.csv's path if its bytes are those `save_bundle` would write, else None."""
     base = Path(bundle_dir)
     meta_path = base / "meta.json"
     _parse(meta_path, _json_document, "decomposition")  # first: what is no bundle is refused
     tree = load_json(base / "dendrogram.json")
     c_path = base / "C.csv"
-    C, _ = _parse(c_path, _read_signs)
+    C, labels, exact = _parse(c_path, read_signs)
     if C.shape[0] != tree.n_terminals:
         raise ValidationError(f"{c_path}: rows do not match the dendrogram")
-    signs = branch_signs(tree)  # cached on the tree: the decomposition below reads it
-    if not np.array_equal(C, signs):
+    if _first_wrong_column(tree, C, tree.n_clusters) < tree.n_clusters:
+        signs = branch_signs(tree)  # only to name the first differing cell in row order
         i, j = np.argwhere(C != signs)[0].tolist()
         raise ValidationError(
             f"{c_path}: row {i + 2}, column {j + 2}: sign {C[i, j]} differs from "
@@ -196,7 +186,8 @@ def load_bundle(bundle_dir: str) -> tuple[WaveletDecomposition, list[str]]:
             f"{smooth_path}: expected one row of {D.shape[1]} smooth values, "
             f"one per feature, got {smooth.shape[0]} x {smooth.shape[1]}"
         )
-    return _parse(meta_path, _decomposition, tree, D, smooth[0], features)
+    w, features = _parse(meta_path, _decomposition, tree, D, smooth[0], features)
+    return w, features, c_path if exact and tuple(labels) == tree.labels else None
 
 
 # ------------------------------------------------------------------- commands
@@ -276,7 +267,7 @@ def cmd_transform(args) -> int:
 
 
 def cmd_filter(args) -> int:
-    w, features = load_bundle(args.bundle)
+    w, features, c_from = _load_bundle(args.bundle)
     if args.sweep:
         print("keep-k sweep (Frobenius error against the full reconstruction):")
         full = inverse(w)
@@ -298,7 +289,7 @@ def cmd_filter(args) -> int:
     full = inverse(w)
     rec = inverse(filtered)
     bundle_dir = outdir / "filtered"
-    for path in save_bundle(filtered, features, bundle_dir):
+    for path in save_bundle(filtered, features, bundle_dir, c_from):
         print(f"wrote {path}")
     rec_path = outdir / "reconstruction.csv"
     _write_csv(rec_path, features, rec)
@@ -323,7 +314,7 @@ def cmd_padic(args) -> int:
     if args.padic_cmd == "decode":
         if args.base is not None:
             raise ValidationError("argument --base: not allowed with decode, which reads no base")
-        tree = _parse(args.matrix, lambda text: decode(*_read_signs(text)))
+        tree = _parse(args.matrix, lambda text: decode(*read_signs(text)[:2]))
         outdir = _outdir(args)
         path = outdir / "dendrogram.json"
         save_json(tree, path)

@@ -73,7 +73,10 @@ def _euclidean(X, condensed: bool = False) -> np.ndarray:
     base = _row_bases(n)
     for a, b in _row_blocks(n, n * m):  # a block's differences hold n * m floats per row
         c = a + 1 if condensed else 0  # the pairs i < j of rows a..b-1 lie past column a
-        block = np.sqrt(((X[a:b, None, :] - X[None, c:, :]) ** 2).sum(axis=-1))
+        if 0 < m < 8:  # numpy sums fewer than 8 terms in order, so a column at a time gives the same bits
+            block = np.sqrt(sum((X[a:b, None, j] - X[None, c:, j]) ** 2 for j in range(m)))
+        else:
+            block = np.sqrt(((X[a:b, None, :] - X[None, c:, :]) ** 2).sum(axis=-1))
         if condensed:  # rows a..b-1 are one run of the vector: the block's pairs i < j, row by row
             out[base[a] + a + 1 : base[b - 1] + n] = block[np.arange(c, n) > np.arange(a, b)[:, None]]
         else:

@@ -158,6 +158,8 @@ _TERM_RE = re.compile(r"([+-])([A-Za-z0-9]+)\^(\d+)")
 
 def parse_code(text: str, n_terminals: int, base: int = DEFAULT_BASE) -> PAdicCode:
     """Parse a signed-power string back into a code (inverse of `to_string`)."""
+    if not isinstance(text, str):
+        raise ValidationError(f"text must be a str, got {text!r}")
     text, n_terminals = text.strip(), _int_at_least(n_terminals, "n_terminals", 1)
     coeffs = [0] * (n_terminals - 1)
     if text == "0":

@@ -157,10 +157,96 @@ def _cell_block(rows: list[list[str]], row0: int, size: int, labelled: bool):
                 return 1, f"row {i}, column {j}: could not parse {cell.strip()!r}"
 
 
+def read_signs(text) -> tuple[np.ndarray, list[str], bool]:
+    """C.csv's int8 signs and row labels, and whether its bytes are as `save_bundle` writes them.
+
+    A file in that form is read from its bytes by `_byte_signs`; anything
+    else, or a str, by `_read_signs`, whose messages name what is wrong.
+    """
+    raw = getattr(text, "buffer", None)
+    got = None if raw is None else _byte_signs(raw)
+    return (*_read_signs(text), False) if got is None else (*got, True)
+
+
+def _byte_signs(raw):
+    """The signs and labels of a binary file in `save_bundle`'s form, else None.
+
+    That form is a ``terminal,cluster_1,...`` header, then rows of a label
+    free of quotes, ``\\r`` and NUL, and ``,0``, ``,1`` or ``,-1`` per cell,
+    each line ending in ``\\n``.  A `_row_blocks` block of rows at a time,
+    a cell's value is the byte before its separator, negated after a ``-``.
+    """
+    raw.seek(0)
+    header = raw.readline()
+    m, limit, start, size = header.count(b","), csv.field_size_limit(), raw.tell(), raw.seek(0, 2)
+    # csv.reader refuses a field past its limit, and no cell is longer than a header name;
+    # a file too short for its header's rows, of at least 2m + 1 bytes each, is not allocated for
+    if (not m or len(b"cluster_%d" % m) > limit or size - start < (m + 1) * (2 * m + 1)
+            or header != b"terminal" + b"".join(b",cluster_%d" % k for k in range(1, m + 1)) + b"\n"):
+        return None
+    raw.seek(start)
+    signs, labels = np.empty((m + 1, m), dtype=np.int8), []
+    for a, b in _row_blocks(m + 1, m):
+        buf = b"".join(itertools.islice(raw, b - a))
+        byte = np.frombuffer(buf, np.uint8)
+        sep = np.flatnonzero((byte == ord(",")) | (byte == ord("\n")))
+        # short of rows, or a last line with no end, and the bytes no cell or label holds
+        if (len(sep) != (b - a) * (m + 1) or buf.count(b"\n") != b - a
+                or b'"' in buf or b"\r" in buf or b"\0" in buf):
+            return None
+        sep = sep.reshape(-1, m + 1)  # each row's m commas and its end, once checked below
+        width, last = np.diff(sep), byte[sep[:, 1:] - 1]
+        neg = (width == 3) & (byte[sep[:, 1:] - 2] == ord("-")) & (last == ord("1"))
+        if not ((neg | (width == 2) & ((last == ord("0")) | (last == ord("1")))).all()
+                and (byte[sep[:, -1]] == ord("\n")).all()):
+            return None
+        signs[a:b] = last - ord("0")
+        signs[a:b][neg] = -1
+        names = [buf[i:j] for i, j in zip(np.append(0, sep[:-1, -1] + 1).tolist(), sep[:, 0].tolist())]
+        if max(map(len, names)) > limit:
+            return None
+        try:
+            labels += [name.decode() for name in names]
+        except UnicodeDecodeError:
+            return None
+    return (signs, labels) if not raw.read(1) else None
+
+
+def _read_signs(text) -> tuple[np.ndarray, list[str]]:
+    """Branch-code CSV as written by transform: a label column, then n - 1 sign columns."""
+    header, labels, C = read_table(text, labelled=True)
+    n = len(labels)
+    if n < 1:
+        raise ValidationError("expected a header row plus terminal rows")
+    if len(header) != n - 1:
+        raise ValidationError(
+            f"row 1: expected {n} columns for {n} terminals, got {len(header) + 1}"
+        )
+    signs = np.empty(C.shape, dtype=np.int8)
+    for a, b in _row_blocks(*C.shape):  # checked and converted a block of rows at a time
+        blk = C[a:b]
+        bad = np.argwhere((blk != -1) & (blk != 0) & (blk != 1))
+        if bad.size:
+            i, j = bad[0].tolist()
+            raise ValidationError(
+                f"row {a + i + 2}, column {j + 2}: expected -1, 0 or +1, "
+                f"got {format(blk[i, j], 'g')!r}"
+            )
+        signs[a:b] = blk
+    return signs, labels
+
 
 class _RowText:
     """A `csv.writer` file whose ``write`` returns the text, so ``writerow`` returns the row."""
     write = staticmethod(lambda text: text)
+
+
+_ROW_TEXT = csv.writer(_RowText()).writerow  # its "\r\n" line end makes it quote a lone "\r" too
+
+
+def _csv_line(fields) -> str:
+    """``fields`` as one CSV line ending in ``\\n``, quoted as `csv.writer` quotes them."""
+    return _ROW_TEXT(fields)[:-2] + "\n"
 
 
 def _texts(numbers: np.ndarray) -> np.ndarray:
@@ -179,15 +265,14 @@ def write_table(fh, header, values, labels=None) -> None:
     its label, quoted by `csv.writer` like the header.
     """
     values = np.asarray(values)
-    csv.writer(fh, lineterminator="\n").writerow(header)
+    fh.write(_csv_line(header))
     integral = np.issubdtype(values.dtype, np.integer)
     keys = values if integral else values.astype(float, copy=False).view(np.int64)
     distinct = np.unique(keys)
     text = _texts(distinct if integral else distinct.view(float))
-    # the label as csv.writer starts its row (quoted for a comma, a quote or "\n"), then a comma
-    row_text = csv.writer(_RowText(), lineterminator="\n").writerow
+    # the label as `_csv_line` starts its row, then a comma
     leads = [""] * len(values) if labels is None else [
-        row_text([label, ""] if values.shape[1] else [label])[:-1] for label in labels
+        _csv_line([label, ""] if values.shape[1] else [label])[:-1] for label in labels
     ]
     for a, b in _row_blocks(*values.shape):
         rows = text[np.searchsorted(distinct, keys[a:b])].tolist()
@@ -200,5 +285,5 @@ def _write_cophenetic(fh, d: Dendrogram, use: str = "ranks") -> None:
     The n heights are formatted once; each terminal's row of LCA ranks picks its cells' text.
     """
     text = _texts(_heights(d, use))
-    csv.writer(fh, lineterminator="\n").writerow(d.labels)
+    fh.write(_csv_line(d.labels))
     fh.writelines(",".join(text[ranks].tolist()) + "\n" for ranks in _lca_rows(d.layout))

@@ -52,6 +52,9 @@ it read the code's highest power: one `dilate` and one new code per step.
 `agglomerate_square` is `hcluster._agglomerate_core` as it ran before it
 worked on the condensed upper triangle: the same cached row minima on a
 square working matrix with inf on and below the diagonal.
+`pairwise_euclidean` is `hcluster._euclidean`'s cells as they were summed
+for every feature count before fewer than 8 features were summed a column
+at a time: one reduce over an n x n x m array of differences.
 """
 
 from __future__ import annotations
@@ -731,7 +734,7 @@ def caterpillar(n: int, rng: np.random.Generator, with_levels: bool = False) -> 
 
 
 def pairwise_euclidean(X) -> np.ndarray:
-    """All differences at once: an n x n x m array."""
+    """All differences at once: an n x n x m array, each cell's squares summed by one reduce."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[:, None]

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+import oracles
+
 from dendrowave.hcluster import (
     LINKAGES,
+    _euclidean,
     agglomerate,
     merge_levels,
     pairwise_euclidean,
@@ -26,6 +29,18 @@ def test_pairwise_euclidean_matches_double_loop():
         for j in range(12):
             want = float(np.sqrt(((X[i] - X[j]) ** 2).sum()))
             assert abs(M[i, j] - want) <= 1e-12
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_euclidean_cells_have_the_bits_of_one_reduce_over_the_features(monkeypatch, m):
+    """Below 8 features the squares are summed a column at a time, from 8 by one 3-d reduce."""
+    monkeypatch.setattr("dendrowave.tree._BLOCK_CELLS", 256)  # many row blocks
+    rng = np.random.default_rng(m)
+    for n in rng.integers(2, 60, size=4).tolist():
+        X = rng.normal(size=(n, m)) * rng.exponential(size=(n, m)) * 10.0 ** rng.integers(-3, 4)
+        want = oracles.pairwise_euclidean(X)
+        assert np.array_equal(_euclidean(X), want)
+        assert np.array_equal(_euclidean(X, condensed=True), want[np.triu_indices(n, 1)])
 
 
 def test_single_linkage_three_points():

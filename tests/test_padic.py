@@ -399,10 +399,12 @@ def test_refusals_name_their_fault(call, message):
         (lambda: power_repr("abc", 3), "value must be a rational number, got 'abc'"),
         (lambda: power_repr("1/0", 3), "value must be a rational number, got '1/0'"),
         (lambda: power_repr(None, 3), "value must be a rational number, got None"),
+        (lambda: parse_code(5, 3), "text must be a str, got 5"),
+        (lambda: parse_code(b"0", 3), "text must be a str, got b'0'"),
     ],
     ids=["parse-negative", "parse-zero", "parse-float", "parse-bool", "decimal-negative", "decimal-float-count",
          "decimal-float", "decimal-bool", "decimal-text", "power-nan", "power-inf", "power-minus-inf",
-         "power-text", "power-zero-denominator", "power-none"],
+         "power-text", "power-zero-denominator", "power-none", "parse-int-text", "parse-bytes-text"],
 )
 def test_the_code_builders_refuse_bad_arguments(call, message):
     with pytest.raises(ValidationError) as exc:
