@@ -149,7 +149,9 @@ def _decomposition(text, tree: Dendrogram, D, smooth, features) -> tuple[Wavelet
 def load_bundle(bundle_dir: str) -> tuple[WaveletDecomposition, list[str]]:
     """Read a bundle written by `save_bundle` and check it against its own tree.
 
-    C must be the tree's branch signs and smooth.csv must hold one row;
+    C must be the tree's branch signs, its rows named by the tree's
+    terminals; D.csv's rows must be named ``cluster_1`` ... ``cluster_{n-1}``
+    in order, and smooth.csv must hold one row under D.csv's feature names;
     then `_decomposition` checks meta.json's fields against these files.
     The feature names are meta.json's, else D.csv's header, read stripped.
     """
@@ -173,21 +175,33 @@ def _load_bundle(bundle_dir: str) -> tuple[WaveletDecomposition, list[str], Path
             f"{c_path}: row {i + 2}, column {j + 2}: sign {C[i, j]} differs from "
             f"the dendrogram's {signs[i, j]}"
         )
+    _check_names(c_path, labels, tree.labels, "the dendrogram's terminal ")
     d_path = base / "D.csv"
-    features, _, D = _parse(d_path, read_table, True)
+    features, clusters, D = _parse(d_path, read_table, True)
     if D.shape[0] != tree.n_clusters:
         raise ValidationError(
             f"{d_path}: expected {tree.n_clusters} detail rows, one per merge, got {D.shape[0]}"
         )
+    _check_names(d_path, clusters, [f"cluster_{k}" for k in range(1, tree.n_terminals)])
     smooth_path = base / "smooth.csv"
-    _, _, smooth = _parse(smooth_path, read_table)
+    header, _, smooth = _parse(smooth_path, read_table)
     if smooth.shape != (1, D.shape[1]):
         raise ValidationError(
             f"{smooth_path}: expected one row of {D.shape[1]} smooth values, "
             f"one per feature, got {smooth.shape[0]} x {smooth.shape[1]}"
         )
+    for j, (got, want) in enumerate(zip(header, features), start=1):  # both read stripped
+        if got != want:
+            raise ValidationError(f"{smooth_path}: row 1, column {j}: expected D.csv's {want!r}, got {got!r}")
     w, features = _parse(meta_path, _decomposition, tree, D, smooth[0], features)
-    return w, features, c_path if exact and tuple(labels) == tree.labels else None
+    return w, features, c_path if exact else None
+
+
+def _check_names(path: Path, got: list[str], want, whose: str = "") -> None:
+    """Refuse a file whose row names, from its row 2 on, are not ``want`` in order."""
+    for i, (name, expected) in enumerate(zip(got, want), start=2):
+        if name != expected:
+            raise ValidationError(f"{path}: row {i}: expected {whose}{expected!r}, got {name!r}")
 
 
 # ------------------------------------------------------------------- commands

@@ -222,6 +222,9 @@ def _read_signs(text) -> tuple[np.ndarray, list[str]]:
         raise ValidationError(
             f"row 1: expected {n} columns for {n} terminals, got {len(header) + 1}"
         )
+    for k, name in enumerate(header, start=1):  # as `_byte_signs` requires them, stripped
+        if name != f"cluster_{k}":
+            raise ValidationError(f"row 1, column {k + 1}: expected cluster_{k}, got {name!r}")
     signs = np.empty(C.shape, dtype=np.int8)
     for a, b in _row_blocks(*C.shape):  # checked and converted a block of rows at a time
         blk = C[a:b]

@@ -200,11 +200,6 @@ def _row_blocks(n_rows: int, width: int) -> list[tuple[int, int]]:
 # depth 14-17 at these sizes and a caterpillar about n / 2.
 _SCATTER_DEPTH = 100
 _RUN_STEP = 512  # waves of a run in one `Waves` step: a transform scales the k-th by 2**k
-# Waves a run needs to be one step.  A run step costs about 34 us in `forward`
-# and 13 us in `inverse` whatever its length, a lone wave 3-4 us and 2-3 us more
-# per wave: on chains of 8 features (median of 5, 2-CPU VM) the two cost the
-# same at 5 waves, and runs of 2-4 waves take 25-31 us and 7-10 us as lone waves.
-_RUN_MIN = 5
 
 
 def _scattered_signs(lay: TreeLayout, n: int, m: int) -> np.ndarray:
@@ -318,13 +313,12 @@ class Waves:
     """Clusters in slots by (height, rank); a wave is all slots of one height.
 
     Row j of a (2n - 1)-row array is terminal j + 1 or slot j - n.  Each
-    step is ``(first rows, second rows, slots, run)``: ints for a lone
-    one-cluster wave, else two arrays and a slice.
-    A run of one-cluster waves, each cluster a child of the next, takes a
-    step per `_RUN_STEP` waves, its ``run`` a column marking each cluster
-    whose first child is the one below (True for the lowest) and the rows
-    merged in: the lowest's first child, then each other child.  Else None.
-    A step of fewer than `_RUN_MIN` such waves is taken as lone waves.
+    step is ``(first rows, second rows, slots, run)``: two int arrays and a
+    slice.  A run of two or more one-cluster waves, each cluster a child of
+    the next, takes a step per `_RUN_STEP` waves, its ``run`` a column
+    marking each cluster whose first child is the one below (True for the
+    lowest) and the rows merged in: the lowest's first child, then each
+    other child.  Else None.
     """
 
     order: np.ndarray  # rank - 1 of the cluster in each slot
@@ -408,14 +402,10 @@ class Dendrogram(_IdTree):
         single, keep = np.diff(bounds) == 1, np.ones(len(bounds), dtype=bool)
         # a run of one-cluster waves is one step, cut where the wave count is a multiple of `_RUN_STEP`
         keep[1:-1] = ~(single[:-1] & single[1:]) | (np.arange(1, len(bounds) - 1) % _RUN_STEP == 0)
-        flat_kids, steps = kids.ravel().tolist(), []
-        bounds = bounds[keep].tolist()
+        bounds, steps = bounds[keep].tolist(), []
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            w, run, chained = slice(lo, hi), None, height[lo] < height[hi - 1]
-            if hi - lo == 1 or chained and hi - lo < _RUN_MIN:  # each a lone one-cluster wave
-                steps.extend((*flat_kids[2 * j : 2 * j + 2], j, None) for j in range(lo, hi))
-                continue
-            if chained:
+            w, run = slice(lo, hi), None
+            if height[lo] < height[hi - 1]:  # a run of one-cluster waves
                 first = kids[w, :1] == np.arange(n + lo - 1, n + hi - 1)[:, None]
                 first[0] = True
                 run = first, np.append(kids[lo, 0], np.where(first[:, 0], kids[w, 1], kids[w, 0]))

@@ -32,7 +32,6 @@ from dendrowave.haar import (
 from dendrowave.padic import decode, encode
 from dendrowave.pway import random_pway_tree, unfold
 from dendrowave.tree import (
-    _RUN_MIN,
     _RUN_STEP,
     ValidationError,
     branch_signs,
@@ -133,31 +132,28 @@ def test_waves_match_the_rank_loops_bit_for_bit():
 
 
 def run_length(step) -> int:
-    """The number of one-cluster waves in a step: 1 alone, the run's length, 0 for a wider wave."""
-    *_, slots, run = step
-    return 1 if type(slots) is int else 0 if run is None else len(run[0])
+    """The number of one-cluster waves a run step holds, 0 for a step that is no run."""
+    *_, run = step
+    return 0 if run is None else len(run[0])
 
 
 def chain_runs(d) -> list[int]:
-    """Lengths of the maximal runs of one-cluster waves, a run's steps taken together."""
+    """Lengths of the maximal runs of two or more one-cluster waves, a run's steps taken together."""
     lengths = (run_length(step) for step in d._waves.steps)
     return [sum(run) for single, run in itertools.groupby(lengths, key=bool) if single]
 
 
 def test_runs_of_one_cluster_waves_of_any_length_match_the_rank_loop():
-    # balanced(2) ends in one run of one wave, its root; one more terminal makes it two
+    # balanced(2) ends in a lone one-cluster wave, its root; one more terminal makes a run of two
     on_top = build_from_merges([*balanced(2).merges, (cluster(3), terminal(5))])
-    trees = {
-        1: [chain(2, True), balanced(2)],
-        2: [chain(3, False), on_top],
-        _RUN_MIN - 1: [chain(_RUN_MIN, False)],  # the longest run taken as lone waves
-        _RUN_MIN: [chain(_RUN_MIN + 1, True)],  # the shortest taken as one step
-        11: [chain(12, True)],
-    }
+    trees = {0: [chain(2, True), balanced(2)], 11: [chain(12, True)]}
+    for waves in (2, 3, 4, 5):  # short runs, in both child orders
+        trees[waves] = [chain(waves + 1, True), chain(waves + 1, False)]
+    trees[2].append(on_top)
     rng = np.random.default_rng(94)
     for length, ds in trees.items():
         for d in ds:
-            assert chain_runs(d) == chain_runs(d.canonical) == [length]
+            assert chain_runs(d) == chain_runs(d.canonical) == ([length] if length else [])
             assert_same_as_rank_loop(rng.normal(size=(d.n_terminals, 3)), d)
 
 
@@ -264,6 +260,31 @@ def test_a_run_merges_one_cluster_at_a_time_only_for_data_it_cannot_scale(monkey
             assert (1 in merged_rows) == (name == "_plain_merge" and family in FALLBACK_DATA), family
 
 
+@pytest.mark.parametrize("cluster_first", [True, False], ids=["cluster-first", "cluster-second"])
+@pytest.mark.parametrize("waves", [2, 3, 4, 5])
+def test_short_runs_are_one_step_and_match_the_rank_loops_on_any_data(monkeypatch, waves, cluster_first):
+    d = chain(waves + 1, cluster_first)
+    for tree in (d, d.canonical):
+        (step,) = tree._waves.steps
+        assert run_length(step) == waves
+    real, merged_rows = haar._plain_merge, []
+
+    def spy(sa, sb):
+        merged_rows.append(np.ndim(sa))  # 1: one cluster's row, 2: a whole run
+        return real(sa, sb)
+
+    monkeypatch.setattr(haar, "_plain_merge", spy)
+    rng = np.random.default_rng(120 + waves)
+    for family, make in RUN_DATA.items():
+        for _ in range(5):
+            X = make(rng, (d.n_terminals, 3))
+            merged_rows.clear()
+            for orient in (True, False):
+                assert_runs_match_the_rank_loops(X, d, orient)
+            # normal floats scale exactly, so only the other data may merge one cluster at a time
+            assert family in FALLBACK_DATA or 1 not in merged_rows, family
+
+
 def test_the_weighted_sums_stay_within_the_tolerance_of_the_weighted_means():
     rng = np.random.default_rng(110)
     trees = [
@@ -294,10 +315,11 @@ def test_every_wave_sits_above_its_children():
         filled, lengths = [], []
         for step in waves.steps:
             a, b, slots, run = step
-            rows = np.atleast_1d(n + np.arange(n - 1)[slots])
+            rows = n + np.arange(n - 1)[slots]
             filled.extend(rows.tolist())
             level, lengths = height[rows], lengths + [run_length(step)]
             if lengths[-1]:  # one-cluster waves: each the only cluster of its height, a child of the next
+                assert lengths[-1] >= 2
                 assert (np.bincount(height)[level] == 1).all() and (np.diff(level) == 1).all()
             else:
                 assert np.unique(level).size == 1  # one height per wave, a contiguous run of slots
@@ -307,21 +329,16 @@ def test_every_wave_sits_above_its_children():
                 assert np.array_equal(np.where(first[:, 0], a, b)[1:], rows[:-1])
                 assert np.array_equal(merged_in, np.append(a[0], np.where(first[:, 0], b, a)))
             for kids in (a, b):
-                assert (height[np.atleast_1d(kids)] < level).all()
-            assert np.array_equal(size[rows], size[np.atleast_1d(a)] + size[np.atleast_1d(b)])
+                assert (height[kids] < level).all()
+            assert np.array_equal(size[rows], size[a] + size[b])
         assert filled == list(range(n, 2 * n - 1))  # the waves fill the slots in order
-        # runs are maximal, cut into pieces only where the wave count is a multiple of `_RUN_STEP`,
-        # and a piece is one step from `_RUN_MIN` waves on, else that many lone waves
-        pieces, waves_below = [[]], 0
-        for length in lengths:
-            waves_below += length or 1
-            if length:
-                pieces[-1].append(length)
-            if not length or waves_below % _RUN_STEP == 0:
-                pieces.append([])
-        for piece in pieces:
-            waves = sum(piece)
-            assert piece == ([waves] if waves >= _RUN_MIN else [1] * waves)
+        # runs are maximal: two steps of one-cluster waves meet only where a run is cut,
+        # at a multiple of `_RUN_STEP` waves
+        waves_below, below_single = 0, False
+        for (_, _, slots, _), length in zip(waves.steps, lengths):
+            single = slots.stop - slots.start == 1 or length > 0
+            assert not (single and below_single) or waves_below % _RUN_STEP == 0
+            waves_below, below_single = waves_below + (length or 1), single
         assert max(lengths, default=0) <= _RUN_STEP
 
 
@@ -331,31 +348,30 @@ def wave_count(d) -> int:
 
 
 def test_wave_counts_are_the_tree_height():
-    for n in (2, 3, 50, 257, _RUN_STEP + _RUN_MIN, 2 * _RUN_STEP + 2):
-        # a run in pieces of `_RUN_STEP` waves, each one step or, if short, lone waves
+    for n in (2, 3, 4, 5, 6, 50, 257, _RUN_STEP + 2, _RUN_STEP + 3, 2 * _RUN_STEP + 2):
+        # a run in pieces of `_RUN_STEP` waves, each one step
         pieces = [min(_RUN_STEP, n - 1 - at) for at in range(0, n - 1, _RUN_STEP)]
         for cluster_first in (True, False):
             d = chain(n, cluster_first)
             assert wave_count(d) == n - 1
-            assert len(d._waves.steps) == sum(1 if p >= _RUN_MIN else p for p in pieces)
+            assert [run_length(step) or 1 for step in d._waves.steps] == pieces
     for levels in range(1, 9):
         assert wave_count(balanced(levels)) == len(balanced(levels)._waves.steps) == levels
     assert random_dendrogram(1, 1)._waves.steps == ()
 
 
-def test_short_runs_are_lone_waves():
-    for n in (3, 4):
-        for cluster_first in (True, False):
-            steps = chain(n, cluster_first)._waves.steps
-            assert len(steps) == n - 1
-            assert all(type(slots) is int and run is None for *_, slots, run in steps)
-
-
-def test_single_cluster_waves_hold_python_scalars():
-    root = balanced(3)._waves.steps[-1]  # a lone one-cluster wave
-    assert [type(v) for v in root] == [int, int, int, type(None)]
+def test_every_step_holds_two_int_arrays_and_a_slice():
+    for d in (*sample_trees(), chain(3, True), chain(4, False)):
+        for a, b, slots, run in d._waves.steps:
+            assert isinstance(slots, slice) and slots.step is None
+            for kids in (a, b):
+                assert isinstance(kids, np.ndarray) and kids.dtype == np.int64
+                assert kids.shape == (slots.stop - slots.start,)
+            assert run is None or isinstance(run, tuple)
+    root = balanced(3)._waves.steps[-1]  # a lone one-cluster wave: one-row arrays and a one-slot slice
+    assert root[2] == slice(6, 7) and root[0].shape == root[1].shape == (1,) and root[3] is None
     wide = balanced(3)._waves.steps[0]
-    assert isinstance(wide[2], slice) and wide[0].shape == wide[1].shape == (4,) and wide[3] is None
+    assert wide[2] == slice(0, 4) and wide[0].shape == wide[1].shape == (4,) and wide[3] is None
     (step,) = chain(6, cluster_first=False)._waves.steps  # the growing cluster always second
     a, b, slots, (first, merged_in) = step
     assert slots == slice(0, 5) and a.shape == b.shape == (5,) and first.shape == (5, 1)

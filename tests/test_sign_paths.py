@@ -5,7 +5,8 @@ and any other through `_read_signs`, the text reader.  The two must give
 the same int8 signs and labels, or the same message, on mutated sign files;
 a file the byte path takes must be the text `write_table` writes, which is
 what lets `filter` copy it.  The last tests drive `transform`, `filter` and
-`padic decode` over labels that csv must quote.
+`padic decode` over labels that csv must quote, and `transform`, `filter`,
+`cluster` and `check` over data whose header names csv must quote.
 """
 
 import contextlib
@@ -205,6 +206,22 @@ def test_a_str_is_read_by_the_text_reader():
     assert not exact and labels == list(d.labels) and np.array_equal(signs, branch_signs(d))
 
 
+# a C.csv whose header names its first two columns the other way round
+MISNAMED_COLUMNS = b"terminal,cluster_2,cluster_1,cluster_3\nx1,1,0,1\nx2,-1,0,1\nx3,0,1,-1\nx4,0,-1,-1\n"
+
+
+def test_a_sign_file_whose_header_misnames_a_column_is_refused(tmp_path, capsys):
+    path = tmp_path / "C.csv"
+    path.write_bytes(MISNAMED_COLUMNS)
+    message = "row 1, column 2: expected cluster_1, got 'cluster_2'"
+    assert outcome(read_signs, path) == outcome(_read_signs, path) == f"{path}: {message}"
+    with pytest.raises(ValidationError) as exc:
+        read_signs(MISNAMED_COLUMNS.decode())
+    assert str(exc.value) == message
+    assert cli.main(["padic", "decode", str(path), "--out", str(tmp_path / "d")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 # ------------------------------------------------------------------ filter
 
 def run(argv) -> int:
@@ -246,12 +263,45 @@ def test_filter_writes_a_sign_file_in_another_form_anew(tmp_path, bundle, edit):
     assert (tmp_path / "f" / "filtered" / "C.csv").read_bytes() == text
 
 
-def test_a_sign_file_whose_labels_are_not_the_trees_is_written_anew(tmp_path, bundle):
-    c_path = bundle / "C.csv"
-    text = c_path.read_bytes()
-    c_path.write_bytes(text.replace(b"\nx1,", b"\nother,", 1))
-    assert run(["filter", bundle, "--value", "3", "--out", tmp_path / "f"]) == 0
-    assert (tmp_path / "f" / "filtered" / "C.csv").read_bytes() == text
+def swap_lines(raw: bytes, i: int, j: int) -> bytes:
+    lines = raw.split(b"\n")
+    lines[i], lines[j] = lines[j], lines[i]
+    return b"\n".join(lines)
+
+
+# edits of a bundle's names that keep every value, each refused with the message it names
+MISNAMED = {
+    "C-label-renamed": (
+        "C.csv",
+        lambda raw: raw.replace(b"\nx1,", b"\nother,", 1),
+        "row 2: expected the dendrogram's terminal 'x1', got 'other'",
+    ),
+    "D-rows-swapped": (
+        "D.csv", lambda raw: swap_lines(raw, 1, 2), "row 2: expected 'cluster_1', got 'cluster_2'"
+    ),
+    "D-row-renamed": (
+        "D.csv",
+        lambda raw: raw.replace(b"\ncluster_5,", b"\nrank_5,"),
+        "row 6: expected 'cluster_5', got 'rank_5'",
+    ),
+    "smooth-header-swapped": (
+        "smooth.csv",
+        lambda raw: raw.replace(b"x1,x2,", b"x2,x1,", 1),
+        "row 1, column 1: expected D.csv's 'x1', got 'x2'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISNAMED))
+def test_filter_refuses_a_bundle_whose_names_are_not_its_own(tmp_path, capsys, bundle, case):
+    name, edit, message = MISNAMED[case]
+    path = bundle / name
+    raw = path.read_bytes()
+    path.write_bytes(edit(raw))
+    assert path.read_bytes() != raw
+    assert cli.main(["filter", str(bundle), "--value", "3", "--out", str(tmp_path / "f")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "f").exists()
 
 
 def test_filter_into_the_bundle_it_reads(tmp_path, bundle):
@@ -309,3 +359,26 @@ def test_transform_filter_and_decode_give_back_the_labels(d, data):
         assert run(["padic", "decode", out / "C.csv", "--out", decoded]) == 0
         assert load_json(decoded / "dendrogram.json") == load_json(out / "dendrogram.json")
         assert load_json(decoded / "dendrogram.json").labels == tuple(labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(dendrograms(min_n=2, max_n=12), st.data())
+def test_ultrametric_transform_filter_and_cluster_check_round_trip(d, data):
+    m = data.draw(st.integers(1, 3), label="features")
+    names = data.draw(st.lists(LABELS, min_size=m, max_size=m), label="names")  # data.csv's header
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    X = rng.integers(-99, 100, size=(d.n_terminals, m))
+    with tempfile.TemporaryDirectory() as scratch:
+        base = Path(scratch)
+        save_json(d, base / "tree.json")
+        with open(base / "data.csv", "w", encoding="utf-8", newline="") as fh:
+            write_table(fh, names, X)
+        out, filtered = base / "w", base / "f"
+        assert run(["transform", base / "data.csv", base / "tree.json", "--check", "--out", out]) == 0
+        keep = d.n_terminals - 1
+        assert run(["filter", out, "--rule", "keep-k", "--value", keep, "--out", filtered]) == 0
+        w, features = cli.load_bundle(filtered / "filtered")
+        assert features == [name.strip() for name in names]  # header names are read stripped
+        assert np.allclose(inverse(w), X, rtol=0, atol=1e-8)
+        assert run(["cluster", base / "data.csv", "--out", base / "c"]) == 0
+        assert run(["check", base / "c" / "cophenetic.csv"]) == 0
