@@ -55,8 +55,6 @@ class PWayTree(_IdTree):
         n, t = len(labels), len(merges)
         if n != (need := t * (arity - 1) + 1):
             raise ValidationError(f"{t} {arity}-way merges cover {need} terminals, got {n} labels")
-        if len(set(labels)) != n:
-            raise ValidationError("terminal labels must be distinct")
         self._store(labels, merges, arity, arity=arity)
 
     @property
@@ -69,11 +67,8 @@ class PWayTree(_IdTree):
 
     def term_set(self, node: NodeRef) -> frozenset[int]:
         """Terminal indices under ``node``; q<k> reads the top of its unfolded chain."""
-        if node.index > (self.n_terminals if node.is_terminal else self.n_internal):
-            raise ValidationError(f"unknown node {node!r}")
-        if node.is_terminal:
-            return frozenset((node.index,))
-        return self._unfolded.term_set(cluster(node.index * (self.arity - 1)))
+        k = self._check_node(node)
+        return frozenset((k,)) if node.is_terminal else self._unfolded.term_set(cluster(k * (self.arity - 1)))
 
 
 def build_pway(

@@ -38,13 +38,9 @@ class NodeRef:
     index: int
 
     def __post_init__(self) -> None:
-        kind, i = self.kind, self.index
-        if kind not in ("terminal", "cluster"):
-            raise ValidationError(f"unknown node kind {kind!r}")
-        if type(i) is not int and (type(i) is bool or not isinstance(i, (int, np.integer))):
-            raise ValidationError(f"{kind} index must be an integer, got {i!r}")
-        if i < 1:
-            raise ValidationError(f"{kind} index must be >= 1, got {i}")
+        if self.kind not in ("terminal", "cluster"):
+            raise ValidationError(f"unknown node kind {self.kind!r}")
+        object.__setattr__(self, "index", _int_at_least(self.index, f"{self.kind} index", 1))
 
     @property
     def is_terminal(self) -> bool:
@@ -288,12 +284,20 @@ class _IdTree:
         shown = ("merges" if f == "kids" else f for f in self._fields)
         return f"{type(self).__name__}({', '.join(f'{f}={getattr(self, f)!r}' for f in shown)})"
 
+    def _check_node(self, node: NodeRef) -> int:
+        """The index of ``node``, once it is known to be a node of this tree."""
+        if node.index > (self.n_terminals if node.is_terminal else len(self.kids)):
+            raise ValidationError(f"unknown node {node!r} for {self.n_terminals} terminals")
+        return node.index
+
     def _store(self, labels, kids, p: int, **fields) -> None:
-        """Check ``kids``, an array of node ids or NodeRef merges, and store the fields.
+        """Check the labels are distinct and ``kids``, node ids or NodeRef merges; store the fields.
 
         ``labels`` are stored as a tuple and ``kids`` as a read-only copy.
         """
         n = len(labels)
+        if len(set(labels)) != n:
+            raise ValidationError("terminal labels must be distinct")
         if not isinstance(kids, np.ndarray):
             counts = [len(row) for row in kids]
             k = next((k for k, c in enumerate(counts, start=1) if c != p), 0)
@@ -354,8 +358,6 @@ class Dendrogram(_IdTree):
         n = len(labels)
         if n < 1:
             raise ValidationError("need at least one terminal")
-        if len(set(labels)) != n:
-            raise ValidationError("terminal labels must be distinct")
         if len(merges) != n - 1:
             raise ValidationError(f"{n} terminals require {n - 1} merges, got {len(merges)}")
         self._store(labels, merges, 2)
@@ -462,24 +464,16 @@ class Dendrogram(_IdTree):
         oriented.__dict__.update(_oriented=None, layout=layout)
         return oriented
 
-    def _check_node(self, node: NodeRef) -> None:
-        bound = self.n_terminals if node.is_terminal else self.n_clusters
-        if node.index > bound:
-            raise ValidationError(f"unknown node {node!r} for {self.n_terminals} terminals")
-
     def children(self, rank: int) -> tuple[NodeRef, NodeRef]:
-        if not 1 <= rank <= self.n_clusters:
-            raise ValidationError(f"no cluster of rank {rank}")
-        return self.merges[rank - 1]
+        return self.merges[self._check_node(cluster(rank)) - 1]
 
     def span(self, node: NodeRef) -> tuple[int, int]:
         """Leaf positions ``[start, end)`` that ``node`` covers in `leaf_order`."""
-        self._check_node(node)
-        lay = self.layout
+        i, lay = self._check_node(node) - 1, self.layout
         if node.is_terminal:
-            start = int(lay.pos[node.index - 1])
+            start = int(lay.pos[i])
             return start, start + 1
-        return int(lay.lo[node.index - 1]), int(lay.hi[node.index - 1])
+        return int(lay.lo[i]), int(lay.hi[i])
 
     def term_set(self, node: NodeRef) -> frozenset[int]:
         """Terminal indices lying under ``node``."""
@@ -499,17 +493,14 @@ class Dendrogram(_IdTree):
     def level_of(self, rank: int) -> float:
         if self.levels is None:
             raise ValidationError("this dendrogram carries no levels")
-        if not 1 <= rank <= self.n_clusters:
-            raise ValidationError(f"no cluster of rank {rank}")
-        return self.levels[rank - 1]
+        return self.levels[self._check_node(cluster(rank)) - 1]
 
     def leaf_order(self) -> tuple[int, ...]:
         """Terminal indices read left to right, following stored child order."""
         return tuple(self.layout.order.tolist())
 
     def label_of(self, i: int) -> str:
-        self._check_node(terminal(i))
-        return self.labels[i - 1]
+        return self.labels[self._check_node(terminal(i)) - 1]
 
 
 def build_from_merges(

@@ -29,7 +29,9 @@ from functools import cached_property
 import numpy as np
 
 from .tables import read_table, write_table
-from .tree import Dendrogram, ValidationError, _find, _heights, _lca_rows, _row_blocks, default_labels
+from .tree import (
+    Dendrogram, ValidationError, _find, _heights, _int_at_least, _lca_rows, _row_blocks, default_labels,
+)
 
 DEFAULT_TOL = 1e-9
 
@@ -533,8 +535,7 @@ def ball(M, center: int, r) -> frozenset[int]:
 
 def _ball(A: np.ndarray, center: int, r) -> frozenset[int]:
     n = A.shape[0]
-    if isinstance(center, bool) or not isinstance(center, numbers.Integral):
-        raise ValidationError(f"center must be an integer, got {center!r}")
+    center = _int_at_least(center, "center", None)
     if not 0 <= center < n:
         raise ValidationError(f"center {center} outside 0..{n - 1}")
     _check_radius(r)

@@ -229,10 +229,10 @@ def pway_term_set(t, node: NodeRef) -> frozenset[int]:
     """`PWayTree.term_set`, rebuilding every cluster's set on each call."""
     if node.is_terminal:
         if node.index > t.n_terminals:
-            raise ValidationError(f"unknown node {node!r}")
+            raise ValidationError(f"unknown node {node!r} for {t.n_terminals} terminals")
         return frozenset((node.index,))
     if node.index > t.n_internal:
-        raise ValidationError(f"unknown node {node!r}")
+        raise ValidationError(f"unknown node {node!r} for {t.n_terminals} terminals")
     sets: list[frozenset[int]] = []
     for kids in t.merges:
         acc: frozenset[int] = frozenset()

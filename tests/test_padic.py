@@ -284,6 +284,14 @@ def test_norms_golden(demo8):
     assert dilation_operator_norm(5) == 5
 
 
+def test_norm_of_a_numpy_rank_is_exact():
+    """A numpy index is stored as a Python int, so p**rank cannot wrap around int64."""
+    d = random_dendrogram(50, 4)
+    for rank in (40, np.int64(40), np.uint64(40)):
+        assert pnorm(d, cluster(rank), 3) == Fraction(1, 3**40)
+    assert pdistance(cluster(np.int32(40)), cluster(np.int8(41)), d=d) == pdistance(cluster(40), cluster(41), d=d)
+
+
 def test_power_repr():
     assert power_repr(Fraction(0), 3) == "0"
     assert power_repr(Fraction(1), 3) == "1"

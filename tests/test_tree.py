@@ -355,8 +355,8 @@ def _with_merges(d, merges):
         (lambda d: NodeRef("leaf", 1), "unknown node kind 'leaf'"),
         (lambda d: Dendrogram([], []), "need at least one terminal"),
         (lambda d: Dendrogram(["a", "b"], []), "2 terminals require 1 merges, got 0"),
-        (lambda d: d.children(0), "no cluster of rank 0"),
-        (lambda d: build_from_merges(d.merges, levels=range(1, 8)).level_of(8), "no cluster of rank 8"),
+        (lambda d: d.children(0), "cluster index must be an integer >= 1, got 0"),
+        (lambda d: build_from_merges(d.merges, levels=range(1, 8)).level_of(8), "unknown node q8 for 8 terminals"),
         (lambda d: d.label_of(9), "unknown node x9 for 8 terminals"),
         (lambda d: apply_swap(d, [True]), "mask needs 7 bits, got 1"),
         (lambda d: _with_merges(d, [1]), "merges[0]: expected an object"),
@@ -379,9 +379,9 @@ def test_refusals_name_their_fault(demo8, call, message):
 
 
 def test_node_ref_rejects_booleans():
-    with pytest.raises(ValidationError, match="terminal index must be an integer, got True"):
+    with pytest.raises(ValidationError, match="terminal index must be an integer >= 1, got True"):
         terminal(True)
-    with pytest.raises(ValidationError, match="cluster index must be an integer"):
+    with pytest.raises(ValidationError, match="cluster index must be an integer >= 1, got True"):
         cluster(True)
 
 

@@ -223,11 +223,11 @@ def test_every_constructor_gives_equal_trees():
 def test_noderef_has_slots_and_keeps_its_checks():
     ref = terminal(3)
     assert not hasattr(ref, "__dict__")
-    with pytest.raises(ValidationError, match=r"^terminal index must be an integer, got True$"):
+    with pytest.raises(ValidationError, match=r"^terminal index must be an integer >= 1, got True$"):
         terminal(True)
-    with pytest.raises(ValidationError, match=r"^cluster index must be an integer, got 2.0$"):
+    with pytest.raises(ValidationError, match=r"^cluster index must be an integer >= 1, got 2.0$"):
         cluster(2.0)
-    with pytest.raises(ValidationError, match=r"^cluster index must be >= 1, got 0$"):
+    with pytest.raises(ValidationError, match=r"^cluster index must be an integer >= 1, got 0$"):
         cluster(0)
     assert NodeRef("cluster", np.int64(4)) == cluster(4)
     for node in (ref, cluster(7)):
