@@ -548,11 +548,22 @@ SwapMask = tuple[bool, ...]
 
 
 def apply_swap(d: Dendrogram, mask: Sequence[bool | int]) -> Dendrogram:
-    """Exchange the two children at every node whose mask bit is set."""
-    swap = np.fromiter(map(bool, mask), dtype=bool)
+    """Exchange the two children at every node whose mask bit is set.
+
+    The bits are bools or the integers 0 and 1, numpy types included.
+    """
+    try:  # a list of numpy integers of mixed signedness would become floats in a numpy array
+        swap = mask if isinstance(mask, np.ndarray) else np.array(list(mask), dtype=object)
+    except (TypeError, ValueError):  # no sequence, or a ragged one
+        swap = np.empty((0, 0))
+    ints = swap.dtype.kind in "biu" or swap.dtype == object and all(
+        isinstance(b, (int, np.integer, np.bool_)) for b in swap.flat
+    )
+    if swap.ndim != 1 or swap.size and not (ints and ((swap == 0) | (swap == 1)).all()):
+        raise ValidationError(f"mask must hold bools or 0/1 integers, got {mask!r}")
     if len(swap) != d.n_clusters:
         raise ValidationError(f"mask needs {d.n_clusters} bits, got {len(swap)}")
-    kids = np.where(swap[:, None], d.kids[:, ::-1], d.kids)
+    kids = np.where(swap[:, None].astype(bool), d.kids[:, ::-1], d.kids)
     return Dendrogram(d.labels, kids, d.levels)
 
 
@@ -666,7 +677,7 @@ def _json_document(source, fmt: str) -> dict:
     """The JSON object in ``source``, a str or a text file, whose ``"format"`` is ``fmt``."""
     try:
         doc = json.loads(source if isinstance(source, str) else source.read())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nested too deep for the decoder
         raise ValidationError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != fmt:
         raise ValidationError(f"expected a {fmt} document")
@@ -685,7 +696,7 @@ def _document(source, fmt: str) -> tuple[dict, list[str]]:
         raise ValidationError("terminals: expected a list of strings")
     n, count = len(labels), doc.get("n_terminals")
     required = "n_terminals" in doc or fmt == Dendrogram._format
-    if required and (isinstance(count, bool) or count != n):
+    if required and (type(count) is not int or count != n):  # a bool or float is no count
         raise ValidationError(f"n_terminals says {count!r} but {n} labels given")
     if not isinstance(doc.get("merges"), list):
         raise ValidationError("merges: expected a list")

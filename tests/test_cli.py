@@ -438,9 +438,13 @@ def _json_edit(change):
     return edit
 
 
+# a document nested deeper than the decoder recurses
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+
 # a fault of a dendrogram JSON file, and the start of its located message
 JSON_FAULTS = {
     "truncated": (lambda b: b[: len(b) // 2], "not valid JSON: "),
+    "nested": (lambda b: DEEP_JSON, "not valid JSON: "),
     "format": (_json_edit(lambda d: d.update(format="pway_tree")), "expected a dendrogram document\n"),
     "merges": (_json_edit(lambda d: d.update(merges={})), "merges: expected a list\n"),
     "node": (
@@ -455,6 +459,7 @@ MALFORMED_BUNDLES = {
         for fault, (edit, message) in JSON_FAULTS.items()
     },
     "meta-truncated": ("meta.json", lambda b: b[: len(b) // 2], "meta.json: not valid JSON: "),
+    "meta-nested": ("meta.json", lambda b: DEEP_JSON, "meta.json: not valid JSON: "),
     "meta-format": (
         "meta.json",
         _json_edit(lambda d: d.update(format="dendrogram")),

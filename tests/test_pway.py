@@ -197,7 +197,7 @@ def test_pway_json_rejects_booleans_as_integers(merge, where):
 def test_pway_json_checks_n_terminals_when_present():
     doc = json.loads(to_json(random_pway_tree(3, 3, np.random.default_rng(85))))
     assert doc["n_terminals"] == 7
-    for bad in (99, True):
+    for bad in (99, True, 7.0):
         with pytest.raises(ValidationError, match=f"n_terminals says {bad!r} but 7 labels given"):
             from_json(json.dumps({**doc, "n_terminals": bad}))
     del doc["n_terminals"]

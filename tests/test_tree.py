@@ -190,6 +190,43 @@ def test_apply_swap_identity_mask(demo8):
     assert apply_swap(demo8, (False,) * 7) == demo8
 
 
+@pytest.mark.parametrize(
+    "mask",
+    [
+        (True, False, True, True, False, False, True),
+        [1, 0, 1, 1, 0, 0, 1],
+        [np.True_, np.int8(0), np.uint64(1), 1, False, 0, np.int64(1)],
+        np.array([1, 0, 1, 1, 0, 0, 1], dtype=np.int8),
+        np.array([1, 0, 1, 1, 0, 0, 1], dtype=np.uint64),
+        np.array([True, False, True, True, False, False, True]),
+    ],
+    ids=["bools", "ints", "numpy-scalars", "int8", "uint64", "bool-array"],
+)
+def test_apply_swap_takes_bools_and_0_1_integers(demo8, mask):
+    want = apply_swap(demo8, (True, False, True, True, False, False, True))
+    assert apply_swap(demo8, mask) == want
+
+
+@pytest.mark.parametrize(
+    "mask",
+    [
+        "0000000",
+        [0, 1, 2, 0, 0, 0, 0],
+        [0, -1, 0, 0, 0, 0, 0],
+        [0.0] * 7,
+        np.zeros(7),
+        [None] * 7,
+        ["1"] * 7,
+        np.zeros((7, 1), dtype=bool),
+        7,
+    ],
+    ids=["str", "two", "minus-one", "floats", "float-array", "nones", "strs", "column", "int"],
+)
+def test_apply_swap_refuses_masks_of_anything_but_bits(demo8, mask):
+    with pytest.raises(ValidationError, match=r"^mask must hold bools or 0/1 integers, got "):
+        apply_swap(demo8, mask)
+
+
 def test_canonical_orient_demo_is_fixed_point(demo8):
     assert canonical_orient(demo8) == demo8
 
@@ -343,6 +380,13 @@ def test_from_json_rejects_booleans_as_integers(doc, where):
         from_json(text)
     # the same document with 1 in place of true is valid
     from_json(text.replace("true", "1"))
+
+
+def test_from_json_requires_n_terminals_to_be_a_json_integer():
+    text = json.dumps({**_doc(2, [PAIR]), "n_terminals": 2.0})
+    with pytest.raises(ValidationError, match=r"^n_terminals says 2.0 but 2 labels given$"):
+        from_json(text)
+    assert from_json(text.replace("2.0", "2")).n_terminals == 2
 
 
 def _with_merges(d, merges):

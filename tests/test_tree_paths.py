@@ -18,7 +18,7 @@ from strategies import dendrograms
 from test_haar_paths import balanced, chain
 
 from dendrowave import pway, tree
-from dendrowave.padic import decode, dilate_tree, encode
+from dendrowave.padic import cluster_code, decode, dilate_tree, encode, pdistance, pnorm
 from dendrowave.pway import PWayTree, build_pway, random_pway_tree, unfold
 from dendrowave.tree import (
     Dendrogram,
@@ -233,6 +233,40 @@ def test_noderef_has_slots_and_keeps_its_checks():
     for node in (ref, cluster(7)):
         back = pickle.loads(pickle.dumps(node))
         assert back == node and hash(back) == hash(node) and repr(back) == repr(node)
+
+
+INDEX_TYPES = (int, np.int8, np.int32, np.int64, np.uint64)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dendrograms(levels=True))
+def test_numpy_integer_indices_give_the_answers_of_ints(d):
+    n, m = d.n_terminals, d.n_clusters
+
+    def answers(as_index):
+        ts, ks = [as_index(i) for i in range(1, n + 1)], [as_index(k) for k in range(1, m + 1)]
+        nodes = [terminal(i) for i in ts] + [cluster(k) for k in ks]
+        assert all(type(node.index) is int for node in nodes)
+        return (
+            [pnorm(d, node) for node in nodes],
+            [pdistance(a, b, d=d) for a, b in zip(nodes, nodes[1:] + nodes[:1])],
+            [cluster_code(d, node) for node in nodes],
+            [d.span(node) for node in nodes],
+            [d.term_set(node) for node in nodes],
+            [d.lca(i, j) for a, i in enumerate(ts) for j in ts[a + 1 :]],
+            [d.label_of(i) for i in ts],
+            [d.children(k) for k in ks],
+            [d.level_of(k) for k in ks],
+        )
+
+    want = answers(int)
+    for kind in INDEX_TYPES[1:]:
+        assert answers(kind) == want
+    bad = [1.5, "2", True, np.True_] + [kind(v) for kind in INDEX_TYPES for v in (0, m + 1)]
+    for rank in bad:
+        for call in (d.children, d.level_of):
+            with pytest.raises(ValidationError):
+                call(rank)
 
 
 def test_pickled_trees_are_equal_read_only_and_revalidated():
