@@ -175,7 +175,7 @@ def _load_bundle(bundle_dir: str) -> tuple[WaveletDecomposition, list[str], Path
             f"{c_path}: row {i + 2}, column {j + 2}: sign {C[i, j]} differs from "
             f"the dendrogram's {signs[i, j]}"
         )
-    _check_names(c_path, labels, tree.labels, "the dendrogram's terminal ")
+    _check_names(c_path, labels, tree.labels, "dendrogram.json's terminal ")  # names both files
     d_path = base / "D.csv"
     features, clusters, D = _parse(d_path, read_table, True)
     if D.shape[0] != tree.n_clusters:

@@ -12,6 +12,7 @@ what lets `filter` copy it.  The last tests drive `transform`, `filter` and
 import contextlib
 import csv
 import io
+import json
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -274,7 +275,7 @@ MISNAMED = {
     "C-label-renamed": (
         "C.csv",
         lambda raw: raw.replace(b"\nx1,", b"\nother,", 1),
-        "row 2: expected the dendrogram's terminal 'x1', got 'other'",
+        "row 2: expected dendrogram.json's terminal 'x1', got 'other'",
     ),
     "D-rows-swapped": (
         "D.csv", lambda raw: swap_lines(raw, 1, 2), "row 2: expected 'cluster_1', got 'cluster_2'"
@@ -301,6 +302,18 @@ def test_filter_refuses_a_bundle_whose_names_are_not_its_own(tmp_path, capsys, b
     assert path.read_bytes() != raw
     assert cli.main(["filter", str(bundle), "--value", "3", "--out", str(tmp_path / "f")]) == 2
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert not (tmp_path / "f").exists()
+
+
+def test_filter_names_dendrogram_json_when_a_terminal_there_is_renamed(tmp_path, capsys, bundle):
+    """Either file may be the one edited, so the message names both."""
+    path = bundle / "dendrogram.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["terminals"][0] = "other"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["filter", str(bundle), "--value", "3", "--out", str(tmp_path / "f")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bundle / 'C.csv'}: row 2: expected dendrogram.json's terminal 'other', got 'x1'\n"
     assert not (tmp_path / "f").exists()
 
 
